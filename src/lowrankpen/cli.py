@@ -118,7 +118,7 @@ def parse_run_config(cfg: dict) -> tuple[TrialSpec, str | None]:
             raise ConfigError("n_grid", "must be a nonempty list of integers")
         try:
             n_grid = tuple(int(x) for x in raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError("n_grid", "must be a nonempty list of integers") from None
     else:
         raw = cfg["N_grid"]
@@ -128,8 +128,8 @@ def parse_run_config(cfg: dict) -> tuple[TrialSpec, str | None]:
             n_grid = tuple(
                 simlab.raw_sample_size(model, float(x), r, max(m1, m2)) for x in raw
             )
-        except (TypeError, ValueError):
-            raise ConfigError("N_grid", "must be a nonempty list of numbers") from None
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError("N_grid", "must be a nonempty list of finite numbers") from None
 
     pens_doc = cfg.get("penalties")
     if not isinstance(pens_doc, list) or not pens_doc:
@@ -194,6 +194,7 @@ def cmd_simulate(args) -> int:
         except json.JSONDecodeError as exc:
             raise ConfigError("<json>", f"config is not valid JSON: {exc}") from None
     spec, cfg_out = parse_run_config(cfg)
+    _guard_trial(spec)
     out_dir = args.out_dir or cfg_out
     if not out_dir:
         raise ConfigError("out_dir", "missing (set it in the config or pass --out-dir)")
@@ -264,6 +265,20 @@ def _guard_cells(m1: int, m2: int) -> None:
     if m1 * m2 > MAX_CELLS:
         raise ResourceGuardError(
             f"matrix of {m1} x {m2} = {m1 * m2} cells exceeds the {MAX_CELLS} guard"
+        )
+
+
+def _guard_trial(spec: TrialSpec) -> None:
+    """Floats one trial allocates: the m1 x m2 iterate for completion; the
+    n x m1 x m2 design plus its (m1*m2)^2 Gram matrix for sensing."""
+    d = spec.m1 * spec.m2
+    if spec.model == simlab.SENSING:
+        floats = max(spec.n_grid) * d + d * d
+    else:
+        floats = d
+    if floats > MAX_CELLS:
+        raise ResourceGuardError(
+            f"one {spec.model} trial needs {floats} floats, over the {MAX_CELLS} guard"
         )
 
 

@@ -10,11 +10,22 @@ Two designs realize the observation model y_i = <X_i, Theta> + eps_i:
 
 Designs and observation sets are immutable after construction; their arrays
 are marked read-only so they can be shared across concurrent workers.
+
+The loss is quadratic, so each design also carries the Hessian of
+Theta -> ||X(Theta)||^2 / (2n) and each observation set the linear term
+X*(y)/n.  Both are built once, on first use: the d x d Gram matrix
+H = X^T X / n over row-major vec(X_i) for sensing (d = m1*m2), and the
+per-cell observation count / n -- the diagonal of H -- for completion.  The
+loss gradient, the curvature ||X(Delta)||^2 / n of the theory diagnostics, the
+solver's step size and the rank-restricted least-squares solve all read these
+statistics instead of sweeping the n observations.  :func:`apply_forward` and
+:func:`apply_adjoint` remain the direct maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +67,12 @@ class CompletionDesign:
     def n(self) -> int:
         return self.entries.shape[0]
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Per-cell observation count / n, an m1 x m2 matrix (the diagonal Hessian)."""
+        counts = np.bincount(_cell_index(self), minlength=self.m1 * self.m2)
+        return _freeze((counts / self.n).reshape(self.m1, self.m2))
+
 
 @dataclass(frozen=True)
 class SensingDesign:
@@ -88,6 +105,18 @@ class SensingDesign:
     def n(self) -> int:
         return self.matrices.shape[0]
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """H = X^T X / n, the d x d Hessian over row-major vec(Theta)."""
+        mats = self.matrices.reshape(self.n, self.m1 * self.m2)
+        return _freeze((mats.T @ mats) / self.n)
+
+    @cached_property
+    def gram_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues of :attr:`gram` in ascending order and their eigenvectors."""
+        eigvals, eigvecs = np.linalg.eigh(self.gram)
+        return _freeze(eigvals), _freeze(eigvecs)
+
 
 Design = CompletionDesign | SensingDesign
 
@@ -111,6 +140,22 @@ class ObservationSet:
     @property
     def n(self) -> int:
         return self.design.n
+
+    @cached_property
+    def xty(self) -> np.ndarray:
+        """X*(y) / n as an m1 x m2 matrix (per-cell sum of y / n for completion)."""
+        design = self.design
+        if isinstance(design, CompletionDesign):
+            sums = np.bincount(_cell_index(design), weights=self.y,
+                               minlength=design.m1 * design.m2)
+            return _freeze((sums / self.n).reshape(design.m1, design.m2))
+        mats = design.matrices.reshape(self.n, design.m1 * design.m2)
+        return _freeze((self.y @ mats / self.n).reshape(design.m1, design.m2))
+
+    @cached_property
+    def loss_at_zero(self) -> float:
+        """||y||^2 / (2n), the constant term of the quadratic loss."""
+        return float(self.y @ self.y) / (2.0 * self.n)
 
 
 @dataclass(frozen=True)
@@ -143,6 +188,11 @@ class Subspace:
         return Subspace(self.U[:, idx], self.V[:, idx])
 
 
+def _cell_index(design: CompletionDesign) -> np.ndarray:
+    """Row-major cell number j*m2 + k of every observation."""
+    return design.entries[:, 0] * design.m2 + design.entries[:, 1]
+
+
 def _check_theta(design: Design, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (design.m1, design.m2):
@@ -172,16 +222,45 @@ def apply_adjoint(design: Design, v: np.ndarray) -> np.ndarray:
     return np.einsum("i,ijk->jk", v, design.matrices)
 
 
+def hessian_product(design: Design, cols: np.ndarray) -> np.ndarray:
+    """H @ cols, where the columns of the (m1*m2, k) array are row-major vec(Theta)."""
+    if isinstance(design, CompletionDesign):
+        return design.weights.reshape(-1, 1) * cols
+    return design.gram @ cols
+
+
+def _apply_hessian(design: Design, theta: np.ndarray) -> np.ndarray:
+    """X*(X(Theta)) / n as an m1 x m2 matrix."""
+    col = _check_theta(design, theta).reshape(-1, 1)
+    return hessian_product(design, col).reshape(design.m1, design.m2)
+
+
+def quadratic_form(design: Design, delta: np.ndarray) -> float:
+    """Curvature ||X(Delta)||^2 / n, evaluated as vec(Delta)^T H vec(Delta).
+
+    The form is nonnegative; rounding can take the sensing value a few ulps
+    below zero along null directions of H, so it is clipped at zero.
+    """
+    return max(float(np.vdot(delta, _apply_hessian(design, delta))), 0.0)
+
+
 def loss_value(obs: ObservationSet, theta: np.ndarray) -> float:
-    """Quadratic empirical loss ||y - X(Theta)||^2 / (2n)."""
-    resid = obs.y - apply_forward(obs.design, theta)
-    return float(resid @ resid) / (2.0 * obs.n)
+    """Quadratic empirical loss ||y - X(Theta)||^2 / (2n).
+
+    Sensing expands the square into Theta^T H Theta / 2 - <Theta, X*(y)/n> +
+    ||y||^2 / (2n); completion keeps the O(n) residual sum, which is exactly
+    zero at an exact fit.
+    """
+    if isinstance(obs.design, CompletionDesign):
+        resid = obs.y - apply_forward(obs.design, theta)
+        return float(resid @ resid) / (2.0 * obs.n)
+    h_theta = _apply_hessian(obs.design, theta)
+    return float(np.vdot(theta, 0.5 * h_theta - obs.xty)) + obs.loss_at_zero
 
 
 def loss_gradient(obs: ObservationSet, theta: np.ndarray) -> np.ndarray:
-    """Gradient of the quadratic loss: X*(X(Theta) - y) / n."""
-    resid = apply_forward(obs.design, theta) - obs.y
-    return apply_adjoint(obs.design, resid) / obs.n
+    """Gradient of the quadratic loss: X*(X(Theta) - y) / n = H Theta - X*(y)/n."""
+    return _apply_hessian(obs.design, theta) - obs.xty
 
 
 def project_onto(sub: Subspace, a: np.ndarray) -> np.ndarray:

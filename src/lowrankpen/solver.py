@@ -7,14 +7,16 @@ iterate).  An optional entrywise box constraint ||Theta||_inf <= alpha* is
 enforced by clipping after the prox; the composite prox of box + spectral
 penalty has no tractable form, so this splitting is a documented heuristic.
 
-Also provided: a power-iteration smoothness estimate used for the default
-step size, the rank-restricted least-squares reference estimator, and the
-numeric rank rule shared by all experiments.
+Also provided: the exact smoothness constant of the loss, read from the
+design's cached Hessian and used for the default step size; the
+rank-restricted least-squares reference estimator; and the numeric rank rule
+shared by all experiments.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -25,8 +27,7 @@ from lowrankpen.operators import (
     Design,
     ObservationSet,
     Subspace,
-    apply_adjoint,
-    apply_forward,
+    hessian_product,
     loss_gradient,
     loss_value,
 )
@@ -36,10 +37,6 @@ STEP_INVERSE_POWER = "inverse_power"
 STEP_FIXED = "fixed"
 WARM_ZERO = "zero"
 WARM_NUCLEAR = "nuclear"
-
-_POWER_ITER_STEPS = 60
-_POWER_ITER_SEED = 181360013
-_LIPSCHITZ_INFLATION = 1.05
 
 
 class DivergenceError(RuntimeError):
@@ -63,7 +60,8 @@ class SolverConfig:
     """Iteration controls for :func:`fit`.
 
     ``step_policy="inverse_power"`` sets the step to the reciprocal of the
-    power-iteration smoothness estimate; ``"fixed"`` uses ``eta`` directly.
+    exact smoothness constant (:func:`estimate_lipschitz`); ``"fixed"`` uses
+    ``eta`` directly.
     ``warm_start="nuclear"`` first solves the convex nuclear-norm problem at
     the same lambda and starts the nonconvex iteration there.
     """
@@ -77,6 +75,16 @@ class SolverConfig:
     rank_tol_rel: float = 1e-4
 
     def __post_init__(self) -> None:
+        if not isinstance(self.max_iter, numbers.Integral) or isinstance(self.max_iter, bool):
+            raise TypeError(f"max_iter must be an integer, got {self.max_iter!r}")
+        for name in ("tol", "eta", "alpha_star", "rank_tol_rel"):
+            value = getattr(self, name)
+            if value is None and name in ("eta", "alpha_star"):
+                continue
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if not self.tol > 0:
@@ -125,27 +133,16 @@ def numeric_rank(spectrum, rel_tol: float) -> int:
     return int(np.count_nonzero(s > rel_tol * s.max()))
 
 
-def estimate_lipschitz(design: Design, n_steps: int = _POWER_ITER_STEPS) -> float:
-    """Upper estimate of the largest eigenvalue of Theta -> X*(X(Theta))/n.
+def estimate_lipschitz(design: Design) -> float:
+    """Largest eigenvalue of Theta -> X*(X(Theta))/n, the loss's smoothness constant.
 
-    Runs ``n_steps`` power iterations from a fixed pseudorandom start and
-    inflates the final Rayleigh quotient by 5 percent so the returned value
-    dominates the true operator norm in practice.
+    Exact, from the design's cached Hessian: max(count)/n for completion and
+    the top eigenvalue of X^T X / n for sensing (the eigendecomposition is
+    shared with the refined curvature probe).
     """
-    rng = np.random.default_rng(_POWER_ITER_SEED)
-    t = rng.standard_normal((design.m1, design.m2))
-    t /= np.linalg.norm(t)
-    for _ in range(max(n_steps, 1)):
-        w = apply_adjoint(design, apply_forward(design, t)) / design.n
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            # start vector fell in the null space; restart from a flat matrix
-            t = np.ones((design.m1, design.m2)) / math.sqrt(design.m1 * design.m2)
-            continue
-        t = w / nrm
-    v = apply_forward(design, t)
-    rayleigh = float(v @ v) / design.n
-    return _LIPSCHITZ_INFLATION * rayleigh
+    if isinstance(design, CompletionDesign):
+        return float(design.weights.max())
+    return float(design.gram_eigh[0][-1])
 
 
 def prox_spectral(spec: PenaltySpec, z: np.ndarray, eta: float) -> np.ndarray:
@@ -187,7 +184,8 @@ def fit(
         eta = 1.0 / estimate_lipschitz(design)
 
     if config.warm_start == WARM_NUCLEAR and spec.family != NUCLEAR:
-        warm = fit(obs, PenaltySpec(NUCLEAR, spec.lam), replace(config, warm_start=WARM_ZERO))
+        warm_config = replace(config, warm_start=WARM_ZERO, step_policy=STEP_FIXED, eta=eta)
+        warm = fit(obs, PenaltySpec(NUCLEAR, spec.lam), warm_config)
         theta = np.array(warm.theta_hat)
     else:
         theta = np.zeros((design.m1, design.m2))
@@ -240,34 +238,26 @@ _JITTER_SCALE = 1e-12
 _CG_RTOL = 1e-10
 
 
-def _reduced_design(design: Design, sub: Subspace) -> np.ndarray:
-    """Rows are vec(U^T X_i V): the n x r^2 design of the restricted problem."""
-    r = sub.r
-    if isinstance(design, CompletionDesign):
-        jj = design.entries[:, 0]
-        kk = design.entries[:, 1]
-        cores = sub.U[jj][:, :, None] * sub.V[kk][:, None, :]
-    else:
-        cores = np.einsum("jr,ijk,ks->irs", sub.U, design.matrices, sub.V)
-    return cores.reshape(design.n, r * r)
-
-
 def solve_oracle(obs: ObservationSet, sub: Subspace) -> np.ndarray:
     """Least-squares fit restricted to the given rank-r subspace.
 
     Minimizes ||y - X(U C V^T)||^2 / (2n) over the r x r coefficient matrix
-    C.  The r^2 x r^2 normal equations are solved directly for r^2 <= 400 and
-    by conjugate gradient (relative residual 1e-10) beyond that.  A singular
-    normal matrix gets one diagonal jitter of 1e-12 times its trace; if that
-    fails the rank deficiency is reported.  With fewer observations than
-    coefficients the minimum-norm solution is returned and a warning issued.
+    C.  With K = U kron V, the r^2 x r^2 normal equations K^T H K c = K^T
+    X*(y)/n are formed from the design's cached Hessian and solved directly
+    for r^2 <= 400 and by conjugate gradient (relative residual 1e-10) beyond
+    that.  A singular normal matrix gets one diagonal jitter of 1e-12 times
+    its trace; if that fails the rank deficiency is reported.  With fewer
+    observations than coefficients the minimum-norm solution is returned and
+    a warning issued.
     """
     r = sub.r
     if r == 0:
         return np.zeros((obs.design.m1, obs.design.m2))
     if r > min(obs.design.m1, obs.design.m2):
         raise ValueError("subspace rank exceeds matrix dimensions")
-    a = _reduced_design(obs.design, sub)
+    k = np.kron(sub.U, sub.V)  # column a*r + b is vec(u_a v_b^T)
+    gram = k.T @ hessian_product(obs.design, k)
+    rhs = k.T @ obs.xty.ravel()
     d = r * r
 
     if obs.n < d:
@@ -277,16 +267,26 @@ def solve_oracle(obs: ObservationSet, sub: Subspace) -> np.ndarray:
             UnderdeterminedSystemWarning,
             stacklevel=2,
         )
-        c, *_ = np.linalg.lstsq(a, obs.y, rcond=None)
-        return sub.U @ c.reshape(r, r) @ sub.V.T
-
-    gram = a.T @ a
-    rhs = a.T @ obs.y
-    if d <= _DIRECT_SYSTEM_LIMIT:
+        c = _solve_min_norm(gram, rhs, obs.n)
+    elif d <= _DIRECT_SYSTEM_LIMIT:
         c = _solve_direct(gram, rhs)
     else:
         c = _solve_cg(gram, rhs)
     return sub.U @ c.reshape(r, r) @ sub.V.T
+
+
+def _solve_min_norm(gram: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
+    """Minimum-norm solution of a normal system of rank at most n.
+
+    Only the top n eigenvalues can be nonzero.  The others are rounding
+    noise, which a relative cutoff alone does not reliably drop from a Gram
+    matrix; dividing by one would swamp the solution.
+    """
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    eigvals, eigvecs = eigvals[-n:], eigvecs[:, -n:]
+    keep = eigvals > gram.shape[0] * np.finfo(float).eps * eigvals[-1]
+    basis = eigvecs[:, keep]
+    return basis @ ((basis.T @ rhs) / eigvals[keep])
 
 
 def _residual_ok(gram: np.ndarray, c: np.ndarray, rhs: np.ndarray) -> bool:

@@ -28,10 +28,10 @@ from lowrankpen.operators import (
     Design,
     ObservationSet,
     Subspace,
-    apply_forward,
     loss_gradient,
     project_complement,
     project_onto,
+    quadratic_form,
 )
 
 DEFAULT_RULE_CONSTANT = 2.0
@@ -254,11 +254,6 @@ def cone_condition(delta: np.ndarray, sub: Subspace) -> tuple[float, bool]:
     return ratio, bool(complement <= CONE_FACTOR * aligned)
 
 
-def _quadratic_form(design: Design, delta: np.ndarray) -> float:
-    img = apply_forward(design, delta)
-    return float(img @ img) / design.n
-
-
 def _in_cone(sub: Subspace, delta: np.ndarray) -> bool:
     comp = _nuclear_norm(project_complement(sub, delta))
     aligned = _nuclear_norm(project_onto(sub, delta))
@@ -279,7 +274,7 @@ def _feasible_blend(
         return None
     core = core / core_norm
     if _in_cone(sub, direction):
-        return _quadratic_form(design, direction)
+        return quadratic_form(design, direction)
     lo, hi = 0.0, 1.0
     for _ in range(30):
         mid = 0.5 * (lo + hi)
@@ -292,7 +287,7 @@ def _feasible_blend(
     nrm = float(np.linalg.norm(cand))
     if nrm == 0.0:
         return None
-    return _quadratic_form(design, cand / nrm)
+    return quadratic_form(design, cand / nrm)
 
 
 _REFINE_MAX_DIM = 2000
@@ -302,27 +297,25 @@ _REFINE_SUBSPACE = 60
 def _refined_extrema(design: Design, sub: Subspace) -> tuple[float, float] | None:
     """Cone-feasible near-extremal curvature values via the exact Hessian.
 
-    Eigendecomposes the d x d Hessian of the quadratic form (d = m1*m2),
-    then searches the bottom (and top) eigen-subspaces for cone-feasible
-    directions: within the low-curvature span, the direction maximizing
-    aligned-core mass is computed exactly and blended into the cone.  This
-    reaches the near-zero curvature directions that random sampling cannot
-    find when n is comparable to d.
+    Takes the eigendecomposition of the d x d Hessian of the quadratic form
+    (d = m1*m2) from the design -- the sorted per-cell weights for
+    completion, the cached ``eigh`` of X^T X / n for sensing -- then searches
+    the bottom (and top) eigen-subspaces for cone-feasible directions: within
+    the low-curvature span, the direction maximizing aligned-core mass is
+    computed exactly and blended into the cone.  This reaches the near-zero
+    curvature directions that random sampling cannot find when n is
+    comparable to d.
     """
     d = design.m1 * design.m2
     if d > _REFINE_MAX_DIM:
         return None
     if isinstance(design, CompletionDesign):
-        counts = np.zeros(d)
-        flat = design.entries[:, 0] * design.m2 + design.entries[:, 1]
-        np.add.at(counts, flat, 1.0)
-        order = np.argsort(counts)
-        eigvals = counts[order] / design.n
+        weights = design.weights.ravel()
+        order = np.argsort(weights)
+        eigvals = weights[order]
         eigvecs = np.eye(d)[:, order]
     else:
-        mats = design.matrices.reshape(design.n, d)
-        hess = (mats.T @ mats) / design.n
-        eigvals, eigvecs = np.linalg.eigh(hess)
+        eigvals, eigvecs = design.gram_eigh
 
     def block_value(block: slice) -> float | None:
         basis = eigvecs[:, block]
@@ -405,7 +398,7 @@ def probe_rsc(
         if nrm == 0.0:
             continue
         direction = direction / nrm
-        value = _quadratic_form(design, direction)
+        value = quadratic_form(design, direction)
         if value < kappa_hat:
             kappa_hat = value
             min_ratio = ratio

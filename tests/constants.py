@@ -6,6 +6,8 @@ FD_STEP = 1e-6
 FD_TOL = 1e-5
 
 ADJOINT_TOL = 1e-10
+# cached-Hessian loss, gradient and curvature against the explicit maps
+MODEL_TOL = 1e-10
 PROJECTION_TOL = 1e-9
 WEYL_SLACK = 1e-10
 

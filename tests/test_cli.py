@@ -96,6 +96,37 @@ def test_simulate_accepts_rescaled_grid(tmp_path):
     assert int(row.split(",")[n_idx]) == expected
 
 
+def test_simulate_rejects_overflowing_rescaled_grid(tmp_path, capsys):
+    config = minimal_config(tmp_path)
+    cfg = json.loads(config.read_text())
+    del cfg["n_grid"]
+    cfg["N_grid"] = ["PLACEHOLDER"]
+    # 1e400 parses as an infinite float; json.dumps cannot write it literally
+    config.write_text(json.dumps(cfg).replace('"PLACEHOLDER"', "1e400"))
+    assert run_cli("simulate", config, "--out-dir", tmp_path / "x") == 2
+    assert "N_grid" in capsys.readouterr().err
+
+
+def test_simulate_rejects_fractional_max_iter_before_running(tmp_path, capsys):
+    config = minimal_config(tmp_path, solver={"max_iter": 5.5})
+    out = tmp_path / "x"
+    assert run_cli("simulate", config, "--out-dir", out) == 2
+    assert "max_iter" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_resource_guard_counts_design_and_gram(tmp_path, monkeypatch):
+    # 200 x 200 sensing: the 40000^2-entry Gram matrix alone exceeds the guard
+    def no_trials(*args, **kwargs):
+        raise AssertionError("the guard must trip before any trial runs")
+
+    monkeypatch.setattr(cli.simlab, "run_grid", no_trials)
+    config = minimal_config(tmp_path, model="sensing", m1=200, m2=200, n_grid=[10])
+    out = tmp_path / "out"
+    assert run_cli("simulate", config, "--out-dir", out, "--jobs", 1) == 4
+    assert not out.exists()
+
+
 def test_fit_dense_noiseless_recovers_input(tmp_path):
     rng = np.random.default_rng(1)
     theta, _, _ = random_low_rank(rng, 3, 3, [2.0, 1.0])

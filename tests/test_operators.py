@@ -13,13 +13,14 @@ from lowrankpen.operators import (
     loss_value,
     project_complement,
     project_onto,
+    quadratic_form,
     sample_completion_design,
     sample_sensing_design,
     spikiness,
 )
 
 from conftest import reference_adjoint, reference_forward, random_low_rank
-from constants import ADJOINT_TOL, PROJECTION_TOL
+from constants import ADJOINT_TOL, MODEL_TOL, PROJECTION_TOL
 
 
 def test_completion_design_validation():
@@ -101,6 +102,48 @@ def test_loss_exact_fit_and_hand_case():
     theta0 = np.zeros((2, 2))
     assert loss_value(obs2, theta0) == pytest.approx(4.5)
     assert loss_gradient(obs2, theta0).tolist() == [[-3.0, 0.0], [0.0, 0.0]]
+
+
+def test_loss_exact_fit_sensing():
+    rng = np.random.default_rng(2)
+    design = sample_sensing_design(rng, 4, 5, 60)
+    theta_star = rng.standard_normal((4, 5))
+    obs = generate_observations(design, theta_star, 0.0, rng)
+    loss_scale = float(obs.y @ obs.y) / (2 * design.n)
+    assert abs(loss_value(obs, theta_star)) <= 1e-12 * loss_scale
+    grad_scale = float(np.linalg.norm(obs.xty))
+    assert np.linalg.norm(loss_gradient(obs, theta_star)) <= 1e-12 * grad_scale
+
+
+def test_quadratic_model_matches_reference_maps():
+    # the cached Hessian statistics against the explicit X_i stack: sensing
+    # with n below and above m1*m2, completion with duplicate cells
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        m1, m2 = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        d = m1 * m2
+        kind = trial % 3
+        if kind == 0:
+            design = sample_sensing_design(rng, m1, m2, int(rng.integers(1, d)))
+        elif kind == 1:
+            design = sample_sensing_design(rng, m1, m2, int(rng.integers(d, 3 * d)))
+        else:
+            design = sample_completion_design(rng, m1, m2, int(rng.integers(2 * d, 4 * d)))
+            assert len(np.unique(design.entries, axis=0)) < design.n
+        theta_star, theta, delta = (rng.standard_normal((m1, m2)) for _ in range(3))
+        obs = generate_observations(design, theta_star, 0.5, rng)
+
+        resid = reference_forward(design, theta) - obs.y
+        grad_ref = reference_adjoint(design, resid) / design.n
+        loss_ref = float(resid @ resid) / (2 * design.n)
+        img = reference_forward(design, delta)
+        curvature_ref = float(img @ img) / design.n
+
+        grad = loss_gradient(obs, theta)
+        assert np.abs(grad - grad_ref).max() <= MODEL_TOL * max(1.0, np.abs(grad_ref).max())
+        assert abs(loss_value(obs, theta) - loss_ref) <= MODEL_TOL * max(1.0, loss_ref)
+        curvature = quadratic_form(design, delta)
+        assert abs(curvature - curvature_ref) <= MODEL_TOL * max(1.0, curvature_ref)
 
 
 def test_loss_gradient_matches_finite_differences():

@@ -26,7 +26,12 @@ from lowrankpen.solver import (
 )
 from lowrankpen.theory import lambda_sensing, probe_rsc
 
-from conftest import full_observation_design, prox_grid_oracle, random_low_rank
+from conftest import (
+    dense_measurement_matrices,
+    full_observation_design,
+    prox_grid_oracle,
+    random_low_rank,
+)
 
 
 def objective(obs, spec, theta):
@@ -45,25 +50,38 @@ def test_numeric_rank():
         numeric_rank([1.0, -0.5], 1e-4)
 
 
+def max_rayleigh_quotient(design, rng, samples=200):
+    """Largest sampled ||X(Delta)||^2 / (n ||Delta||^2) over the explicit X_i stack."""
+    mats = dense_measurement_matrices(design).reshape(design.n, -1)
+    deltas = rng.standard_normal((mats.shape[1], samples))
+    img = mats @ deltas
+    return float(((img * img).sum(0) / (design.n * (deltas * deltas).sum(0))).max())
+
+
 def test_estimate_lipschitz_full_observation():
     design = full_observation_design(2, 2)
     rho = estimate_lipschitz(design)
-    assert 0.25 <= rho <= 0.2625 + 1e-12
+    assert rho == 0.25  # every cell observed once: max(count)/n
+    assert rho >= max_rayleigh_quotient(design, np.random.default_rng(0)) - 1e-15
 
 
 def test_estimate_lipschitz_duplicated_cell():
     design = CompletionDesign(2, 2, np.array([[0, 0]] * 9))
     rho = estimate_lipschitz(design)
-    assert 1.0 <= rho <= 1.05 + 1e-12
+    assert rho == 1.0  # nine observations of one cell: max(count)/n
+    assert rho >= max_rayleigh_quotient(design, np.random.default_rng(1)) - 1e-15
 
 
 def test_estimate_lipschitz_sensing_concentrates():
-    # for i.i.d. Gaussian measurements the quadratic form's norm tends to 1;
-    # the pre-inflation estimate should land within 10% at this sample size
+    # exact top eigenvalue of X^T X / n; for i.i.d. Gaussian measurements it
+    # tends to 1 and lands within 10% at this sample size
     rng = np.random.default_rng(0)
     design = sample_sensing_design(rng, 2, 2, 5000)
     rho = estimate_lipschitz(design)
-    assert rho / 1.05 == pytest.approx(1.0, rel=0.10)
+    mats = dense_measurement_matrices(design).reshape(design.n, 4)
+    assert rho == pytest.approx(np.linalg.eigvalsh(mats.T @ mats / design.n)[-1], rel=1e-12)
+    assert rho >= max_rayleigh_quotient(design, rng) * (1.0 - 1e-12)
+    assert rho == pytest.approx(1.0, rel=0.10)
 
 
 def test_prox_spectral_diagonal_case():
