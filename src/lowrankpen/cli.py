@@ -290,6 +290,7 @@ def cmd_fit(args) -> int:
     fileio.write_dense_matrix(args.out_prefix + ".theta.csv", result.theta_hat)
     doc = result.to_dict()
     doc["lambda"] = penalty.lam
+    doc["b"] = penalty.b
     doc["penalty"] = penalty.family
     with open(args.out_prefix + ".fit.json", "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -34,6 +34,22 @@ MCP = "mcp"
 _FAMILIES = (NUCLEAR, SCAD, MCP)
 
 
+def check_family(family: str, b: float) -> None:
+    """Validate a penalty family and its concavity parameter ``b``.
+
+    ``b`` must be finite for every family (an infinite b turns the SCAD
+    middle branch into inf - inf); SCAD further requires b > 2 and MCP b > 1.
+    """
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown penalty family {family!r}")
+    if not math.isfinite(b):
+        raise ValueError(f"b must be finite, got b={b}")
+    if family == SCAD and not b > 2:
+        raise ValueError(f"SCAD requires b > 2, got b={b}")
+    if family == MCP and not b > 1:
+        raise ValueError(f"MCP requires b > 1, got b={b}")
+
+
 @dataclass(frozen=True)
 class PenaltySpec:
     """Penalty family plus its parameters.
@@ -46,8 +62,9 @@ class PenaltySpec:
         Regularization level, must be positive.  Serialized under the JSON
         key ``"lambda"``.
     b : float
-        Concavity parameter.  SCAD requires b > 2, MCP requires b > 1.
-        Ignored by the nuclear norm (kept for round-tripping).
+        Concavity parameter, finite for every family.  SCAD requires b > 2,
+        MCP requires b > 1.  Ignored by the nuclear norm (kept for
+        round-tripping).
     """
 
     family: str
@@ -55,14 +72,9 @@ class PenaltySpec:
     b: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown penalty family {self.family!r}")
+        check_family(self.family, self.b)
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lambda must be positive, got {self.lam}")
-        if self.family == SCAD and not self.b > 2:
-            raise ValueError(f"SCAD requires b > 2, got b={self.b}")
-        if self.family == MCP and not self.b > 1:
-            raise ValueError(f"MCP requires b > 1, got b={self.b}")
 
     @property
     def nu(self) -> float:
@@ -88,23 +100,6 @@ class PenaltySpec:
         return cls(family=data["family"], lam=data["lambda"], b=data.get("b", 0.0))
 
 
-def _value_scalar(spec: PenaltySpec, t: float) -> float:
-    a = abs(t)
-    lam, b = spec.lam, spec.b
-    if spec.family == NUCLEAR:
-        return lam * a
-    if spec.family == SCAD:
-        if a <= lam:
-            return lam * a
-        if a <= b * lam:
-            return -(a * a - 2.0 * b * lam * a + lam * lam) / (2.0 * (b - 1.0))
-        return (b + 1.0) * lam * lam / 2.0
-    # MCP
-    if a <= b * lam:
-        return lam * a - a * a / (2.0 * b)
-    return b * lam * lam / 2.0
-
-
 def penalty_value(spec: PenaltySpec, t):
     """Evaluate p(|t|) for a scalar or array argument.
 
@@ -116,17 +111,15 @@ def penalty_value(spec: PenaltySpec, t):
     arr = np.asarray(t, dtype=float)
     a = np.abs(arr)
     lam, b = spec.lam, spec.b
-    # np.select evaluates every branch; overflow in a branch that is not
+    # np.where evaluates every branch; overflow in a branch that is not
     # selected (huge |t| in the quadratic piece) is harmless
     with np.errstate(over="ignore"):
         if spec.family == NUCLEAR:
             out = lam * a
         elif spec.family == SCAD:
-            out = np.select(
-                [a <= lam, a <= b * lam],
-                [lam * a, -(a * a - 2.0 * b * lam * a + lam * lam) / (2.0 * (b - 1.0))],
-                default=(b + 1.0) * lam * lam / 2.0,
-            )
+            quadratic = -(a * a - 2.0 * b * lam * a + lam * lam) / (2.0 * (b - 1.0))
+            flat = (b + 1.0) * lam * lam / 2.0
+            out = np.where(a <= lam, lam * a, np.where(a <= b * lam, quadratic, flat))
         else:
             out = np.where(a <= b * lam, lam * a - a * a / (2.0 * b), b * lam * lam / 2.0)
     if np.ndim(t) == 0:
@@ -178,51 +171,51 @@ def concave_part_derivative(spec: PenaltySpec, t):
     return out
 
 
-def scalar_prox(spec: PenaltySpec, z: float, eta: float) -> float:
-    """Global minimizer of f(x) = (x - z)^2 / 2 + eta * p(|x|).
+def scalar_prox(spec: PenaltySpec, z, eta: float):
+    """Global minimizer of f(x) = (x - z)^2 / 2 + eta * p(|x|), per entry of z.
 
+    A scalar z gives a float, an array gives an array of the same shape.
     The minimizer is found by enumerating every point that can be a local
-    minimum: the spline knots {0, lambda, b*lambda}, the identity point z,
+    minimum: the spline knots {0, lambda, b*lambda}, the identity point |z|,
     and the stationary point of each quadratic branch.  Enumerating and
     comparing objective values sidesteps the case analysis a closed form
-    would need for general eta.  Exact ties go to the candidate with the
+    would need for general eta.  Each entry's candidates are sorted and the
+    first minimum is taken, so exact ties go to the candidate with the
     smaller magnitude, which keeps the map odd and deterministic.
     """
     if not (math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be positive and finite, got {eta}")
-    if not math.isfinite(z):
+    arr = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(arr)):
         raise ValueError(f"z must be finite, got {z}")
-    a = abs(z)
-    sign = 1.0 if z >= 0 else -1.0
+    a = np.abs(arr).ravel()
     lam, b = spec.lam, spec.b
 
-    candidates = [0.0, a]
+    columns = [np.zeros_like(a), a]
     if spec.family == NUCLEAR:
-        candidates.append(a - eta * lam)
+        columns.append(a - eta * lam)
     elif spec.family == SCAD:
-        candidates.extend([lam, b * lam, a - eta * lam])
+        columns += [np.full_like(a, lam), np.full_like(a, b * lam), a - eta * lam]
         denom = (b - 1.0) - eta
         if denom != 0.0:
-            candidates.append(((b - 1.0) * a - eta * b * lam) / denom)
+            columns.append(((b - 1.0) * a - eta * b * lam) / denom)
     else:
-        candidates.append(b * lam)
+        columns.append(np.full_like(a, b * lam))
         if b != eta:
-            candidates.append(b * (a - eta * lam) / (b - eta))
-
-    def half_square(d: float) -> float:
-        try:
-            return 0.5 * d * d
-        except OverflowError:
-            return math.inf
-
-    best_x = 0.0
-    best_f = half_square(a)  # f(0)
-    for x in sorted(set(c for c in candidates if c > 0 and math.isfinite(c))):
-        f = half_square(x - a) + eta * _value_scalar(spec, x)
-        if f < best_f:
-            best_f = f
-            best_x = x
-    return sign * best_x
+            columns.append(b * (a - eta * lam) / (b - eta))
+    cand = np.stack(columns, axis=1)
+    # candidates that are not positive and finite collapse onto x = 0
+    cand = np.where(np.isfinite(cand) & (cand > 0), cand, 0.0)
+    cand.sort(axis=1)
+    d = cand - a[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = 0.5 * d * d + eta * penalty_value(spec, cand)
+    f[np.isnan(f)] = np.inf  # an overflowed objective can never be the minimum
+    best = cand[np.arange(a.size), np.argmin(f, axis=1)].reshape(arr.shape)
+    out = np.where(arr >= 0, best, -best)
+    if np.ndim(z) == 0:
+        return float(out)
+    return out
 
 
 @dataclass(frozen=True)

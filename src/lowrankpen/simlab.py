@@ -31,7 +31,7 @@ from lowrankpen.operators import (
     sample_completion_design,
     sample_sensing_design,
 )
-from lowrankpen.penalty import MCP, NUCLEAR, SCAD, PenaltySpec
+from lowrankpen.penalty import NUCLEAR, PenaltySpec, check_family
 from lowrankpen.solver import DivergenceError, SolverConfig, fit, solve_oracle
 
 COMPLETION = "completion"
@@ -78,12 +78,7 @@ class PenaltyTemplate:
     b: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.family not in (NUCLEAR, SCAD, MCP):
-            raise ValueError(f"unknown penalty family {self.family!r}")
-        if self.family == SCAD and not self.b > 2:
-            raise ValueError("SCAD template requires b > 2")
-        if self.family == MCP and not self.b > 1:
-            raise ValueError("MCP template requires b > 1")
+        check_family(self.family, self.b)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,17 @@
-"""Proximal-gradient solver for spectrally penalized least squares.
+"""Accelerated proximal-gradient solver for spectrally penalized least squares.
 
 The estimator minimizes ||y - X(Theta)||^2 / (2n) + sum_i p(gamma_i(Theta))
 by iterating a gradient step followed by the exact proximal map of the
-spectral penalty (scalar prox applied to each singular value of the stepped
-iterate).  An optional entrywise box constraint ||Theta||_inf <= alpha* is
-enforced by clipping after the prox; the composite prox of box + spectral
-penalty has no tractable form, so this splitting is a documented heuristic.
+spectral penalty (the scalar prox applied to the whole spectrum of the
+stepped iterate).  Each step is taken from a FISTA extrapolation of the last
+two iterates; when the objective rises, the step is discarded, the momentum
+is reset and the plain step is taken instead (function-value adaptive
+restart, O'Donoghue & Candes 2015), so the accepted objective sequence stays
+monotone as in monotone APG for nonconvex penalties (Li & Lin 2015).  The
+nuclear-norm warm start and the SCAD/MCP fit run the same loop.  An optional
+entrywise box constraint ||Theta||_inf <= alpha* is enforced by clipping
+after the prox; the composite prox of box + spectral penalty has no
+tractable form, so this splitting is a documented heuristic.
 
 Also provided: the exact smoothness constant of the loss, read from the
 design's cached Hessian and used for the default step size; the
@@ -103,7 +109,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Solution of one penalized fit plus its convergence trace."""
+    """Solution of one penalized fit plus its convergence trace.
+
+    ``objective_trace`` holds the starting objective and one value per
+    accepted step; ``eta`` is the step size used and ``restarts`` the number
+    of momentum resets.
+    """
 
     theta_hat: np.ndarray
     spectrum: np.ndarray
@@ -112,6 +123,8 @@ class FitResult:
     objective_trace: np.ndarray
     fixed_point_residual: float
     converged: bool
+    eta: float
+    restarts: int
 
     def to_dict(self) -> dict:
         return {
@@ -119,6 +132,8 @@ class FitResult:
             "iterations": self.iterations,
             "converged": self.converged,
             "fixed_point_residual": self.fixed_point_residual,
+            "eta": self.eta,
+            "restarts": self.restarts,
             "spectrum": [float(s) for s in self.spectrum],
         }
 
@@ -145,13 +160,23 @@ def estimate_lipschitz(design: Design) -> float:
     return float(design.gram_eigh[0][-1])
 
 
+def _prox_svd(spec: PenaltySpec, z: np.ndarray, eta: float):
+    """SVD of z, scalar prox of its spectrum, rebuild from the nonzero part.
+
+    Returns the prox, its singular values and those of z.  The prox is
+    monotone, so the new values stay sorted and the zeros trail.
+    """
+    p, s, qt = np.linalg.svd(z, full_matrices=False)
+    s_new = scalar_prox(spec, s, eta)
+    r = int(np.count_nonzero(s_new))
+    return (p[:, :r] * s_new[:r]) @ qt[:r], s_new, s
+
+
 def prox_spectral(spec: PenaltySpec, z: np.ndarray, eta: float) -> np.ndarray:
     """Proximal map of the spectral penalty: scalar prox on each singular value."""
     if not eta > 0:
         raise ValueError("eta must be positive")
-    p, s, qt = np.linalg.svd(np.asarray(z, dtype=float), full_matrices=False)
-    s_new = np.array([scalar_prox(spec, float(v), eta) for v in s])
-    return (p * s_new) @ qt
+    return _prox_svd(spec, np.asarray(z, dtype=float), eta)[0]
 
 
 def _objective(obs: ObservationSet, spec: PenaltySpec, theta: np.ndarray, spectrum=None):
@@ -159,8 +184,11 @@ def _objective(obs: ObservationSet, spec: PenaltySpec, theta: np.ndarray, spectr
         spectrum = np.linalg.svd(theta, compute_uv=False)
     # overflow to inf is the divergence signal handled by the caller
     with np.errstate(over="ignore"):
-        value = loss_value(obs, theta) + float(np.sum(penalty_value(spec, spectrum)))
-    return value, spectrum
+        return loss_value(obs, theta) + float(np.sum(penalty_value(spec, spectrum)))
+
+
+# t after the plain step that follows a momentum reset to t = 1
+_T_AFTER_RESTART = 0.5 * (1.0 + math.sqrt(5.0))
 
 
 def fit(
@@ -169,13 +197,23 @@ def fit(
     config: SolverConfig = SolverConfig(),
     prox_log: list | None = None,
 ) -> FitResult:
-    """Run the proximal-gradient iteration to a fixed point.
+    """Run the accelerated proximal-gradient iteration to a fixed point.
 
-    Stops when the relative iterate change ||T+ - T||_F / max(1, ||T||_F)
-    drops below ``config.tol`` or after ``config.max_iter`` prox steps.  The
-    reported ``fixed_point_residual`` is ||T - prox(T - eta grad L(T))||_F at
-    the final iterate, computed without the box clip.  When ``prox_log`` is a
-    list, the singular values of every pre-prox argument are appended to it.
+    Each step extrapolates y = T_k + ((t_k - 1)/t_{k+1})(T_k - T_{k-1}) with
+    t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2 and takes the prox-gradient step at
+    y.  When the objective at the result rises above the one at T_k, that
+    step is discarded, the momentum is reset (t = 1) and the plain step from
+    T_k is taken instead; ``restarts`` counts these resets.  The accepted
+    objective sequence is therefore monotone whenever the plain step is,
+    which holds for the exact step 1/L without the box clip.
+
+    ``iterations`` counts accepted steps.  Stops when the relative iterate
+    change ||T+ - T||_F / max(1, ||T||_F) drops below ``config.tol`` or after
+    ``config.max_iter`` accepted steps.  The reported
+    ``fixed_point_residual`` is ||T - prox(T - eta grad L(T))||_F at the
+    final iterate, computed without the box clip.  When ``prox_log`` is a
+    list, the singular values of every pre-prox argument, discarded steps
+    included, are appended to it.
     """
     design = obs.design
     if config.step_policy == STEP_FIXED:
@@ -190,30 +228,40 @@ def fit(
     else:
         theta = np.zeros((design.m1, design.m2))
 
-    obj, _ = _objective(obs, spec, theta)
-    trace = [obj]
-    converged = False
-    iterations = 0
-    for k in range(1, config.max_iter + 1):
-        z = theta - eta * loss_gradient(obs, theta)
+    def step(point: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+        z = point - eta * loss_gradient(obs, point)
         if not np.all(np.isfinite(z)):
             raise DivergenceError(f"iterate became non-finite at iteration {k}")
-        p, s, qt = np.linalg.svd(z, full_matrices=False)
+        theta_new, spectrum, s = _prox_svd(spec, z, eta)
         if prox_log is not None:
-            prox_log.append(s.copy())
-        s_new = np.array([scalar_prox(spec, float(v), eta) for v in s])
-        theta_new = (p * s_new) @ qt
+            prox_log.append(s)
         if config.alpha_star is not None:
             theta_new = np.clip(theta_new, -config.alpha_star, config.alpha_star)
             spectrum = None
-        else:
-            spectrum = s_new
-        obj, spectrum = _objective(obs, spec, theta_new, spectrum)
+        obj = _objective(obs, spec, theta_new, spectrum)
         if not math.isfinite(obj):
             raise DivergenceError(f"objective became non-finite at iteration {k}")
-        trace.append(obj)
+        return theta_new, obj
+
+    obj = _objective(obs, spec, theta)
+    trace = [obj]
+    theta_prev = theta
+    t = 1.0
+    restarts = 0
+    converged = False
+    iterations = 0
+    for k in range(1, config.max_iter + 1):
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        momentum = (t - 1.0) / t_next
+        point = theta + momentum * (theta - theta_prev) if momentum > 0.0 else theta
+        theta_new, obj_new = step(point, k)
+        if point is not theta and obj_new > obj:
+            restarts += 1
+            t_next = _T_AFTER_RESTART
+            theta_new, obj_new = step(theta, k)
+        trace.append(obj_new)
         rel = np.linalg.norm(theta_new - theta) / max(1.0, np.linalg.norm(theta))
-        theta = theta_new
+        theta_prev, theta, obj, t = theta, theta_new, obj_new, t_next
         iterations = k
         if rel <= config.tol:
             converged = True
@@ -230,6 +278,8 @@ def fit(
         objective_trace=np.asarray(trace),
         fixed_point_residual=fpr,
         converged=converged,
+        eta=eta,
+        restarts=restarts,
     )
 
 

@@ -254,32 +254,30 @@ def cone_condition(delta: np.ndarray, sub: Subspace) -> tuple[float, bool]:
     return ratio, bool(complement <= CONE_FACTOR * aligned)
 
 
-def _in_cone(sub: Subspace, delta: np.ndarray) -> bool:
-    comp = _nuclear_norm(project_complement(sub, delta))
-    aligned = _nuclear_norm(project_onto(sub, delta))
-    return comp <= CONE_FACTOR * aligned
-
-
 def _feasible_blend(
     design: Design, sub: Subspace, direction: np.ndarray
 ) -> float | None:
     """Quadratic-form value of the direction pulled just inside the cone.
 
-    Blends the direction with its own aligned core until the nuclear-ratio
-    constraint holds; returns None when no feasible blend exists (zero core).
+    Blends the direction D with its own aligned core C = P(D)/||P(D)||_F
+    until the nuclear-ratio constraint holds; returns None when no feasible
+    blend exists (zero core).  Along the blend (1-t) D + t C the complement
+    part scales by (1-t) and the aligned part by (1-t) + t/||P(D)||_F, so
+    the bisection rescales the ratio from :func:`cone_condition` instead of
+    taking new SVDs.
     """
     core = project_onto(sub, direction)
     core_norm = float(np.linalg.norm(core))
     if core_norm == 0.0:
         return None
     core = core / core_norm
-    if _in_cone(sub, direction):
+    ratio, in_cone = cone_condition(direction, sub)
+    if in_cone:
         return quadratic_form(design, direction)
     lo, hi = 0.0, 1.0
     for _ in range(30):
         mid = 0.5 * (lo + hi)
-        cand = (1.0 - mid) * direction + mid * core
-        if _in_cone(sub, cand):
+        if (1.0 - mid) * ratio <= CONE_FACTOR * ((1.0 - mid) + mid / core_norm):
             hi = mid
         else:
             lo = mid

@@ -1,9 +1,22 @@
+import atexit
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# property tests replay a fixed example sequence and store no example database;
+# hypothesis's remaining on-disk caches go to a temporary directory, not the checkout
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
+_HYPOTHESIS_DIR = tempfile.mkdtemp(prefix="lowrankpen-hypothesis-")
+atexit.register(shutil.rmtree, _HYPOTHESIS_DIR, ignore_errors=True)
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _HYPOTHESIS_DIR)
 
 # pass/fail lines collected by the acceptance module, echoed after the run
 ACCEPTANCE_LINES: list[str] = []

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -140,6 +141,35 @@ def test_fit_dense_noiseless_recovers_input(tmp_path):
     doc = json.loads((tmp_path / "fit.fit.json").read_text())
     assert doc["converged"] is True
     assert doc["lambda"] == pytest.approx(1e-8)
+
+
+def test_fit_json_echoes_b_and_reports_the_step(tmp_path):
+    src = tmp_path / "t.csv"
+    src.write_text("j,k,value\n0,0,1.0\n1,1,2.0\n0,1,0.5\n")
+    assert run_cli("fit", src, tmp_path / "out", "--lambda", 0.01, "--b", 4.5) == 0
+    doc = json.loads((tmp_path / "out.fit.json").read_text())
+    assert (doc["penalty"], doc["lambda"], doc["b"]) == ("scad", 0.01, 4.5)
+    assert doc["eta"] == 3.0  # 1/L with L = max(count)/n = 1/3
+    assert isinstance(doc["restarts"], int) and doc["restarts"] >= 0
+
+
+def test_fit_rejects_infinite_b(tmp_path, capsys):
+    src = tmp_path / "t.csv"
+    src.write_text("j,k,value\n0,0,1.0\n1,1,2.0\n")
+    code = run_cli("fit", src, tmp_path / "out", "--penalty", "scad", "--lambda", 0.1, "--b", "inf")
+    assert code == 2
+    assert "b must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out.fit.json").exists()
+
+
+def test_simulate_rejects_infinite_b(tmp_path, capsys):
+    # json.dumps writes the infinite b as the literal Infinity, which json.load accepts
+    config = minimal_config(tmp_path, penalties=[{"family": "scad", "b": math.inf}])
+    assert "Infinity" in config.read_text()
+    out = tmp_path / "x"
+    assert run_cli("simulate", config, "--out-dir", out) == 2
+    assert "b must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_triplets_out_of_range_index(tmp_path, capsys):

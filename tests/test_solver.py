@@ -5,6 +5,7 @@ import pytest
 
 from lowrankpen.operators import (
     CompletionDesign,
+    ObservationSet,
     Subspace,
     generate_observations,
     loss_gradient,
@@ -13,7 +14,7 @@ from lowrankpen.operators import (
     sample_completion_design,
     sample_sensing_design,
 )
-from lowrankpen.penalty import NUCLEAR, SCAD, PenaltySpec, penalty_value, scalar_prox
+from lowrankpen.penalty import MCP, NUCLEAR, SCAD, PenaltySpec, penalty_value, scalar_prox
 from lowrankpen.solver import (
     DivergenceError,
     SolverConfig,
@@ -164,6 +165,42 @@ def test_fit_objective_trace_monotone():
     assert np.all(np.diff(result.objective_trace) <= 1e-9)
 
 
+@pytest.mark.parametrize("step_scale", [1.0, 0.5])
+def test_fit_full_observation_nuclear_matches_soft_threshold(step_scale):
+    # every cell seen once: the loss is ||Y - T||_F^2 / (2n), whose nuclear-
+    # penalized minimizer soft-thresholds the singular values of Y at n*lambda
+    rng = np.random.default_rng(20)
+    m1, m2 = 6, 5
+    n = m1 * m2
+    data = rng.standard_normal((m1, m2))
+    obs = ObservationSet(full_observation_design(m1, m2), data.ravel())
+    lam = 0.05
+    config = SolverConfig(step_policy="fixed", eta=step_scale * n)  # 1/L = n
+    result = fit(obs, PenaltySpec(NUCLEAR, lam), config)
+    u, s, vt = np.linalg.svd(data, full_matrices=False)
+    assert 0 < np.count_nonzero(s > n * lam) < s.size
+    reference = (u * np.maximum(s - n * lam, 0.0)) @ vt
+    assert result.converged
+    assert np.linalg.norm(result.theta_hat - reference) <= 1e-6 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [PenaltySpec(NUCLEAR, 0.05), PenaltySpec(SCAD, 0.05, 3.7), PenaltySpec(MCP, 0.05, 2.5)],
+    ids=["nuclear", "scad", "mcp"],
+)
+def test_fit_accelerated_trace_monotone_through_restarts(spec):
+    rng = np.random.default_rng(1)
+    theta_star, _, _ = random_low_rank(rng, 8, 8, [3.0, 1.5])
+    design = sample_completion_design(rng, 8, 8, 200)
+    obs = generate_observations(design, theta_star, 0.2, rng)
+    result = fit(obs, spec, SolverConfig())
+    assert result.converged
+    assert result.restarts > 0  # the momentum overshot and was reset
+    assert result.objective_trace.size == result.iterations + 1  # accepted steps only
+    assert np.all(np.diff(result.objective_trace) <= 1e-12)
+
+
 def test_fit_fixed_point_residual_small_after_convergence():
     rng = np.random.default_rng(10)
     theta_star, _, _ = random_low_rank(rng, 8, 8, [3.0, 1.5])
@@ -297,6 +334,11 @@ def test_fit_result_serialization():
     obs = generate_observations(design, theta_star, 0.0, rng)
     result = fit(obs, PenaltySpec(NUCLEAR, 1e-6), SolverConfig())
     doc = result.to_dict()
-    assert set(doc) == {"rank_hat", "iterations", "converged", "fixed_point_residual", "spectrum"}
+    assert set(doc) == {
+        "rank_hat", "iterations", "converged", "fixed_point_residual", "spectrum",
+        "eta", "restarts",
+    }
     assert doc["rank_hat"] == result.rank_hat
+    assert doc["eta"] == result.eta == 16.0  # 1/L with L = max(count)/n = 1/16
+    assert doc["restarts"] == result.restarts >= 0
     assert len(doc["spectrum"]) == 4
