@@ -246,19 +246,30 @@ def _load_observations(args):
         design = CompletionDesign(m1=m1, m2=m2, entries=entries)
         y = dense.ravel()
         return design, y
+    triplets, m1, m2 = _read_triplet_file(args)
+    design = CompletionDesign(m1=m1, m2=m2, entries=triplets[:, :2].astype(np.int64))
+    return design, triplets[:, 2]
+
+
+def _read_triplet_file(args) -> tuple[np.ndarray, int, int]:
+    """Triplets of ``args.input`` and the m1 x m2 shape they index into.
+
+    The shape is ``--m1`` / ``--m2``, or one past the largest index.  An
+    index outside it is an input error naming its line; negative indices
+    never get here, the reader rejects them.
+    """
     triplets, lines = fileio.read_triplets(args.input)
     jj = triplets[:, 0].astype(np.int64)
     kk = triplets[:, 1].astype(np.int64)
     m1 = args.m1 if args.m1 else int(jj.max()) + 1
     m2 = args.m2 if args.m2 else int(kk.max()) + 1
     _guard_cells(m1, m2)
-    bad = np.flatnonzero((jj < 0) | (jj >= m1) | (kk < 0) | (kk >= m2))
+    bad = np.flatnonzero((jj >= m1) | (kk >= m2))
     if bad.size:
         raise InputFormatError(
             f"index ({jj[bad[0]]},{kk[bad[0]]}) outside {m1}x{m2}", int(lines[bad[0]])
         )
-    design = CompletionDesign(m1=m1, m2=m2, entries=np.column_stack([jj, kk]))
-    return design, triplets[:, 2]
+    return triplets, m1, m2
 
 
 def _guard_cells(m1: int, m2: int) -> None:
@@ -304,17 +315,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    triplets, lines = fileio.read_triplets(args.input)
-    jj = triplets[:, 0].astype(np.int64)
-    kk = triplets[:, 1].astype(np.int64)
-    m1 = args.m1 if args.m1 else int(jj.max()) + 1
-    m2 = args.m2 if args.m2 else int(kk.max()) + 1
-    _guard_cells(m1, m2)
-    bad = np.flatnonzero((jj >= m1) | (kk >= m2))
-    if bad.size:
-        raise InputFormatError(
-            f"index ({jj[bad[0]]},{kk[bad[0]]}) outside {m1}x{m2}", int(lines[bad[0]])
-        )
+    triplets, m1, m2 = _read_triplet_file(args)
     rng = np.random.default_rng(args.seed)
     try:
         train, test = simlab.holdout_split(triplets, args.holdout_fraction, rng)

@@ -182,6 +182,13 @@ class Subspace:
     def r(self) -> int:
         return self.U.shape[1]
 
+    @cached_property
+    def complement(self) -> tuple[np.ndarray, np.ndarray]:
+        """Orthonormal frames (U_perp, V_perp) of the complements of span(U), span(V)."""
+        u_perp = np.linalg.qr(self.U, mode="complete")[0][:, self.r :]
+        v_perp = np.linalg.qr(self.V, mode="complete")[0][:, self.r :]
+        return _freeze(u_perp), _freeze(v_perp)
+
     def subframe(self, indices) -> "Subspace":
         """Restriction to a subset of frame columns (e.g. the large-value block)."""
         idx = np.asarray(indices, dtype=np.int64)
@@ -193,9 +200,11 @@ def _cell_index(design: CompletionDesign) -> np.ndarray:
     return design.entries[:, 0] * design.m2 + design.entries[:, 1]
 
 
-def _check_theta(design: Design, theta: np.ndarray) -> np.ndarray:
+def _check_theta(design: Design, theta: np.ndarray, stack: bool = False) -> np.ndarray:
+    """``theta`` as a float m1 x m2 matrix, or a (..., m1, m2) stack when allowed."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (design.m1, design.m2):
+    shape = theta.shape[-2:] if stack else theta.shape
+    if shape != (design.m1, design.m2):
         raise ValueError(
             f"expected a {design.m1} x {design.m2} matrix, got shape {theta.shape}"
         )
@@ -235,13 +244,22 @@ def _apply_hessian(design: Design, theta: np.ndarray) -> np.ndarray:
     return hessian_product(design, col).reshape(design.m1, design.m2)
 
 
-def quadratic_form(design: Design, delta: np.ndarray) -> float:
+def quadratic_form(design: Design, delta: np.ndarray) -> float | np.ndarray:
     """Curvature ||X(Delta)||^2 / n, evaluated as vec(Delta)^T H vec(Delta).
 
-    The form is nonnegative; rounding can take the sensing value a few ulps
-    below zero along null directions of H, so it is clipped at zero.
+    ``delta`` is one m1 x m2 matrix (a float is returned) or a (..., m1, m2)
+    stack (an array of the leading shape is returned).  A stack is evaluated
+    in one product with its vec(Delta) as the columns; each value equals the
+    one-matrix call to rounding.  The form is nonnegative; rounding can take
+    the sensing value a few ulps below zero along null directions of H, so it
+    is clipped at zero.
     """
-    return max(float(np.vdot(delta, _apply_hessian(design, delta))), 0.0)
+    delta = _check_theta(design, delta, stack=True)
+    cols = delta.reshape(-1, design.m1 * design.m2).T
+    values = np.maximum(np.vecdot(cols, hessian_product(design, cols), axis=0), 0.0)
+    if delta.ndim == 2:
+        return float(values[0])
+    return values.reshape(delta.shape[:-2])
 
 
 def loss_value(obs: ObservationSet, theta: np.ndarray) -> float:
@@ -263,19 +281,28 @@ def loss_gradient(obs: ObservationSet, theta: np.ndarray) -> np.ndarray:
     return _apply_hessian(obs.design, theta) - obs.xty
 
 
-def project_onto(sub: Subspace, a: np.ndarray) -> np.ndarray:
-    """Projection U U^T A V V^T onto the subspace spanned by the frames."""
+def _check_frames(sub: Subspace, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if a.shape != (sub.U.shape[0], sub.V.shape[0]):
+    if a.shape[-2:] != (sub.U.shape[0], sub.V.shape[0]):
         raise ValueError("matrix shape does not match the subspace frames")
+    return a
+
+
+def project_onto(sub: Subspace, a: np.ndarray) -> np.ndarray:
+    """Projection U U^T A V V^T onto the subspace spanned by the frames.
+
+    ``a`` may be one matrix or a (..., m1, m2) stack, projected slice by slice.
+    """
+    a = _check_frames(sub, a)
     return sub.U @ (sub.U.T @ a @ sub.V) @ sub.V.T
 
 
 def project_complement(sub: Subspace, a: np.ndarray) -> np.ndarray:
-    """Projection (I - U U^T) A (I - V V^T) onto the orthogonal complement."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (sub.U.shape[0], sub.V.shape[0]):
-        raise ValueError("matrix shape does not match the subspace frames")
+    """Projection (I - U U^T) A (I - V V^T) onto the orthogonal complement.
+
+    ``a`` may be one matrix or a (..., m1, m2) stack, projected slice by slice.
+    """
+    a = _check_frames(sub, a)
     ua = sub.U.T @ a
     av = a @ sub.V
     return a - sub.U @ ua - av @ sub.V.T + sub.U @ (ua @ sub.V) @ sub.V.T

@@ -224,11 +224,14 @@ def fit(
     if config.warm_start == WARM_NUCLEAR and spec.family != NUCLEAR:
         warm_config = replace(config, warm_start=WARM_ZERO, step_policy=STEP_FIXED, eta=eta)
         warm = fit(obs, PenaltySpec(NUCLEAR, spec.lam), warm_config)
-        theta = np.array(warm.theta_hat)
+        theta, spectrum = np.array(warm.theta_hat), warm.spectrum
     else:
         theta = np.zeros((design.m1, design.m2))
+        spectrum = np.zeros(min(design.m1, design.m2))
 
-    def step(point: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    def step(point: np.ndarray, k: int):
+        """Prox-gradient step from ``point``: the new iterate, its objective
+        and its singular values (None after the box clip)."""
         z = point - eta * loss_gradient(obs, point)
         if not np.all(np.isfinite(z)):
             raise DivergenceError(f"iterate became non-finite at iteration {k}")
@@ -241,9 +244,9 @@ def fit(
         obj = _objective(obs, spec, theta_new, spectrum)
         if not math.isfinite(obj):
             raise DivergenceError(f"objective became non-finite at iteration {k}")
-        return theta_new, obj
+        return theta_new, obj, spectrum
 
-    obj = _objective(obs, spec, theta)
+    obj = _objective(obs, spec, theta, spectrum)
     trace = [obj]
     theta_prev = theta
     t = 1.0
@@ -254,11 +257,11 @@ def fit(
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         momentum = (t - 1.0) / t_next
         point = theta + momentum * (theta - theta_prev) if momentum > 0.0 else theta
-        theta_new, obj_new = step(point, k)
+        theta_new, obj_new, spectrum = step(point, k)
         if point is not theta and obj_new > obj:
             restarts += 1
             t_next = _T_AFTER_RESTART
-            theta_new, obj_new = step(theta, k)
+            theta_new, obj_new, spectrum = step(theta, k)
         trace.append(obj_new)
         rel = np.linalg.norm(theta_new - theta) / max(1.0, np.linalg.norm(theta))
         theta_prev, theta, obj, t = theta, theta_new, obj_new, t_next
@@ -269,7 +272,8 @@ def fit(
 
     residual_arg = theta - eta * loss_gradient(obs, theta)
     fpr = float(np.linalg.norm(theta - prox_spectral(spec, residual_arg, eta)))
-    spectrum = np.linalg.svd(theta, compute_uv=False)
+    if spectrum is None:  # the box clip changed the accepted prox step
+        spectrum = np.linalg.svd(theta, compute_uv=False)
     return FitResult(
         theta_hat=theta,
         spectrum=spectrum,

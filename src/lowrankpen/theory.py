@@ -238,8 +238,20 @@ def lambda_oracle_sensing(
     )
 
 
-def _nuclear_norm(a: np.ndarray) -> float:
-    return float(np.linalg.svd(a, compute_uv=False).sum())
+def _cone_nuclear_norms(
+    sub: Subspace, aligned_of: np.ndarray, complement_of: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nuclear norms of P(A) and of P_perp(B) for (..., m1, m2) stacks A and B.
+
+    P(A) = U (U^T A V) V^T and P_perp(B) = U_perp (U_perp^T B V_perp) V_perp^T
+    with orthonormal frames, so their nuclear norms are those of the r x r
+    and (m1 - r) x (m2 - r) cores: one batched singular-value call per part,
+    on matrices smaller than m1 x m2.
+    """
+    u_perp, v_perp = sub.complement
+    aligned = np.linalg.svd(sub.U.T @ aligned_of @ sub.V, compute_uv=False)
+    complement = np.linalg.svd(u_perp.T @ complement_of @ v_perp, compute_uv=False)
+    return aligned.sum(axis=-1), complement.sum(axis=-1)
 
 
 def cone_condition(delta: np.ndarray, sub: Subspace) -> tuple[float, bool]:
@@ -248,9 +260,8 @@ def cone_condition(delta: np.ndarray, sub: Subspace) -> tuple[float, bool]:
     Returns ``(ratio, in_cone)`` where the direction is in the cone when the
     complement's nuclear norm is at most five times the aligned part's.
     """
-    aligned = _nuclear_norm(project_onto(sub, delta))
-    complement = _nuclear_norm(project_complement(sub, delta))
-    ratio = complement / max(aligned, 1e-300)
+    aligned, complement = _cone_nuclear_norms(sub, delta, delta)
+    ratio = float(complement / max(aligned, 1e-300))
     return ratio, bool(complement <= CONE_FACTOR * aligned)
 
 
@@ -321,7 +332,7 @@ def _refined_extrema(design: Design, sub: Subspace) -> tuple[float, float] | Non
             return None
         # core-mass-optimal direction within the block's span
         mats3 = basis.T.reshape(-1, design.m1, design.m2)
-        cores = np.array([project_onto(sub, e) for e in mats3])
+        cores = project_onto(sub, mats3)
         gram = np.einsum("iab,jab->ij", cores, mats3)
         gram = 0.5 * (gram + gram.T)
         _, vv = np.linalg.eigh(gram)
@@ -346,6 +357,12 @@ def _refined_extrema(design: Design, sub: Subspace) -> tuple[float, float] | Non
     )
 
 
+# directions stacked per chunk: large enough to amortize the per-call cost of
+# the batched products, small enough that the chunk's arrays stay a few
+# hundred kilobytes (stacking all directions at once grows the peak memory)
+_PROBE_CHUNK = 25
+
+
 def probe_rsc(
     design: Design,
     sub: Subspace,
@@ -363,6 +380,22 @@ def probe_rsc(
     minimum is the curvature estimate kappa_hat; the maximum is a lower
     bound on the true smoothness constant and is recorded as rho_hat.
 
+    Draw order (a contract: callers draw from ``rng`` afterwards, and a
+    trial's later draws are replayed from its seed).  Direction i draws, in
+    this order, ``standard_normal((m1, m2))`` for the aligned part,
+    ``uniform(0, 5)`` for the ratio and, exactly when 0 < r < min(m1, m2),
+    ``standard_normal((m1, m2))`` for the complement part.  Nothing else is
+    drawn, so the generator state afterwards depends only on ``trials``,
+    the shape and r.
+
+    The draws are taken one direction at a time, the linear algebra a chunk
+    of ``_PROBE_CHUNK`` stacked directions at a time: one stacked projection
+    per part, the two nuclear norms from the r x r core U^T A V and the
+    (m1 - r) x (m2 - r) core U_perp^T B V_perp (one batched singular-value
+    call each, the same helper :func:`cone_condition` uses), and one stacked
+    quadratic form.  The result equals the one-direction-at-a-time loop to
+    rounding; the witness is the first direction attaining the minimum.
+
     With ``refine`` set, the sampled range is widened by cone-feasible
     directions built from the exact extreme eigen-subspaces of the quadratic
     form, driving kappa_hat toward the cone infimum instead of the sampled
@@ -378,30 +411,39 @@ def probe_rsc(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     m1, m2 = design.m1, design.m2
+    with_complement = 0 < sub.r < min(m1, m2)
     kappa_hat = math.inf
     rho_hat = -math.inf
     min_ratio = 0.0
     min_index = 0
-    for i in range(trials):
-        aligned = project_onto(sub, rng.standard_normal((m1, m2)))
-        ratio = float(rng.uniform(0.0, CONE_FACTOR))
-        direction = aligned
-        aligned_nuc = _nuclear_norm(aligned)
-        if aligned_nuc > 0 and sub.r < min(m1, m2):
-            comp = project_complement(sub, rng.standard_normal((m1, m2)))
-            comp_nuc = _nuclear_norm(comp)
-            if comp_nuc > 0:
-                direction = aligned + comp * (ratio * aligned_nuc / comp_nuc)
-        nrm = float(np.linalg.norm(direction))
-        if nrm == 0.0:
+    for start in range(0, trials, _PROBE_CHUNK):
+        count = min(_PROBE_CHUNK, trials - start)
+        aligned = np.empty((count, m1, m2))
+        comp = np.empty((count, m1, m2)) if with_complement else None
+        ratios = np.empty(count)
+        for j in range(count):
+            rng.standard_normal(out=aligned[j])
+            ratios[j] = rng.uniform(0.0, CONE_FACTOR)
+            if with_complement:
+                rng.standard_normal(out=comp[j])
+        directions = project_onto(sub, aligned)
+        if with_complement:
+            aligned_nuc, comp_nuc = _cone_nuclear_norms(sub, aligned, comp)
+            scale = np.zeros(count)
+            np.divide(ratios * aligned_nuc, comp_nuc, out=scale, where=comp_nuc > 0)
+            directions += project_complement(sub, comp) * scale[:, None, None]
+        flat = directions.reshape(count, -1)
+        norms = np.sqrt(np.vecdot(flat, flat))
+        keep = np.flatnonzero(norms > 0.0)
+        if keep.size == 0:
             continue
-        direction = direction / nrm
-        value = quadratic_form(design, direction)
-        if value < kappa_hat:
-            kappa_hat = value
-            min_ratio = ratio
-            min_index = i
-        rho_hat = max(rho_hat, value)
+        values = quadratic_form(design, directions[keep] / norms[keep, None, None])
+        first_min = int(np.argmin(values))
+        if values[first_min] < kappa_hat:
+            kappa_hat = float(values[first_min])
+            min_ratio = float(ratios[keep[first_min]])
+            min_index = start + int(keep[first_min])
+        rho_hat = max(rho_hat, float(values.max()))
     witness = f"sample {min_index} with complement/aligned nuclear ratio {min_ratio:.3f}"
     if refine:
         extrema = _refined_extrema(design, sub)

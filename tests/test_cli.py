@@ -182,6 +182,17 @@ def test_fit_triplets_out_of_range_index(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_triplet_index_outside_m1_names_its_line(tmp_path, capsys, command):
+    # only --m1 is given; m2 comes from the largest column index
+    src = tmp_path / "t.csv"
+    src.write_text("j,k,value\n0,0,1.0\n1,2,2.0\n4,1,3.0\n2,2,4.0\n")
+    out = tmp_path / ("out" if command == "fit" else "out.json")
+    assert run_cli(command, src, out, "--m1", 3, "--lambda", 0.1) == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and "(4,1) outside 3x3" in err
+
+
 def test_fit_resource_guard(tmp_path):
     src = tmp_path / "t.csv"
     src.write_text("0,0,1.0\n")

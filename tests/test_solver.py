@@ -244,6 +244,36 @@ def test_fit_box_constraint_clips():
     assert np.abs(result.theta_hat).max() <= alpha + 1e-12
 
 
+@pytest.mark.parametrize(
+    "model,warm_start,box",
+    [
+        ("completion", "zero", False),
+        ("completion", "nuclear", False),
+        ("completion", "nuclear", True),
+        ("sensing", "nuclear", False),
+        ("sensing", "zero", True),
+    ],
+)
+def test_fit_spectrum_matches_svd_of_estimate(model, warm_start, box):
+    # the reported spectrum comes from the last prox step (an SVD only after
+    # the box clip); it must be the spectrum of theta_hat and give its rank
+    rng = np.random.default_rng(15)
+    theta_star, _, _ = random_low_rank(rng, 8, 7, [3.0, 1.5])
+    if model == "completion":
+        design = sample_completion_design(rng, 8, 7, 150)
+    else:
+        design = sample_sensing_design(rng, 8, 7, 120)
+    obs = generate_observations(design, theta_star, 0.2, rng)
+    alpha = 0.8 * np.abs(theta_star).max() if box else None
+    config = SolverConfig(warm_start=warm_start, alpha_star=alpha)
+    result = fit(obs, PenaltySpec(SCAD, 0.05, 3.7), config)
+    s = np.linalg.svd(result.theta_hat, compute_uv=False)
+    assert result.spectrum.shape == s.shape
+    assert np.abs(result.spectrum - s).max() <= 1e-12 * s[0]
+    assert result.rank_hat == numeric_rank(s, config.rank_tol_rel)
+    assert 0 < result.rank_hat < s.size
+
+
 def test_scad_prox_never_shrinks_more_than_soft_threshold():
     # less-shrinkage property checked on every singular value the fit sees
     rng = np.random.default_rng(14)
