@@ -275,6 +275,8 @@ def run_trial(spec: TrialSpec, n: int, penalty_index: int, repeat_index: int) ->
     spectrum, observation noise.  The frames come first because the
     regularization level (and with it the truth scale b*lambda) can depend
     on the probed curvature, while the probe itself only needs the frames.
+    The probe's own draws follow the order documented in
+    :func:`lowrankpen.theory.probe_rsc`, which the later draws depend on.
     """
     t_start = time.perf_counter()
     template = spec.penalties[penalty_index]

@@ -385,8 +385,8 @@ def probe_rsc(
     this order, ``standard_normal((m1, m2))`` for the aligned part,
     ``uniform(0, 5)`` for the ratio and, exactly when 0 < r < min(m1, m2),
     ``standard_normal((m1, m2))`` for the complement part.  Nothing else is
-    drawn, so the generator state afterwards depends only on ``trials``,
-    the shape and r.
+    drawn, so the number of draws depends only on ``trials``, the shape and
+    r, never on the values drawn.
 
     The draws are taken one direction at a time, the linear algebra a chunk
     of ``_PROBE_CHUNK`` stacked directions at a time: one stacked projection
