@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -48,14 +49,23 @@ class ResourceGuardError(RuntimeError):
     pass
 
 
-def _require(cfg: dict, key: str, kind, where: str = "config"):
+_MISSING = object()
+
+
+def _require(cfg: dict, key: str, kind, where: str = "config", default=_MISSING):
+    """``cfg[key]`` checked to be of ``kind`` (a float must be finite), or
+    ``default`` when the key is absent and a default is given."""
     if key not in cfg:
-        raise ConfigError(key, f"missing from {where}")
+        if default is _MISSING:
+            raise ConfigError(key, f"missing from {where}")
+        return default
     value = cfg[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(key, f"expected {kind.__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(key, f"{key} must be finite, got {value}")
     return value
 
 
@@ -65,7 +75,7 @@ _TOP_KEYS = {
     "probe_directions", "solver", "out_dir",
 }
 _SOLVER_KEYS = {
-    "max_iter", "tol", "step_policy", "eta", "alpha_star", "warm_start", "rank_tol_rel",
+    "max_iter", "tol", "eta", "alpha_star", "warm_start", "rank_tol_rel",
 }
 
 
@@ -97,7 +107,11 @@ def parse_run_config(cfg: dict) -> tuple[TrialSpec, str | None]:
         extra = set(rule_doc) - {"kind", "margin"}
         if extra:
             raise ConfigError(sorted(extra)[0], "unknown key in spectrum_rule")
-        rule: simlab.SpectrumRule = AllAboveNu(margin=float(rule_doc.get("margin", 0.2)))
+        margin = _require(rule_doc, "margin", float, "spectrum_rule", default=0.2)
+        try:
+            rule: simlab.SpectrumRule = AllAboveNu(margin=margin)
+        except ValueError as exc:
+            raise ConfigError("margin", str(exc)) from None
     elif kind == "mixed":
         extra = set(rule_doc) - {"kind", "r1", "r2", "low_value"}
         if extra:
@@ -142,8 +156,9 @@ def parse_run_config(cfg: dict) -> tuple[TrialSpec, str | None]:
         if extra:
             raise ConfigError(sorted(extra)[0], f"unknown key in penalties[{i}]")
         family = _require(doc, "family", str, f"penalties[{i}]")
+        b = _require(doc, "b", float, f"penalties[{i}]", default=0.0)
         try:
-            penalties.append(PenaltyTemplate(family=family, b=float(doc.get("b", 0.0))))
+            penalties.append(PenaltyTemplate(family=family, b=b))
         except ValueError as exc:
             raise ConfigError(f"penalties[{i}]", str(exc)) from None
 
@@ -162,9 +177,11 @@ def parse_run_config(cfg: dict) -> tuple[TrialSpec, str | None]:
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("out_dir", "must be a string path")
 
-    for key, kind in (("c", float), ("lambda_rule", str), ("probe_directions", int)):
-        if key in cfg:
-            _require(cfg, key, kind)
+    c = _require(cfg, "c", float, default=theory.DEFAULT_RULE_CONSTANT)
+    lambda_rule = _require(cfg, "lambda_rule", str, default="standard")
+    probe_directions = _require(cfg, "probe_directions", int, default=200)
+    repeats = _require(cfg, "repeats", int)
+    base_seed = _require(cfg, "base_seed", int)
     try:
         spec = TrialSpec(
             model=model,
@@ -175,12 +192,12 @@ def parse_run_config(cfg: dict) -> tuple[TrialSpec, str | None]:
             sigma=sigma,
             n_grid=n_grid,
             penalties=tuple(penalties),
-            repeats=_require(cfg, "repeats", int),
-            base_seed=_require(cfg, "base_seed", int),
+            repeats=repeats,
+            base_seed=base_seed,
             solver=solver,
-            c=float(cfg.get("c", theory.DEFAULT_RULE_CONSTANT)),
-            lambda_rule=cfg.get("lambda_rule", "standard"),
-            probe_directions=int(cfg.get("probe_directions", 200)),
+            c=c,
+            lambda_rule=lambda_rule,
+            probe_directions=probe_directions,
         )
     except ValueError as exc:
         raise ConfigError("<spec>", str(exc)) from None
@@ -188,6 +205,8 @@ def parse_run_config(cfg: dict) -> tuple[TrialSpec, str | None]:
 
 
 def cmd_simulate(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError("--jobs", f"must be at least 1, got {args.jobs}")
     with open(args.config) as fh:
         try:
             cfg = json.load(fh)
@@ -217,7 +236,7 @@ def _build_penalty(args, m1: int, m2: int, n: int) -> PenaltySpec:
     if lam is None:
         if args.sigma is None:
             raise ConfigError("lambda", "pass --lambda or --sigma to resolve it")
-        sigma_eff = args.sigma if args.sigma > 0 else 0.01
+        sigma_eff = args.sigma if args.sigma > 0 else simlab.SIGMA_FLOOR
         lam = theory.lambda_completion(sigma_eff, m1, m2, n, args.c)
     return PenaltySpec(args.penalty, lam, args.b)
 

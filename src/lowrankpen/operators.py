@@ -24,6 +24,7 @@ statistics instead of sweeping the n observations.  :func:`apply_forward` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -133,8 +134,8 @@ class ObservationSet:
         y = np.asarray(self.y, dtype=float)
         if y.ndim != 1 or y.shape[0] != self.design.n:
             raise ValueError("y must be a vector of length design.n")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
         object.__setattr__(self, "y", _freeze(y))
 
     @property

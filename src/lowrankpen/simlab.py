@@ -52,6 +52,10 @@ class AllAboveNu:
 
     margin: float = 0.2
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.margin) and self.margin >= 0):
+            raise ValueError(f"margin must be finite and nonnegative, got {self.margin!r}")
+
 
 @dataclass(frozen=True)
 class MixedSpectrum:
@@ -105,8 +109,8 @@ class TrialSpec:
             raise ValueError(f"unknown model {self.model!r}")
         if self.r < 1 or self.r > min(self.m1, self.m2):
             raise ValueError("r must satisfy 1 <= r <= min(m1, m2)")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ValueError("n_grid must hold positive sample sizes")
         if not self.penalties:
@@ -393,9 +397,9 @@ def _trial_task(args) -> TrialOutcome:
 def run_grid(spec: TrialSpec, jobs: int = 1) -> GridResult:
     """Run the full cartesian grid n_grid x penalties x repeats.
 
-    Trials execute independently (in ``jobs`` worker processes when
-    jobs > 1); the result order and every aggregate are a deterministic
-    function of the spec alone.
+    Trials execute independently (in min(jobs, trials) worker processes
+    when that is above 1); the result order and every aggregate are a
+    deterministic function of the spec alone.
     """
     tasks = [
         (spec, n, p_idx, rep)
@@ -403,8 +407,9 @@ def run_grid(spec: TrialSpec, jobs: int = 1) -> GridResult:
         for p_idx in range(len(spec.penalties))
         for rep in range(spec.repeats)
     ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             trials = tuple(pool.map(_trial_task, tasks, chunksize=1))
     else:
         trials = tuple(_trial_task(t) for t in tasks)

@@ -39,8 +39,6 @@ from lowrankpen.operators import (
 )
 from lowrankpen.penalty import NUCLEAR, PenaltySpec, penalty_value, scalar_prox
 
-STEP_INVERSE_POWER = "inverse_power"
-STEP_FIXED = "fixed"
 WARM_ZERO = "zero"
 WARM_NUCLEAR = "nuclear"
 
@@ -50,7 +48,11 @@ class DivergenceError(RuntimeError):
 
 
 class RankDeficiencyError(RuntimeError):
-    """The reduced normal system stayed singular after the jitter rescue."""
+    """The reduced normal system is numerically singular although n >= r^2.
+
+    ``null_dim`` counts the eigenvalues of the normal matrix at or below the
+    cutoff of :func:`solve_oracle`; no regularization is tried.
+    """
 
     def __init__(self, null_dim: int):
         super().__init__(f"normal system is rank deficient (null dimension {null_dim})")
@@ -65,16 +67,15 @@ class UnderdeterminedSystemWarning(RuntimeWarning):
 class SolverConfig:
     """Iteration controls for :func:`fit`.
 
-    ``step_policy="inverse_power"`` sets the step to the reciprocal of the
-    exact smoothness constant (:func:`estimate_lipschitz`); ``"fixed"`` uses
-    ``eta`` directly.
+    ``eta=None`` sets the step to the reciprocal of the exact smoothness
+    constant (:func:`estimate_lipschitz`); a positive ``eta`` is used as a
+    fixed step instead.
     ``warm_start="nuclear"`` first solves the convex nuclear-norm problem at
     the same lambda and starts the nonconvex iteration there.
     """
 
     max_iter: int = 2000
     tol: float = 1e-7
-    step_policy: str = STEP_INVERSE_POWER
     eta: float | None = None
     alpha_star: float | None = None
     warm_start: str = WARM_ZERO
@@ -95,10 +96,8 @@ class SolverConfig:
             raise ValueError("max_iter must be positive")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.step_policy not in (STEP_INVERSE_POWER, STEP_FIXED):
-            raise ValueError(f"unknown step policy {self.step_policy!r}")
-        if self.step_policy == STEP_FIXED and not (self.eta and self.eta > 0):
-            raise ValueError("fixed step policy requires a positive eta")
+        if self.eta is not None and not self.eta > 0:
+            raise ValueError("eta must be positive when set")
         if self.alpha_star is not None and not self.alpha_star > 0:
             raise ValueError("alpha_star must be positive when set")
         if self.warm_start not in (WARM_ZERO, WARM_NUCLEAR):
@@ -216,13 +215,10 @@ def fit(
     included, are appended to it.
     """
     design = obs.design
-    if config.step_policy == STEP_FIXED:
-        eta = float(config.eta)
-    else:
-        eta = 1.0 / estimate_lipschitz(design)
+    eta = 1.0 / estimate_lipschitz(design) if config.eta is None else float(config.eta)
 
     if config.warm_start == WARM_NUCLEAR and spec.family != NUCLEAR:
-        warm_config = replace(config, warm_start=WARM_ZERO, step_policy=STEP_FIXED, eta=eta)
+        warm_config = replace(config, warm_start=WARM_ZERO, eta=eta)
         warm = fit(obs, PenaltySpec(NUCLEAR, spec.lam), warm_config)
         theta, spectrum = np.array(warm.theta_hat), warm.spectrum
     else:
@@ -287,22 +283,18 @@ def fit(
     )
 
 
-_DIRECT_SYSTEM_LIMIT = 400
-_JITTER_SCALE = 1e-12
-_CG_RTOL = 1e-10
-
-
 def solve_oracle(obs: ObservationSet, sub: Subspace) -> np.ndarray:
     """Least-squares fit restricted to the given rank-r subspace.
 
     Minimizes ||y - X(U C V^T)||^2 / (2n) over the r x r coefficient matrix
-    C.  With K = U kron V, the r^2 x r^2 normal equations K^T H K c = K^T
-    X*(y)/n are formed from the design's cached Hessian and solved directly
-    for r^2 <= 400 and by conjugate gradient (relative residual 1e-10) beyond
-    that.  A singular normal matrix gets one diagonal jitter of 1e-12 times
-    its trace; if that fails the rank deficiency is reported.  With fewer
-    observations than coefficients the minimum-norm solution is returned and
-    a warning issued.
+    C.  With K = U kron V, the d = r^2 normal equations K^T H K c = K^T
+    X*(y)/n are formed from the design's cached Hessian and solved by one
+    eigendecomposition of the normal matrix.  The matrix has rank at most n,
+    so only its top min(n, d) eigenpairs are kept, and of those the ones
+    above d * eps times the largest; the solution is the minimum-norm one on
+    the kept eigenvectors.  With fewer observations than coefficients a
+    warning is issued; otherwise a dropped eigenvalue means the system is
+    numerically singular and :class:`RankDeficiencyError` is raised.
     """
     r = sub.r
     if r == 0:
@@ -321,69 +313,16 @@ def solve_oracle(obs: ObservationSet, sub: Subspace) -> np.ndarray:
             UnderdeterminedSystemWarning,
             stacklevel=2,
         )
-        c = _solve_min_norm(gram, rhs, obs.n)
-    elif d <= _DIRECT_SYSTEM_LIMIT:
-        c = _solve_direct(gram, rhs)
-    else:
-        c = _solve_cg(gram, rhs)
-    return sub.U @ c.reshape(r, r) @ sub.V.T
 
-
-def _solve_min_norm(gram: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
-    """Minimum-norm solution of a normal system of rank at most n.
-
-    Only the top n eigenvalues can be nonzero.  The others are rounding
-    noise, which a relative cutoff alone does not reliably drop from a Gram
-    matrix; dividing by one would swamp the solution.
-    """
+    # below the top n eigenvalues there is only rounding noise, which a
+    # relative cutoff alone does not reliably drop from a Gram matrix
+    top = min(obs.n, d)
     eigvals, eigvecs = np.linalg.eigh(gram)
-    eigvals, eigvecs = eigvals[-n:], eigvecs[:, -n:]
-    keep = eigvals > gram.shape[0] * np.finfo(float).eps * eigvals[-1]
+    eigvals, eigvecs = eigvals[-top:], eigvecs[:, -top:]
+    keep = eigvals > d * np.finfo(float).eps * eigvals[-1]
+    kept = int(np.count_nonzero(keep))
+    if obs.n >= d and kept < d:
+        raise RankDeficiencyError(d - kept)
     basis = eigvecs[:, keep]
-    return basis @ ((basis.T @ rhs) / eigvals[keep])
-
-
-def _residual_ok(gram: np.ndarray, c: np.ndarray, rhs: np.ndarray) -> bool:
-    if not np.all(np.isfinite(c)):
-        return False
-    scale = max(float(np.linalg.norm(rhs)), 1e-300)
-    return float(np.linalg.norm(gram @ c - rhs)) / scale <= 1e-6
-
-
-def _solve_direct(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        c = np.linalg.solve(gram, rhs)
-        if _residual_ok(gram, c, rhs):
-            return c
-    except np.linalg.LinAlgError:
-        pass
-    jitter = _JITTER_SCALE * float(np.trace(gram))
-    jittered = gram + jitter * np.eye(gram.shape[0])
-    try:
-        c = np.linalg.solve(jittered, rhs)
-    except np.linalg.LinAlgError:
-        c = None
-    if c is None or not _residual_ok(jittered, c, rhs):
-        null_dim = gram.shape[0] - np.linalg.matrix_rank(gram)
-        raise RankDeficiencyError(int(null_dim))
-    return c
-
-
-def _solve_cg(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    from scipy.sparse.linalg import cg
-
-    try:
-        c, info = cg(gram, rhs, rtol=_CG_RTOL, maxiter=20 * gram.shape[0])
-    except TypeError:  # older scipy spells the tolerance "tol"
-        c, info = cg(gram, rhs, tol=_CG_RTOL, maxiter=20 * gram.shape[0])
-    if info != 0 or not _residual_ok(gram, c, rhs):
-        jitter = _JITTER_SCALE * float(np.trace(gram))
-        jittered = gram + jitter * np.eye(gram.shape[0])
-        try:
-            c, info = cg(jittered, rhs, rtol=_CG_RTOL, maxiter=20 * gram.shape[0])
-        except TypeError:
-            c, info = cg(jittered, rhs, tol=_CG_RTOL, maxiter=20 * gram.shape[0])
-        if info != 0 or not _residual_ok(jittered, c, rhs):
-            null_dim = gram.shape[0] - np.linalg.matrix_rank(gram)
-            raise RankDeficiencyError(int(null_dim))
-    return c
+    c = basis @ ((basis.T @ rhs) / eigvals[keep])
+    return sub.U @ c.reshape(r, r) @ sub.V.T

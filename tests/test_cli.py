@@ -116,6 +116,74 @@ def test_simulate_rejects_fractional_max_iter_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key,overrides",
+    [
+        ("sigma", {"sigma": math.nan}),
+        ("margin", {"spectrum_rule": {"kind": "all_above_nu", "margin": math.nan}}),
+        ("margin", {"spectrum_rule": {"kind": "all_above_nu", "margin": [1]}}),
+        ("margin", {"spectrum_rule": {"kind": "all_above_nu", "margin": -3}}),
+        ("b", {"penalties": [{"family": "scad", "b": [3.7]}]}),
+        ("c", {"c": math.nan}),
+        ("step_policy", {"solver": {"step_policy": "inverse_power"}}),
+    ],
+    ids=["sigma-nan", "margin-nan", "margin-list", "margin-negative", "b-list", "c-nan",
+         "step_policy"],
+)
+def test_simulate_rejects_invalid_value_naming_its_key(tmp_path, capsys, key, overrides):
+    config = minimal_config(tmp_path, **overrides)
+    out = tmp_path / "x"
+    assert run_cli("simulate", config, "--out-dir", out, "--jobs", 1) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_non_finite_sigma_flag_is_invalid_input(tmp_path, capsys, command):
+    src = tmp_path / "t.csv"
+    write_triplets(src, np.array([[0, 0, 1.0], [1, 1, 2.0], [2, 0, 1.5], [0, 2, 2.5]]))
+    out = tmp_path / "out"
+    assert run_cli(command, src, out, "--sigma", "nan") == 2
+    assert "sigma" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [src]
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_simulate_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    out = tmp_path / "x"
+    assert run_cli("simulate", minimal_config(tmp_path), "--out-dir", out, "--jobs", jobs) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_starts_no_more_workers_than_trials(tmp_path, monkeypatch):
+    # a pool stand-in that records its size and maps serially: no process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli.simlab, "ProcessPoolExecutor", SerialPool)
+    config = minimal_config(tmp_path, repeats=2)
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert run_cli("simulate", config, "--out-dir", serial, "--jobs", 1) == 0
+    assert run_cli("simulate", config, "--out-dir", pooled, "--jobs", 64) == 0
+    assert sizes == [2]
+    assert strip_runtime((serial / "results.csv").read_text()) == strip_runtime(
+        (pooled / "results.csv").read_text()
+    )
+
+
 def test_simulate_resource_guard_counts_design_and_gram(tmp_path, monkeypatch):
     # 200 x 200 sensing: the 40000^2-entry Gram matrix alone exceeds the guard
     def no_trials(*args, **kwargs):

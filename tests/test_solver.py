@@ -17,6 +17,7 @@ from lowrankpen.operators import (
 from lowrankpen.penalty import MCP, NUCLEAR, SCAD, PenaltySpec, penalty_value, scalar_prox
 from lowrankpen.solver import (
     DivergenceError,
+    RankDeficiencyError,
     SolverConfig,
     UnderdeterminedSystemWarning,
     estimate_lipschitz,
@@ -175,13 +176,23 @@ def test_fit_full_observation_nuclear_matches_soft_threshold(step_scale):
     data = rng.standard_normal((m1, m2))
     obs = ObservationSet(full_observation_design(m1, m2), data.ravel())
     lam = 0.05
-    config = SolverConfig(step_policy="fixed", eta=step_scale * n)  # 1/L = n
+    config = SolverConfig(eta=step_scale * n)  # 1/L = n
     result = fit(obs, PenaltySpec(NUCLEAR, lam), config)
     u, s, vt = np.linalg.svd(data, full_matrices=False)
     assert 0 < np.count_nonzero(s > n * lam) < s.size
     reference = (u * np.maximum(s - n * lam, 0.0)) @ vt
     assert result.converged
     assert np.linalg.norm(result.theta_hat - reference) <= 1e-6 * np.linalg.norm(reference)
+
+
+def test_fit_uses_the_given_eta_as_its_step():
+    rng = np.random.default_rng(21)
+    theta_star, _, _ = random_low_rank(rng, 6, 6, [2.0, 1.0])
+    design = sample_completion_design(rng, 6, 6, 80)
+    obs = generate_observations(design, theta_star, 0.1, rng)
+    assert fit(obs, PenaltySpec(SCAD, 0.05, 3.7), SolverConfig(eta=0.5)).eta == 0.5
+    with pytest.raises(ValueError, match="eta"):
+        SolverConfig(eta=0.0)
 
 
 @pytest.mark.parametrize(
@@ -229,7 +240,7 @@ def test_fit_divergence_raises_named_iteration():
     theta_star = rng.standard_normal((4, 4))
     obs = generate_observations(design, theta_star, 0.1, rng)
     # a fixed step far above 2/L makes the gradient iteration blow up
-    config = SolverConfig(step_policy="fixed", eta=1e6, max_iter=200)
+    config = SolverConfig(eta=1e6, max_iter=200)
     with pytest.raises(DivergenceError, match="iteration"):
         fit(obs, PenaltySpec(SCAD, 1e-6, 3.7), config)
 
@@ -314,13 +325,38 @@ def test_warm_start_never_worse_logged_not_failed():
         )
 
 
-def test_solve_oracle_exact_on_noiseless_data():
+@pytest.mark.parametrize(
+    "model,m,gammas,n",
+    [
+        ("completion", 5, [2.0, 1.0], None),
+        # 441 coefficients in one normal system
+        ("completion", 21, np.linspace(3.0, 1.0, 21), None),
+        ("sensing", 6, [2.0, 1.0], 100),
+    ],
+    ids=["full-5x5-r2", "full-21x21-r21", "sensing-6x6-r2"],
+)
+def test_solve_oracle_exact_on_noiseless_data(model, m, gammas, n):
     rng = np.random.default_rng(16)
-    theta_star, u, v = random_low_rank(rng, 5, 5, [2.0, 1.0])
-    design = full_observation_design(5, 5)
+    theta_star, u, v = random_low_rank(rng, m, m, gammas)
+    if model == "completion":
+        design = full_observation_design(m, m)
+    else:
+        design = sample_sensing_design(rng, m, m, n)
     obs = generate_observations(design, theta_star, 0.0, rng)
     theta_o = solve_oracle(obs, Subspace(u, v))
     assert np.abs(theta_o - theta_star).max() <= 1e-10
+
+
+def test_solve_oracle_rank_deficiency_reported():
+    # coordinate frames on 3x3; cell (1, 1) of the 2x2 block is never observed,
+    # so the normal system is singular although n = 9 >= r^2 = 4
+    eye = np.eye(3)
+    cells = np.repeat([[0, 0], [0, 1], [1, 0]], 3, axis=0)
+    design = CompletionDesign(m1=3, m2=3, entries=cells)
+    obs = ObservationSet(design, np.ones(design.n))
+    with pytest.raises(RankDeficiencyError) as info:
+        solve_oracle(obs, Subspace(eye[:, :2], eye[:, :2]))
+    assert info.value.null_dim == 1
 
 
 def test_solve_oracle_underdetermined_minimum_norm():
