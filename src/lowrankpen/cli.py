@@ -69,6 +69,13 @@ def _require(cfg: dict, key: str, kind, where: str = "config", default=_MISSING)
     return value
 
 
+def _field_error(exc: ValueError, keys, fallback: str) -> ConfigError:
+    """ConfigError for a spec class's rejection, naming the key its message
+    opens with when that is one of ``keys``."""
+    field = str(exc).split(" ", 1)[0]
+    return ConfigError(field if field in keys else fallback, str(exc))
+
+
 _TOP_KEYS = {
     "model", "m1", "m2", "r", "sigma", "spectrum_rule", "n_grid", "N_grid",
     "penalties", "repeats", "base_seed", "c", "lambda_rule",
@@ -95,45 +102,37 @@ def parse_run_config(cfg: dict) -> tuple[TrialSpec, str | None]:
     r = _require(cfg, "r", int)
     if m1 < 1 or m2 < 1:
         raise ConfigError("m1", "dimensions must be positive")
-    if r < 1 or r > min(m1, m2):
-        raise ConfigError("r", f"must satisfy 1 <= r <= min(m1, m2) = {min(m1, m2)}")
     sigma = _require(cfg, "sigma", float)
-    if sigma < 0:
-        raise ConfigError("sigma", "must be nonnegative")
 
     rule_doc = _require(cfg, "spectrum_rule", dict)
     kind = rule_doc.get("kind")
     if kind == "all_above_nu":
-        extra = set(rule_doc) - {"kind", "margin"}
-        if extra:
-            raise ConfigError(sorted(extra)[0], "unknown key in spectrum_rule")
-        margin = _require(rule_doc, "margin", float, "spectrum_rule", default=0.2)
-        try:
-            rule: simlab.SpectrumRule = AllAboveNu(margin=margin)
-        except ValueError as exc:
-            raise ConfigError("margin", str(exc)) from None
+        rule_type, kinds = AllAboveNu, {"margin": float}
     elif kind == "mixed":
-        extra = set(rule_doc) - {"kind", "r1", "r2", "low_value"}
-        if extra:
-            raise ConfigError(sorted(extra)[0], "unknown key in spectrum_rule")
-        rule = MixedSpectrum(
-            r1=_require(rule_doc, "r1", int, "spectrum_rule"),
-            r2=_require(rule_doc, "r2", int, "spectrum_rule"),
-            low_value=_require(rule_doc, "low_value", float, "spectrum_rule"),
-        )
+        rule_type, kinds = MixedSpectrum, {"r1": int, "r2": int, "low_value": float}
     else:
         raise ConfigError("spectrum_rule.kind", "must be 'all_above_nu' or 'mixed'")
+    extra = set(rule_doc) - {"kind", *kinds}
+    if extra:
+        raise ConfigError(sorted(extra)[0], "unknown key in spectrum_rule")
+    fields = {}
+    for key, key_kind in kinds.items():
+        default = getattr(rule_type, key, _MISSING)  # a dataclass default is a class attribute
+        fields[key] = _require(rule_doc, key, key_kind, "spectrum_rule", default)
+    try:
+        rule: simlab.SpectrumRule = rule_type(**fields)
+    except ValueError as exc:
+        raise _field_error(exc, kinds, "spectrum_rule") from None
 
     if ("n_grid" in cfg) == ("N_grid" in cfg):
         raise ConfigError("n_grid", "exactly one of n_grid / N_grid is required")
     if "n_grid" in cfg:
         raw = cfg["n_grid"]
-        if not isinstance(raw, list) or not raw:
+        if not isinstance(raw, list) or not raw or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in raw
+        ):
             raise ConfigError("n_grid", "must be a nonempty list of integers")
-        try:
-            n_grid = tuple(int(x) for x in raw)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError("n_grid", "must be a nonempty list of integers") from None
+        n_grid = tuple(raw)
     else:
         raw = cfg["N_grid"]
         if not isinstance(raw, list) or not raw:
@@ -200,7 +199,7 @@ def parse_run_config(cfg: dict) -> tuple[TrialSpec, str | None]:
             probe_directions=probe_directions,
         )
     except ValueError as exc:
-        raise ConfigError("<spec>", str(exc)) from None
+        raise _field_error(exc, _TOP_KEYS, "<spec>") from None
     return spec, out_dir
 
 
@@ -299,20 +298,31 @@ def _guard_cells(m1: int, m2: int) -> None:
 
 
 def _guard_trial(spec: TrialSpec) -> None:
-    """Floats one trial allocates: the m1 x m2 iterate for completion; the
-    n x m1 x m2 design plus its (m1*m2)^2 Gram matrix for sensing."""
+    """Floats one trial allocates: the m1 x m2 iterate plus the n index pairs
+    and responses for completion; the n x m1 x m2 design plus its
+    (m1*m2)^2 Gram matrix for sensing."""
     d = spec.m1 * spec.m2
     if spec.model == simlab.SENSING:
         floats = max(spec.n_grid) * d + d * d
     else:
-        floats = d
+        floats = d + 3 * max(spec.n_grid)
     if floats > MAX_CELLS:
         raise ResourceGuardError(
             f"one {spec.model} trial needs {floats} floats, over the {MAX_CELLS} guard"
         )
 
 
+def _check_flags(args) -> None:
+    """Reject flag values of ``fit`` / ``evaluate`` that parse but cannot be used."""
+    if not (math.isfinite(args.c) and args.c > 0):
+        raise ConfigError("--c", f"must be finite and positive, got {args.c}")
+    for flag, value in (("--m1", args.m1), ("--m2", args.m2)):
+        if value is not None and value < 1:
+            raise ConfigError(flag, f"must be at least 1, got {value}")
+
+
 def cmd_fit(args) -> int:
+    _check_flags(args)
     design, y = _load_observations(args)
     obs = ObservationSet(design=design, y=y, sigma=args.sigma or 0.0)
     penalty = _build_penalty(args, design.m1, design.m2, design.n)
@@ -334,6 +344,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_flags(args)
     triplets, m1, m2 = _read_triplet_file(args)
     rng = np.random.default_rng(args.seed)
     try:
@@ -377,7 +388,6 @@ def _add_penalty_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-4)
     p.add_argument("--warm-start", dest="warm_start", choices=["zero", "nuclear"],
                    default="zero")
-    p.add_argument("--seed", type=int, default=0, help="rng seed (used by evaluate)")
     p.add_argument("--m1", type=int, default=None, help="rows (triplet input only)")
     p.add_argument("--m2", type=int, default=None, help="columns (triplet input only)")
 
@@ -409,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("out", help="output JSON path")
     p_eval.add_argument("--holdout-fraction", dest="holdout_fraction", type=float,
                         default=0.5, help="observed share of the triplets")
+    p_eval.add_argument("--seed", type=int, default=0, help="rng seed of the holdout split")
     _add_penalty_flags(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
     return parser
@@ -417,6 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for dest, value in vars(args).items():
+        # argparse parses ``--flag=--`` to an empty list instead of rejecting it
+        if isinstance(value, list):
+            parser.error(f"argument {dest}: '--' is not a value")
     try:
         return args.func(args)
     except (ConfigError, InputFormatError, ValueError) as exc:

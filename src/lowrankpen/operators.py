@@ -77,18 +77,11 @@ class CompletionDesign:
 
 @dataclass(frozen=True)
 class SensingDesign:
-    """Dense random measurement matrices X_1, ..., X_n.
-
-    ``ensemble`` records how the matrices were drawn: ``"identity"`` for
-    i.i.d. N(0, 1) entries or ``"cholesky"`` when vec(X_i) = L g with g
-    standard normal.  The factor is kept for metadata only.
-    """
+    """Dense random measurement matrices X_1, ..., X_n."""
 
     m1: int
     m2: int
     matrices: np.ndarray
-    ensemble: str = IDENTITY
-    cholesky: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.m1 < 1 or self.m2 < 1:
@@ -96,11 +89,7 @@ class SensingDesign:
         mats = np.asarray(self.matrices, dtype=float)
         if mats.ndim != 3 or mats.shape[1:] != (self.m1, self.m2) or mats.shape[0] < 1:
             raise ValueError("matrices must have shape (n, m1, m2) with n >= 1")
-        if self.ensemble not in (IDENTITY, CHOLESKY):
-            raise ValueError(f"unknown ensemble {self.ensemble!r}")
         object.__setattr__(self, "matrices", _freeze(mats))
-        if self.cholesky is not None:
-            object.__setattr__(self, "cholesky", _freeze(np.asarray(self.cholesky, float)))
 
     @property
     def n(self) -> int:
@@ -339,7 +328,7 @@ def sample_sensing_design(
     d = m1 * m2
     if ensemble == IDENTITY:
         mats = rng.standard_normal((n, m1, m2))
-        return SensingDesign(m1=m1, m2=m2, matrices=mats, ensemble=IDENTITY)
+        return SensingDesign(m1=m1, m2=m2, matrices=mats)
     if ensemble != CHOLESKY:
         raise ValueError(f"unknown ensemble {ensemble!r}")
     L = np.asarray(cholesky, dtype=float)
@@ -351,7 +340,7 @@ def sample_sensing_design(
         raise ValueError("Cholesky factor must have a positive diagonal")
     g = rng.standard_normal((n, d))
     mats = (g @ L.T).reshape(n, m1, m2)
-    return SensingDesign(m1=m1, m2=m2, matrices=mats, ensemble=CHOLESKY, cholesky=L)
+    return SensingDesign(m1=m1, m2=m2, matrices=mats)
 
 
 def generate_observations(

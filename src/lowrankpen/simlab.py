@@ -32,7 +32,9 @@ from lowrankpen.operators import (
     sample_sensing_design,
 )
 from lowrankpen.penalty import NUCLEAR, PenaltySpec, check_family
-from lowrankpen.solver import DivergenceError, SolverConfig, fit, solve_oracle
+from lowrankpen.solver import (
+    DivergenceError, RankDeficiencyError, SolverConfig, fit, solve_oracle,
+)
 
 COMPLETION = "completion"
 SENSING = "sensing"
@@ -65,6 +67,13 @@ class MixedSpectrum:
     r2: int
     low_value: float
 
+    def __post_init__(self) -> None:
+        for name in ("r1", "r2"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
+        if not (math.isfinite(self.low_value) and self.low_value > 0):
+            raise ValueError(f"low_value must be finite and positive, got {self.low_value!r}")
+
 
 SpectrumRule = AllAboveNu | MixedSpectrum
 
@@ -87,7 +96,8 @@ class PenaltyTemplate:
 
 @dataclass(frozen=True)
 class TrialSpec:
-    """Complete description of a simulation grid."""
+    """Complete description of a simulation grid.  A ``ValueError`` whose
+    message opens with a field's name rejects that field."""
 
     model: str
     m1: int
@@ -117,6 +127,8 @@ class TrialSpec:
             raise ValueError("at least one penalty template is required")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"c must be finite and positive, got {self.c!r}")
         if self.lambda_rule not in ("standard", "oracle"):
             raise ValueError(f"unknown lambda rule {self.lambda_rule!r}")
         if self.probe_directions < 1:
@@ -243,30 +255,32 @@ def generate_ground_truth(
 
 def _resolve_lambda(spec: TrialSpec, n: int, probe: theory.CurvatureEstimate) -> float:
     sigma_eff = spec.sigma if spec.sigma > 0 else SIGMA_FLOOR
-    if spec.lambda_rule == "oracle":
-        if spec.model == COMPLETION:
-            big_m = max(spec.m1, spec.m2)
-            adj = sigma_eff * math.sqrt(big_m * math.log(big_m) / (spec.m1 * spec.m2 * n))
-        else:
-            adj = sigma_eff * (math.sqrt(spec.m1 / n) + math.sqrt(spec.m2 / n))
-        return theory.lambda_oracle_rule(adj, spec.r, probe.rho_hat, probe.kappa_hat, spec.c)
+    oracle = spec.lambda_rule == "oracle"
+    c = 1.0 if oracle else spec.c  # at c = 1 the standard rule is the oracle rule's noise term
     if spec.model == COMPLETION:
-        return theory.lambda_completion(sigma_eff, spec.m1, spec.m2, n, spec.c)
-    return theory.lambda_sensing(sigma_eff, 1.0, spec.m1, spec.m2, n, spec.c)
+        lam = theory.lambda_completion(sigma_eff, spec.m1, spec.m2, n, c)
+    else:
+        lam = theory.lambda_sensing(sigma_eff, 1.0, spec.m1, spec.m2, n, c)
+    if oracle:
+        return theory.lambda_oracle_rule(lam, spec.r, probe.rho_hat, probe.kappa_hat, spec.c)
+    return lam
 
 
 def _resolve_spectrum(
     spec: TrialSpec, rng: np.random.Generator, nu_ref: float
 ) -> np.ndarray:
     rule = spec.spectrum_rule
+    # the large values are uniform in [lo, 2 lo]
+    lo = nu_ref * (1.0 + rule.margin) if isinstance(rule, AllAboveNu) else 1.2 * nu_ref
+    if not math.isfinite(2.0 * lo):
+        raise ValueError(f"truth singular values from {lo} up overflow; lower b, c or margin")
     if isinstance(rule, AllAboveNu):
-        lo = nu_ref * (1.0 + rule.margin)
         return rng.uniform(lo, 2.0 * lo, size=spec.r)
     if not rule.low_value < nu_ref:
         raise ValueError(
             f"mixed spectrum low_value {rule.low_value} must stay below nu = {nu_ref}"
         )
-    high = rng.uniform(1.2 * nu_ref, 2.4 * nu_ref, size=rule.r1)
+    high = rng.uniform(lo, 2.0 * lo, size=rule.r1)
     low = np.full(rule.r2, rule.low_value)
     return np.concatenate([high, low])
 
@@ -291,13 +305,11 @@ def run_trial(spec: TrialSpec, n: int, penalty_index: int, repeat_index: int) ->
     sub = Subspace(u, v)
     if spec.model == COMPLETION:
         design = sample_completion_design(rng, spec.m1, spec.m2, n)
-        # random non-spiky cone directions track the spikiness-restricted
-        # curvature the completion theory uses; no refinement wanted
-        refine = False
     else:
         design = sample_sensing_design(rng, spec.m1, spec.m2, n)
-        refine = True
-    probe = theory.probe_rsc(design, sub, spec.probe_directions, rng, refine=refine)
+    probe = theory.probe_rsc(
+        design, sub, spec.probe_directions, rng, refine=spec.model == SENSING
+    )
 
     lam = _resolve_lambda(spec, n, probe)
     penalty = PenaltySpec(template.family, lam, template.b)
@@ -363,12 +375,16 @@ def run_trial(spec: TrialSpec, n: int, penalty_index: int, repeat_index: int) ->
 
     oracle_match = None
     if template.family != NUCLEAR and isinstance(spec.spectrum_rule, AllAboveNu):
-        theta_oracle = solve_oracle(obs, sub)
-        rel = float(
-            np.linalg.norm(result.theta_hat - theta_oracle)
-            / max(np.linalg.norm(theta_oracle), 1e-300)
-        )
-        oracle_match = bool(rel <= ORACLE_MATCH_RTOL)
+        try:
+            theta_oracle = solve_oracle(obs, sub)
+        except RankDeficiencyError:
+            pass  # the realized design does not identify the oracle estimator
+        else:
+            rel = float(
+                np.linalg.norm(result.theta_hat - theta_oracle)
+                / max(np.linalg.norm(theta_oracle), 1e-300)
+            )
+            oracle_match = bool(rel <= ORACLE_MATCH_RTOL)
 
     return TrialOutcome(
         mse=mse,

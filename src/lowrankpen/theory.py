@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from lowrankpen.operators import (
-    CompletionDesign,
     Design,
     ObservationSet,
+    SensingDesign,
     Subspace,
     loss_gradient,
     project_complement,
@@ -76,14 +76,6 @@ class CurvatureEstimate:
     samples: int
     min_witness: str
 
-    def to_dict(self) -> dict:
-        return {
-            "kappa_hat": self.kappa_hat,
-            "rho_hat": self.rho_hat,
-            "samples": self.samples,
-            "min_witness": self.min_witness,
-        }
-
 
 @dataclass(frozen=True)
 class ErrorBoundReport:
@@ -96,17 +88,6 @@ class ErrorBoundReport:
     part_s1: float
     part_s2: float
     total: float
-
-    def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "lambda": self.lam,
-            "kappa": self.kappa,
-            "zeta_minus": self.zeta_minus,
-            "part_s1": self.part_s1,
-            "part_s2": self.part_s2,
-            "total": self.total,
-        }
 
 
 def split_spectrum(gamma_star, nu: float) -> SpectralSplit:
@@ -271,60 +252,44 @@ def _feasible_blend(
     """Quadratic-form value of the direction pulled just inside the cone.
 
     Blends the direction D with its own aligned core C = P(D)/||P(D)||_F
-    until the nuclear-ratio constraint holds; returns None when no feasible
-    blend exists (zero core).  Along the blend (1-t) D + t C the complement
-    part scales by (1-t) and the aligned part by (1-t) + t/||P(D)||_F, so
-    the bisection rescales the ratio from :func:`cone_condition` instead of
-    taking new SVDs.
+    onto the cone boundary; returns None when no feasible blend exists (zero
+    core).  Along the blend (1-t) D + t C the complement part scales by
+    (1-t) and the aligned part by (1-t) + t/||P(D)||_F, so the ratio from
+    :func:`cone_condition` reaches 5 at t = e/(e + 5) with
+    e = (ratio - 5) ||P(D)||_F.  The blend keeps the complement part
+    (1-t) P_perp(D), nonzero outside the cone, so its norm is positive.
     """
     core = project_onto(sub, direction)
     core_norm = float(np.linalg.norm(core))
     if core_norm == 0.0:
         return None
-    core = core / core_norm
     ratio, in_cone = cone_condition(direction, sub)
     if in_cone:
         return quadratic_form(design, direction)
-    lo, hi = 0.0, 1.0
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if (1.0 - mid) * ratio <= CONE_FACTOR * ((1.0 - mid) + mid / core_norm):
-            hi = mid
-        else:
-            lo = mid
-    cand = (1.0 - hi) * direction + hi * core
-    nrm = float(np.linalg.norm(cand))
-    if nrm == 0.0:
-        return None
-    return quadratic_form(design, cand / nrm)
+    excess = (ratio - CONE_FACTOR) * core_norm
+    t = excess / (excess + CONE_FACTOR)
+    cand = (1.0 - t) * direction + (t / core_norm) * core
+    return quadratic_form(design, cand / float(np.linalg.norm(cand)))
 
 
 _REFINE_MAX_DIM = 2000
 _REFINE_SUBSPACE = 60
 
 
-def _refined_extrema(design: Design, sub: Subspace) -> tuple[float, float] | None:
+def _refined_extrema(design: SensingDesign, sub: Subspace) -> tuple[float, float] | None:
     """Cone-feasible near-extremal curvature values via the exact Hessian.
 
-    Takes the eigendecomposition of the d x d Hessian of the quadratic form
-    (d = m1*m2) from the design -- the sorted per-cell weights for
-    completion, the cached ``eigh`` of X^T X / n for sensing -- then searches
-    the bottom (and top) eigen-subspaces for cone-feasible directions: within
-    the low-curvature span, the direction maximizing aligned-core mass is
-    computed exactly and blended into the cone.  This reaches the near-zero
-    curvature directions that random sampling cannot find when n is
-    comparable to d.
+    Takes the cached eigendecomposition of the d x d Hessian X^T X / n of the
+    quadratic form (d = m1*m2), then searches the bottom (and top)
+    eigen-subspaces for cone-feasible directions: within the low-curvature
+    span, the direction maximizing aligned-core mass is computed exactly and
+    blended into the cone.  This reaches the near-zero curvature directions
+    that random sampling cannot find when n is comparable to d.
     """
     d = design.m1 * design.m2
     if d > _REFINE_MAX_DIM:
         return None
-    if isinstance(design, CompletionDesign):
-        weights = design.weights.ravel()
-        order = np.argsort(weights)
-        eigvals = weights[order]
-        eigvecs = np.eye(d)[:, order]
-    else:
-        eigvals, eigvecs = design.gram_eigh
+    eigvals, eigvecs = design.gram_eigh
 
     def block_value(block: slice) -> float | None:
         basis = eigvecs[:, block]
@@ -403,13 +368,15 @@ def probe_rsc(
     overstate the infimum badly (for Gaussian sensing with n close to m1*m2
     the infimum is essentially zero while the sampled minimum stays near
     one), which turns curvature-gap hypotheses vacuously true.  Refinement
-    is the right probe for sensing; for completion the non-spiky random
-    directions match the spikiness-restricted curvature that the completion
-    theory relies on, so sampling without refinement is the faithful
-    estimate there.
+    is for sensing designs only and raises ``ValueError`` on completion: there
+    the non-spiky random directions match the spikiness-restricted curvature
+    that the completion theory relies on, so sampling without refinement is
+    the faithful estimate.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if refine and not isinstance(design, SensingDesign):
+        raise ValueError("refinement needs a sensing design")
     m1, m2 = design.m1, design.m2
     with_complement = 0 < sub.r < min(m1, m2)
     kappa_hat = math.inf

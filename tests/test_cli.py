@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lowrankpen import cli
+from lowrankpen import cli, simlab, theory
 from lowrankpen.fileio import read_dense_matrix, write_dense_matrix, write_triplets
 
 from conftest import random_low_rank
@@ -125,10 +125,20 @@ def test_simulate_rejects_fractional_max_iter_before_running(tmp_path, capsys):
         ("margin", {"spectrum_rule": {"kind": "all_above_nu", "margin": -3}}),
         ("b", {"penalties": [{"family": "scad", "b": [3.7]}]}),
         ("c", {"c": math.nan}),
+        ("c", {"c": -1}),
+        ("c", {"c": 0}),
         ("step_policy", {"solver": {"step_policy": "inverse_power"}}),
+        ("r1", {"spectrum_rule": {"kind": "mixed", "r1": -1, "r2": 3, "low_value": 0.1}}),
+        ("low_value", {"spectrum_rule": {"kind": "mixed", "r1": 1, "r2": 1, "low_value": -0.5}}),
+        ("low_value", {"spectrum_rule": {"kind": "mixed", "r1": 1, "r2": 1, "low_value": 0}}),
+        ("n_grid", {"n_grid": [200.7]}),
+        ("n_grid", {"n_grid": [True]}),
+        ("n_grid", {"n_grid": ["200"]}),
+        ("n_grid", {"n_grid": [0]}),
     ],
     ids=["sigma-nan", "margin-nan", "margin-list", "margin-negative", "b-list", "c-nan",
-         "step_policy"],
+         "c-negative", "c-zero", "step_policy", "r1-negative", "low_value-negative",
+         "low_value-zero", "n_grid-float", "n_grid-bool", "n_grid-string", "n_grid-zero"],
 )
 def test_simulate_rejects_invalid_value_naming_its_key(tmp_path, capsys, key, overrides):
     config = minimal_config(tmp_path, **overrides)
@@ -136,6 +146,84 @@ def test_simulate_rejects_invalid_value_naming_its_key(tmp_path, capsys, key, ov
     assert run_cli("simulate", config, "--out-dir", out, "--jobs", 1) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"c": 1e308}, {"spectrum_rule": {"kind": "all_above_nu", "margin": 1e308}},
+     {"c": 1e308, "penalties": [{"family": "scad", "b": 1000.0}],
+      "spectrum_rule": {"kind": "mixed", "r1": 1, "r2": 1, "low_value": 0.1}}],
+    ids=["c", "margin", "mixed"],
+)
+def test_simulate_overflowing_truth_scale_is_invalid_input(tmp_path, capsys, overrides):
+    config = minimal_config(tmp_path, **overrides)
+    assert run_cli("simulate", config, "--out-dir", tmp_path / "x", "--jobs", 1) == 2
+    assert "overflow" in capsys.readouterr().err
+
+
+def test_simulate_mixed_spectrum_echoes_its_rule(tmp_path):
+    rule = {"kind": "mixed", "r1": 1, "r2": 1, "low_value": 0.01}
+    config = minimal_config(tmp_path, spectrum_rule=rule)
+    out = tmp_path / "out"
+    assert run_cli("simulate", config, "--out-dir", out, "--jobs", 1) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["spec"]["spectrum_rule"] == rule
+    header, row = (out / "results.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["r"] == "2"
+
+
+def write_small_triplets(tmp_path):
+    src = tmp_path / "t.csv"
+    write_triplets(src, np.array([[0, 0, 1.0], [1, 1, 2.0], [2, 0, 1.5], [0, 2, 2.5]]))
+    return src
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_invalid_c_flag_names_it(tmp_path, capsys, command, value):
+    src = write_small_triplets(tmp_path)
+    assert run_cli(command, src, tmp_path / "out", "--sigma", 0.1, f"--c={value}") == 2
+    assert "'--c'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [src]
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+@pytest.mark.parametrize("flag,value", [("--m1", 0), ("--m1", -3), ("--m2", 0), ("--m2", -3)])
+def test_shape_flag_below_one_names_it(tmp_path, capsys, command, flag, value):
+    src = write_small_triplets(tmp_path)
+    assert run_cli(command, src, tmp_path / "out", "--lambda", 0.1, f"{flag}={value}") == 2
+    assert f"'{flag}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [src]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "config.json", "--jobs=--"], ["fit", "t.csv", "out", "--lambda=--"],
+     ["evaluate", "t.csv", "out.json", "--penalty=--"]],
+    ids=["jobs", "lambda", "penalty"],
+)
+def test_double_dash_flag_value_is_a_usage_error(capsys, argv):
+    # argparse would hand these on as an empty list
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "'--' is not a value" in capsys.readouterr().err
+
+
+def test_fit_takes_no_seed_flag(tmp_path, capsys):
+    src = write_small_triplets(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("fit", src, tmp_path / "out", "--lambda", 0.1, "--seed", 3)
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma,sigma_eff", [(0.3, 0.3), (0.0, simlab.SIGMA_FLOOR)])
+def test_fit_resolves_lambda_from_sigma(tmp_path, sigma, sigma_eff):
+    src = write_small_triplets(tmp_path)
+    assert run_cli("fit", src, tmp_path / "out", "--sigma", sigma) == 0
+    doc = json.loads((tmp_path / "out.fit.json").read_text())
+    assert doc["lambda"] == theory.lambda_completion(sigma_eff, 3, 3, 4)
 
 
 @pytest.mark.parametrize("command", ["fit", "evaluate"])
@@ -191,6 +279,18 @@ def test_simulate_resource_guard_counts_design_and_gram(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.simlab, "run_grid", no_trials)
     config = minimal_config(tmp_path, model="sensing", m1=200, m2=200, n_grid=[10])
+    out = tmp_path / "out"
+    assert run_cli("simulate", config, "--out-dir", out, "--jobs", 1) == 4
+    assert not out.exists()
+
+
+def test_simulate_resource_guard_counts_completion_samples(tmp_path, monkeypatch):
+    # 8 x 8 completion: the iterate is tiny, the 10**12 index pairs are not
+    def no_trials(*args, **kwargs):
+        raise AssertionError("the guard must trip before any trial runs")
+
+    monkeypatch.setattr(cli.simlab, "run_grid", no_trials)
+    config = minimal_config(tmp_path, n_grid=[10**12])
     out = tmp_path / "out"
     assert run_cli("simulate", config, "--out-dir", out, "--jobs", 1) == 4
     assert not out.exists()

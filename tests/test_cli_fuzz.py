@@ -1,0 +1,133 @@
+"""Exit-code fuzzer: malformed input exits 0, 2, 3 or 4, never 1.
+
+Runs in-process through ``cli.main`` at ``--jobs 1``.  Each example changes
+one key of a tiny valid ``simulate`` config, or one flag of a tiny ``fit`` /
+``evaluate`` run (or ``simulate --jobs``), to a value drawn from NaN, +-inf,
+null, bools, strings, lists, negatives, zero and fractions.  Integer draws
+stay small: a large ``repeats``, ``probe_directions``, ``max_iter`` or grid
+size is a long run, not a crash, so the fuzzer never asks for one.
+"""
+
+import copy
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lowrankpen import cli
+from lowrankpen.fileio import write_triplets
+
+ALLOWED_EXITS = {0, 2, 3, 4}
+
+TINY_CONFIG = {
+    "model": "completion",
+    "m1": 5,
+    "m2": 4,
+    "r": 1,
+    "sigma": 0.1,
+    "spectrum_rule": {"kind": "all_above_nu", "margin": 1.0},
+    "n_grid": [30],
+    "penalties": [{"family": "scad", "b": 41.0}],
+    "repeats": 1,
+    "base_seed": 3,
+    "c": 2.0,
+    "lambda_rule": "standard",
+    "probe_directions": 3,
+    "solver": {
+        "max_iter": 30, "tol": 1e-6, "eta": None, "alpha_star": None,
+        "warm_start": "nuclear", "rank_tol_rel": 1e-4,
+    },
+    "out_dir": "unused",
+}
+
+
+def key_paths(doc, prefix=()):
+    """Every key and list index of ``doc``, containers included."""
+    items = enumerate(doc) if isinstance(doc, list) else doc.items()
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from key_paths(value, prefix + (key,))
+
+
+CONFIG_PATHS = list(key_paths(TINY_CONFIG))
+
+# valid words of other branches sit among the odd values, so a draw can also
+# switch the model, rule, family or warm start
+WORDS = ["", "x", "sensing", "mixed", "oracle", "nuclear", "mcp", "zero"]
+ODD_VALUES = st.one_of(
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, None, True, False, [], [1], {}, 0, 0.0, -1, -2.5, 0.5]
+        + WORDS
+    ),
+    st.integers(-3, 12),
+    st.floats(-10.0, 10.0),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 12), max_size=2),
+)
+
+
+def exit_code(argv) -> int:
+    # argparse reports a malformed flag by raising SystemExit(2)
+    try:
+        return cli.main([str(a) for a in argv])
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("path", CONFIG_PATHS, ids=lambda p: ".".join(map(str, p)))
+@settings(max_examples=20)
+@given(value=ODD_VALUES)
+def test_simulate_config_mutation_exit_code(path, value):
+    cfg = copy.deepcopy(TINY_CONFIG)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as work:
+        config = Path(work) / "config.json"
+        config.write_text(json.dumps(cfg))
+        code = exit_code(["simulate", config, "--out-dir", Path(work) / "out", "--jobs", 1])
+    assert code in ALLOWED_EXITS, f"{path} = {value!r} exited {code}"
+
+
+COMMON_FLAGS = [
+    "--penalty", "--lambda", "--b", "--c", "--sigma", "--alpha-star", "--max-iter",
+    "--tol", "--rank-tol", "--warm-start", "--m1", "--m2",
+]
+FLAGS = [
+    ("simulate", "--jobs"),
+    *[("fit", flag) for flag in ["--format", *COMMON_FLAGS]],
+    *[("evaluate", flag) for flag in ["--holdout-fraction", "--seed", *COMMON_FLAGS]],
+]
+ODD_FLAG_VALUES = st.one_of(
+    st.sampled_from(
+        ["nan", "inf", "-inf", "null", "true", "[1]", "0", "-1", "2.5", "-2.5", "1e-300",
+         "--", "scad", "dense", "triplets"]
+        + WORDS
+    ),
+    st.integers(-3, 12).map(str),
+    st.floats(-10.0, 10.0).map(repr),
+    st.text(alphabet="0123456789.-+einfa", max_size=4),
+)
+
+
+@pytest.mark.parametrize("command,flag", FLAGS, ids=lambda x: x)
+@settings(max_examples=20)
+@given(value=ODD_FLAG_VALUES)
+def test_command_flag_exit_code(command, flag, value):
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        if command == "simulate":
+            config = work / "config.json"
+            config.write_text(json.dumps(TINY_CONFIG))
+            argv = [command, config, "--out-dir", work / "out"]
+        else:
+            src = work / "t.csv"
+            write_triplets(src, [[j, k, 0.5 * j - 0.3 * k] for j in range(5) for k in range(4)])
+            argv = [command, src, work / "out", "--sigma=0.2", "--max-iter=30"]
+        code = exit_code([*argv, f"{flag}={value}"])
+    assert code in ALLOWED_EXITS, f"{command} {flag}={value!r} exited {code}"

@@ -21,8 +21,9 @@ from lowrankpen.simlab import (
     write_meta_json,
     write_trials_csv,
 )
+from lowrankpen import simlab
 from lowrankpen.simlab import CSV_COLUMNS
-from lowrankpen.solver import SolverConfig
+from lowrankpen.solver import RankDeficiencyError, SolverConfig
 
 
 def small_spec(**overrides):
@@ -54,6 +55,20 @@ def test_trial_spec_validation():
         small_spec(penalties=(PenaltyTemplate("nuclear", 0.0),))
     with pytest.raises(ValueError):
         small_spec(spectrum_rule=MixedSpectrum(r1=1, r2=2, low_value=0.1))
+    for c in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^c must be"):
+            small_spec(c=c)
+
+
+@pytest.mark.parametrize(
+    "fields,key",
+    [((-1, 3, 0.1), "r1"), ((2, -1, 0.1), "r2"), ((1, 1, 0.0), "low_value"),
+     ((1, 1, -0.5), "low_value"), ((1, 1, float("inf")), "low_value")],
+)
+def test_mixed_spectrum_validation(fields, key):
+    r1, r2, low_value = fields
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        MixedSpectrum(r1=r1, r2=r2, low_value=low_value)
 
 
 def test_rescale_n():
@@ -133,6 +148,29 @@ def test_run_trial_mixed_spectrum_rank_counts():
     outcome = run_trial(spec, 300, 0, 0)
     assert outcome.r1 == 1 and outcome.r2 == 1
     assert outcome.oracle_match is None  # oracle comparison only for AllAboveNu
+
+
+def test_run_trial_without_identifiable_oracle_records_no_match(monkeypatch):
+    # r = min(m1, m2) from 30 draws of 20 cells: the oracle normal system is singular
+    raised = []
+    solve_oracle = simlab.solve_oracle
+
+    def recording_solve(obs, sub):
+        try:
+            return solve_oracle(obs, sub)
+        except RankDeficiencyError:
+            raised.append(True)
+            raise
+
+    monkeypatch.setattr(simlab, "solve_oracle", recording_solve)
+    spec = small_spec(
+        m1=5, m2=4, r=4, spectrum_rule=AllAboveNu(margin=1.0), n_grid=(30,),
+        penalties=(PenaltyTemplate("scad", 41.0),), repeats=1, base_seed=3,
+        solver=SolverConfig(max_iter=30, tol=1e-6, warm_start="nuclear"), probe_directions=3,
+    )
+    outcome = run_trial(spec, 30, 0, 0)
+    assert raised == [True]
+    assert outcome.oracle_match is None
 
 
 def test_run_grid_single_cell_matches_run_trial():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lowrankpen import theory
 from lowrankpen.operators import (
     Subspace,
     apply_adjoint,
@@ -10,10 +11,12 @@ from lowrankpen.operators import (
     generate_observations,
     project_complement,
     project_onto,
+    quadratic_form,
     sample_completion_design,
     sample_sensing_design,
 )
 from lowrankpen.theory import (
+    CONE_FACTOR,
     CurvatureConditionError,
     cone_condition,
     error_bound_general,
@@ -193,6 +196,58 @@ def test_probe_rsc_refinement_finds_null_directions():
     refined = probe_rsc(design, sub, 200, np.random.default_rng(8), refine=True)
     assert sampled.kappa_hat > 0.3
     assert refined.kappa_hat <= 1e-8
+
+
+def test_probe_rsc_refinement_rejects_completion_designs():
+    rng = np.random.default_rng(13)
+    _, u, v = random_low_rank(rng, 6, 6, [2.0, 1.0])
+    design = sample_completion_design(rng, 6, 6, 50)
+    with pytest.raises(ValueError, match="sensing"):
+        probe_rsc(design, Subspace(u, v), 10, rng, refine=True)
+
+
+def bisection_blend(design, sub, direction):
+    """The 30-step bisection the closed-form cone blend replaced."""
+    core = project_onto(sub, direction)
+    core_norm = float(np.linalg.norm(core))
+    core = core / core_norm
+    ratio, _ = cone_condition(direction, sub)
+    lo, hi = 0.0, 1.0
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        if (1.0 - mid) * ratio <= CONE_FACTOR * ((1.0 - mid) + mid / core_norm):
+            hi = mid
+        else:
+            lo = mid
+    cand = (1.0 - hi) * direction + hi * core
+    return quadratic_form(design, cand / np.linalg.norm(cand))
+
+
+def test_feasible_blend_lands_on_the_cone_boundary(monkeypatch):
+    rng = np.random.default_rng(14)
+    m, n = 8, 40
+    _, u, v = random_low_rank(rng, m, m, [2.0, 1.0])
+    sub = Subspace(u, v)
+    design = sample_sensing_design(rng, m, m, n)
+    blended = []
+
+    def recording_form(design, theta):
+        blended.append(theta)
+        return quadratic_form(design, theta)
+
+    monkeypatch.setattr(theory, "quadratic_form", recording_form)
+    outside = 0
+    for _ in range(50):
+        direction = rng.standard_normal((m, m))
+        direction /= np.linalg.norm(direction)
+        if cone_condition(direction, sub)[1]:
+            continue
+        outside += 1
+        value = theory._feasible_blend(design, sub, direction)
+        assert cone_condition(blended[-1], sub)[0] == pytest.approx(CONE_FACTOR, abs=1e-12)
+        assert np.linalg.norm(blended[-1]) == pytest.approx(1.0, abs=1e-12)
+        assert value == pytest.approx(bisection_blend(design, sub, direction), rel=1e-8)
+    assert outside >= 25
 
 
 def test_probe_rsc_stability_across_seeds():
