@@ -7,6 +7,7 @@ Exit codes are a stable contract: 0 ok, 1 internal error, 2 invalid input
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -49,14 +50,11 @@ class ResourceGuardError(RuntimeError):
     pass
 
 
-_MISSING = object()
-
-
-def _require(cfg: dict, key: str, kind, where: str = "config", default=_MISSING):
+def _require(cfg: dict, key: str, kind, where: str = "config", default=dataclasses.MISSING):
     """``cfg[key]`` checked to be of ``kind`` (a float must be finite), or
     ``default`` when the key is absent and a default is given."""
     if key not in cfg:
-        if default is _MISSING:
+        if default is dataclasses.MISSING:
             raise ConfigError(key, f"missing from {where}")
         return default
     value = cfg[key]
@@ -76,94 +74,97 @@ def _field_error(exc: ValueError, keys, fallback: str) -> ConfigError:
     return ConfigError(field if field in keys else fallback, str(exc))
 
 
-_TOP_KEYS = {
-    "model", "m1", "m2", "r", "sigma", "spectrum_rule", "n_grid", "N_grid",
-    "penalties", "repeats", "base_seed", "c", "lambda_rule",
-    "probe_directions", "solver", "out_dir",
-}
-_SOLVER_KEYS = {
-    "max_iter", "tol", "eta", "alpha_star", "warm_start", "rank_tol_rel",
-}
+_JSON_KINDS = {"int": int, "float": float, "str": str}
+
+
+def _read_fields(cls, doc: dict, where: str) -> dict:
+    """The fields of dataclass ``cls`` that hold one JSON scalar, read from
+    ``doc`` by :func:`_require` with the kind and default the class declares."""
+    return {
+        f.name: _require(doc, f.name, _JSON_KINDS[f.type], where, f.default)
+        for f in dataclasses.fields(cls)
+        if f.type in _JSON_KINDS
+    }
+
+
+def _is_list_of(raw, kind) -> bool:
+    """``raw`` is a nonempty list of ``kind`` values, bools excluded."""
+    return isinstance(raw, list) and bool(raw) and all(
+        isinstance(x, kind) and not isinstance(x, bool) for x in raw
+    )
+
+
+_TOP_KEYS = {f.name for f in dataclasses.fields(TrialSpec)} | {"N_grid", "out_dir"}
+_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
+_SPECTRUM_RULES = {rule.kind: rule for rule in (AllAboveNu, MixedSpectrum)}
 
 
 def parse_run_config(cfg: dict) -> tuple[TrialSpec, str | None]:
-    """Validate a run-config document and build the TrialSpec it describes."""
+    """Validate a run-config document and build the TrialSpec it describes.
+
+    The keys and their JSON kinds and defaults are the fields of
+    :class:`TrialSpec`, of its spectrum rule, penalty templates and
+    :class:`SolverConfig`, plus ``N_grid`` (the rescaled sample sizes, in
+    place of ``n_grid``) and ``out_dir``.
+    """
     if not isinstance(cfg, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     for key in cfg:
         if key not in _TOP_KEYS:
             raise ConfigError(key, "unknown key")
 
-    model = _require(cfg, "model", str)
+    scalars = _read_fields(TrialSpec, cfg, "config")
+    model, m1, m2, r = (scalars[key] for key in ("model", "m1", "m2", "r"))
     if model not in (simlab.COMPLETION, simlab.SENSING):
         raise ConfigError("model", f"must be 'completion' or 'sensing', got {model!r}")
-    m1 = _require(cfg, "m1", int)
-    m2 = _require(cfg, "m2", int)
-    r = _require(cfg, "r", int)
     if m1 < 1 or m2 < 1:
         raise ConfigError("m1", "dimensions must be positive")
-    sigma = _require(cfg, "sigma", float)
 
     rule_doc = _require(cfg, "spectrum_rule", dict)
     kind = rule_doc.get("kind")
-    if kind == "all_above_nu":
-        rule_type, kinds = AllAboveNu, {"margin": float}
-    elif kind == "mixed":
-        rule_type, kinds = MixedSpectrum, {"r1": int, "r2": int, "low_value": float}
-    else:
+    rule_type = _SPECTRUM_RULES.get(kind) if isinstance(kind, str) else None
+    if rule_type is None:
         raise ConfigError("spectrum_rule.kind", "must be 'all_above_nu' or 'mixed'")
-    extra = set(rule_doc) - {"kind", *kinds}
+    fields = _read_fields(rule_type, rule_doc, "spectrum_rule")
+    extra = set(rule_doc) - {"kind", *fields}
     if extra:
         raise ConfigError(sorted(extra)[0], "unknown key in spectrum_rule")
-    fields = {}
-    for key, key_kind in kinds.items():
-        default = getattr(rule_type, key, _MISSING)  # a dataclass default is a class attribute
-        fields[key] = _require(rule_doc, key, key_kind, "spectrum_rule", default)
     try:
         rule: simlab.SpectrumRule = rule_type(**fields)
     except ValueError as exc:
-        raise _field_error(exc, kinds, "spectrum_rule") from None
+        raise _field_error(exc, fields, "spectrum_rule") from None
 
     if ("n_grid" in cfg) == ("N_grid" in cfg):
         raise ConfigError("n_grid", "exactly one of n_grid / N_grid is required")
     if "n_grid" in cfg:
-        raw = cfg["n_grid"]
-        if not isinstance(raw, list) or not raw or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in raw
-        ):
+        if not _is_list_of(cfg["n_grid"], int):
             raise ConfigError("n_grid", "must be a nonempty list of integers")
-        n_grid = tuple(raw)
+        n_grid = tuple(cfg["n_grid"])
     else:
-        raw = cfg["N_grid"]
-        if not isinstance(raw, list) or not raw:
+        if not _is_list_of(cfg["N_grid"], (int, float)):
             raise ConfigError("N_grid", "must be a nonempty list of numbers")
         try:
             n_grid = tuple(
-                simlab.raw_sample_size(model, float(x), r, max(m1, m2)) for x in raw
+                simlab.raw_sample_size(model, float(x), r, max(m1, m2)) for x in cfg["N_grid"]
             )
-        except (TypeError, ValueError, OverflowError):
+        except (ValueError, OverflowError):
             raise ConfigError("N_grid", "must be a nonempty list of finite numbers") from None
 
-    pens_doc = cfg.get("penalties")
-    if not isinstance(pens_doc, list) or not pens_doc:
-        raise ConfigError("penalties", "must be a nonempty list")
     penalties = []
-    for i, doc in enumerate(pens_doc):
+    for i, doc in enumerate(_require(cfg, "penalties", list)):
+        where = f"penalties[{i}]"
         if not isinstance(doc, dict):
             raise ConfigError("penalties", f"entry {i} must be an object")
-        extra = set(doc) - {"family", "b"}
+        fields = _read_fields(PenaltyTemplate, doc, where)
+        extra = set(doc) - set(fields)
         if extra:
-            raise ConfigError(sorted(extra)[0], f"unknown key in penalties[{i}]")
-        family = _require(doc, "family", str, f"penalties[{i}]")
-        b = _require(doc, "b", float, f"penalties[{i}]", default=0.0)
+            raise ConfigError(sorted(extra)[0], f"unknown key in {where}")
         try:
-            penalties.append(PenaltyTemplate(family=family, b=b))
+            penalties.append(PenaltyTemplate(**fields))
         except ValueError as exc:
-            raise ConfigError(f"penalties[{i}]", str(exc)) from None
+            raise ConfigError(where, str(exc)) from None
 
-    solver_doc = cfg.get("solver", {})
-    if not isinstance(solver_doc, dict):
-        raise ConfigError("solver", "must be an object")
+    solver_doc = _require(cfg, "solver", dict, default={})
     for key in solver_doc:
         if key not in _SOLVER_KEYS:
             raise ConfigError(key, "unknown key in solver")
@@ -176,27 +177,13 @@ def parse_run_config(cfg: dict) -> tuple[TrialSpec, str | None]:
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("out_dir", "must be a string path")
 
-    c = _require(cfg, "c", float, default=theory.DEFAULT_RULE_CONSTANT)
-    lambda_rule = _require(cfg, "lambda_rule", str, default="standard")
-    probe_directions = _require(cfg, "probe_directions", int, default=200)
-    repeats = _require(cfg, "repeats", int)
-    base_seed = _require(cfg, "base_seed", int)
     try:
         spec = TrialSpec(
-            model=model,
-            m1=m1,
-            m2=m2,
-            r=r,
+            **scalars,
             spectrum_rule=rule,
-            sigma=sigma,
             n_grid=n_grid,
             penalties=tuple(penalties),
-            repeats=repeats,
-            base_seed=base_seed,
             solver=solver,
-            c=c,
-            lambda_rule=lambda_rule,
-            probe_directions=probe_directions,
         )
     except ValueError as exc:
         raise _field_error(exc, _TOP_KEYS, "<spec>") from None
@@ -216,10 +203,11 @@ def cmd_simulate(args) -> int:
     out_dir = args.out_dir or cfg_out
     if not out_dir:
         raise ConfigError("out_dir", "missing (set it in the config or pass --out-dir)")
-    os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     result = simlab.run_grid(spec, jobs=args.jobs)
     elapsed = time.perf_counter() - t0
+    # made only now, so a grid that fails leaves no empty directory behind
+    os.makedirs(out_dir, exist_ok=True)
     simlab.write_trials_csv(os.path.join(out_dir, "results.csv"), result.trials)
     simlab.write_meta_json(os.path.join(out_dir, "meta.json"), spec, elapsed)
     print(
@@ -235,8 +223,7 @@ def _build_penalty(args, m1: int, m2: int, n: int) -> PenaltySpec:
     if lam is None:
         if args.sigma is None:
             raise ConfigError("lambda", "pass --lambda or --sigma to resolve it")
-        sigma_eff = args.sigma if args.sigma > 0 else simlab.SIGMA_FLOOR
-        lam = theory.lambda_completion(sigma_eff, m1, m2, n, args.c)
+        lam = simlab.standard_lambda(simlab.COMPLETION, args.sigma, m1, m2, n, args.c)
     return PenaltySpec(args.penalty, lam, args.b)
 
 
@@ -332,9 +319,7 @@ def cmd_fit(args) -> int:
     doc["lambda"] = penalty.lam
     doc["b"] = penalty.b
     doc["penalty"] = penalty.family
-    with open(args.out_prefix + ".fit.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    fileio.write_json(args.out_prefix + ".fit.json", doc)
     print(
         f"fit: {design.m1}x{design.m2}, n={design.n}, penalty={penalty.family}, "
         f"rank_hat={result.rank_hat}, converged={result.converged} "
@@ -357,15 +342,8 @@ def cmd_evaluate(args) -> int:
     penalty = _build_penalty(args, m1, m2, design.n)
     result = fit(obs, penalty, _solver_from_args(args))
     score = simlab.rmse(result.theta_hat, test)
-    doc = {
-        "rmse": score,
-        "rank_hat": result.rank_hat,
-        "lambda": penalty.lam,
-        "seed": args.seed,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    doc = {"rmse": score, "rank_hat": result.rank_hat, "lambda": penalty.lam, "seed": args.seed}
+    fileio.write_json(args.out, doc)
     print(
         f"evaluate: n_train={design.n}, n_test={test.shape[0]}, "
         f"rmse={score:.6g}, rank_hat={result.rank_hat} -> {args.out}"

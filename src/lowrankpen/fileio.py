@@ -1,14 +1,18 @@
-"""CSV readers and writers for dense matrices and entry triplets.
+"""CSV readers and writers for dense matrices and entry triplets, and the
+JSON writer of the result documents.
 
 Dense files carry one matrix row per line, comma separated, no header.
 Triplet files carry lines ``j,k,value`` with 0-based integer indices and an
-optional ``j,k,value`` header.  Floats are written with ``repr`` so files
-round-trip exactly and repeated runs are byte identical.
+optional ``j,k,value`` header.  Blank lines are skipped.  Floats are written
+with ``repr`` so files round-trip exactly and repeated runs are byte
+identical.  JSON documents are written indented by two, with sorted keys and
+a final newline.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 
 import numpy as np
 
@@ -27,6 +31,20 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _records(path):
+    """(1-based line number, fields) of every nonblank CSV row of ``path``."""
+    with open(path, newline="") as fh:
+        for lineno, record in enumerate(csv.reader(fh), start=1):
+            if record and (len(record) > 1 or record[0].strip()):
+                yield lineno, record
+
+
+def write_json(path, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_dense_matrix(path, a: np.ndarray) -> None:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     with open(path, "w", newline="") as fh:
@@ -38,21 +56,16 @@ def write_dense_matrix(path, a: np.ndarray) -> None:
 def read_dense_matrix(path) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
-    with open(path, newline="") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            try:
-                values = [float(field) for field in record]
-            except ValueError as exc:
-                raise InputFormatError(f"not a numeric row ({exc})", lineno) from None
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise InputFormatError(
-                    f"expected {width} columns, found {len(values)}", lineno
-                )
-            rows.append(values)
+    for lineno, record in _records(path):
+        try:
+            values = [float(field) for field in record]
+        except ValueError as exc:
+            raise InputFormatError(f"not a numeric row ({exc})", lineno) from None
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise InputFormatError(f"expected {width} columns, found {len(values)}", lineno)
+        rows.append(values)
     if not rows:
         raise InputFormatError("file contains no data rows")
     return np.asarray(rows, dtype=float)
@@ -66,26 +79,21 @@ def read_triplets(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse ``j,k,value`` rows; returns (triplets, 1-based line numbers)."""
     rows: list[tuple[int, int, float]] = []
     lines: list[int] = []
-    with open(path, newline="") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if lineno == 1 and _is_header(record):
-                continue
-            if len(record) != 3:
-                raise InputFormatError(
-                    f"expected 3 fields (j,k,value), found {len(record)}", lineno
-                )
-            try:
-                j = int(record[0])
-                k = int(record[1])
-                value = float(record[2])
-            except ValueError as exc:
-                raise InputFormatError(f"bad triplet ({exc})", lineno) from None
-            if j < 0 or k < 0:
-                raise InputFormatError("indices must be nonnegative", lineno)
-            rows.append((j, k, value))
-            lines.append(lineno)
+    for lineno, record in _records(path):
+        if lineno == 1 and _is_header(record):
+            continue
+        if len(record) != 3:
+            raise InputFormatError(f"expected 3 fields (j,k,value), found {len(record)}", lineno)
+        try:
+            j = int(record[0])
+            k = int(record[1])
+            value = float(record[2])
+        except ValueError as exc:
+            raise InputFormatError(f"bad triplet ({exc})", lineno) from None
+        if j < 0 or k < 0:
+            raise InputFormatError("indices must be nonnegative", lineno)
+        rows.append((j, k, value))
+        lines.append(lineno)
     if not rows:
         raise InputFormatError("file contains no data rows")
     out = np.array(rows, dtype=float)
@@ -104,19 +112,16 @@ def write_triplets(path, triplets: np.ndarray, header: bool = True) -> None:
 def detect_format(path) -> str:
     """Return ``"triplets"`` when the first data row parses as (int, int, float),
     otherwise ``"dense"``."""
-    with open(path, newline="") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if lineno == 1 and _is_header(record):
-                return "triplets"
-            if len(record) != 3:
-                return "dense"
-            try:
-                int(record[0])
-                int(record[1])
-                float(record[2])
-            except ValueError:
-                return "dense"
+    for lineno, record in _records(path):
+        if lineno == 1 and _is_header(record):
             return "triplets"
+        if len(record) != 3:
+            return "dense"
+        try:
+            int(record[0])
+            int(record[1])
+            float(record[2])
+        except ValueError:
+            return "dense"
+        return "triplets"
     raise InputFormatError("file contains no data rows")

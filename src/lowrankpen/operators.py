@@ -346,9 +346,8 @@ def sample_sensing_design(
 def generate_observations(
     design: Design, theta_star: np.ndarray, sigma: float, rng: np.random.Generator
 ) -> ObservationSet:
-    """Form y = X(Theta*) + eps with eps ~ N(0, sigma^2 I)."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    """Form y = X(Theta*) + eps with eps ~ N(0, sigma^2 I); the observation
+    set rejects a negative or non-finite sigma."""
     y = apply_forward(design, theta_star)
     if sigma > 0:
         y = y + sigma * rng.standard_normal(design.n)

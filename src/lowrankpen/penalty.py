@@ -59,12 +59,10 @@ class PenaltySpec:
     family : str
         One of ``"nuclear"``, ``"scad"``, ``"mcp"``.
     lam : float
-        Regularization level, must be positive.  Serialized under the JSON
-        key ``"lambda"``.
+        Regularization level, must be positive and finite.
     b : float
         Concavity parameter, finite for every family.  SCAD requires b > 2,
-        MCP requires b > 1.  Ignored by the nuclear norm (kept for
-        round-tripping).
+        MCP requires b > 1.  Ignored by the nuclear norm.
     """
 
     family: str
@@ -91,13 +89,6 @@ class PenaltySpec:
         if self.family == MCP:
             return 1.0 / self.b
         return 0.0
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, "lambda": self.lam, "b": self.b}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PenaltySpec":
-        return cls(family=data["family"], lam=data["lambda"], b=data.get("b", 0.0))
 
 
 def penalty_value(spec: PenaltySpec, t):

@@ -16,15 +16,15 @@ depend on scheduling.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
 from concurrent.futures import ProcessPoolExecutor
+from typing import ClassVar
 
 import numpy as np
 
-from lowrankpen import theory
+from lowrankpen import fileio, theory
 from lowrankpen.operators import (
     Subspace,
     generate_observations,
@@ -52,6 +52,7 @@ SIGMA_FLOOR = 0.01
 class AllAboveNu:
     """All true singular values drawn uniformly in [nu*(1+margin), 2*nu*(1+margin)]."""
 
+    kind: ClassVar[str] = "all_above_nu"
     margin: float = 0.2
 
     def __post_init__(self) -> None:
@@ -63,6 +64,7 @@ class AllAboveNu:
 class MixedSpectrum:
     """r1 values above nu (uniform in [1.2*nu, 2.4*nu]) plus r2 copies of low_value."""
 
+    kind: ClassVar[str] = "mixed"
     r1: int
     r2: int
     low_value: float
@@ -116,7 +118,7 @@ class TrialSpec:
 
     def __post_init__(self) -> None:
         if self.model not in (COMPLETION, SENSING):
-            raise ValueError(f"unknown model {self.model!r}")
+            raise ValueError(f"model must be {COMPLETION!r} or {SENSING!r}, got {self.model!r}")
         if self.r < 1 or self.r > min(self.m1, self.m2):
             raise ValueError("r must satisfy 1 <= r <= min(m1, m2)")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
@@ -124,22 +126,29 @@ class TrialSpec:
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ValueError("n_grid must hold positive sample sizes")
         if not self.penalties:
-            raise ValueError("at least one penalty template is required")
+            raise ValueError("penalties must hold at least one template")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"c must be finite and positive, got {self.c!r}")
+        for n in self.n_grid:
+            lam = standard_lambda(self.model, self.sigma, self.m1, self.m2, n, self.c)
+            if not (math.isfinite(lam) and lam > 0):
+                raise ValueError(
+                    "c must be such that lambda is finite and positive at every n, "
+                    f"got c = {self.c!r} (lambda = {lam!r} at n = {n})"
+                )
         if self.lambda_rule not in ("standard", "oracle"):
-            raise ValueError(f"unknown lambda rule {self.lambda_rule!r}")
+            raise ValueError(
+                f"lambda_rule must be 'standard' or 'oracle', got {self.lambda_rule!r}"
+            )
         if self.probe_directions < 1:
             raise ValueError("probe_directions must be positive")
         if isinstance(self.spectrum_rule, MixedSpectrum):
             if self.spectrum_rule.r1 + self.spectrum_rule.r2 != self.r:
-                raise ValueError("mixed spectrum requires r1 + r2 == r")
+                raise ValueError("spectrum_rule is mixed and needs r1 + r2 == r")
         for tpl in self.penalties:
             if not tpl.b > 0:
                 raise ValueError(
-                    "spectrum rules need b > 0 on every template "
+                    "penalties need b > 0 on every template "
                     "(it sets the ground-truth scale b*lambda)"
                 )
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
@@ -253,17 +262,24 @@ def generate_ground_truth(
     return theta, Subspace(u, v), gamma
 
 
+def standard_lambda(model: str, sigma: float, m1: int, m2: int, n: int, c: float) -> float:
+    """The standard regularization level of ``model`` at n observations: the
+    theory rule with rule constant c and isotropic design (pi(Sigma) = 1), at
+    noise level sigma, or :data:`SIGMA_FLOOR` when sigma is zero."""
+    sigma_eff = sigma if sigma > 0 else SIGMA_FLOOR
+    if model == COMPLETION:
+        return theory.lambda_completion(sigma_eff, m1, m2, n, c)
+    if model == SENSING:
+        return theory.lambda_sensing(sigma_eff, 1.0, m1, m2, n, c)
+    raise ValueError(f"unknown model {model!r}")
+
+
 def _resolve_lambda(spec: TrialSpec, n: int, probe: theory.CurvatureEstimate) -> float:
-    sigma_eff = spec.sigma if spec.sigma > 0 else SIGMA_FLOOR
-    oracle = spec.lambda_rule == "oracle"
-    c = 1.0 if oracle else spec.c  # at c = 1 the standard rule is the oracle rule's noise term
-    if spec.model == COMPLETION:
-        lam = theory.lambda_completion(sigma_eff, spec.m1, spec.m2, n, c)
-    else:
-        lam = theory.lambda_sensing(sigma_eff, 1.0, spec.m1, spec.m2, n, c)
-    if oracle:
-        return theory.lambda_oracle_rule(lam, spec.r, probe.rho_hat, probe.kappa_hat, spec.c)
-    return lam
+    if spec.lambda_rule == "oracle":
+        # at c = 1 the standard rule is the oracle rule's noise term
+        noise = standard_lambda(spec.model, spec.sigma, spec.m1, spec.m2, n, 1.0)
+        return theory.lambda_oracle_rule(noise, spec.r, probe.rho_hat, probe.kappa_hat, spec.c)
+    return standard_lambda(spec.model, spec.sigma, spec.m1, spec.m2, n, spec.c)
 
 
 def _resolve_spectrum(
@@ -479,18 +495,7 @@ def write_trials_csv(path, trials) -> None:
 
 def spec_to_jsonable(spec: TrialSpec) -> dict:
     doc = asdict(spec)
-    rule = spec.spectrum_rule
-    if isinstance(rule, AllAboveNu):
-        doc["spectrum_rule"] = {"kind": "all_above_nu", "margin": rule.margin}
-    else:
-        doc["spectrum_rule"] = {
-            "kind": "mixed",
-            "r1": rule.r1,
-            "r2": rule.r2,
-            "low_value": rule.low_value,
-        }
-    doc["penalties"] = [asdict(t) for t in spec.penalties]
-    doc["n_grid"] = list(spec.n_grid)
+    doc["spectrum_rule"]["kind"] = spec.spectrum_rule.kind
     return doc
 
 
@@ -511,9 +516,7 @@ def write_meta_json(path, spec: TrialSpec, elapsed_seconds: float | None = None)
             "elapsed_seconds": elapsed_seconds,
         },
     }
-    with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    fileio.write_json(path, meta)
 
 
 def holdout_split(

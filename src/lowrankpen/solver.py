@@ -162,13 +162,13 @@ def estimate_lipschitz(design: Design) -> float:
 def _prox_svd(spec: PenaltySpec, z: np.ndarray, eta: float):
     """SVD of z, scalar prox of its spectrum, rebuild from the nonzero part.
 
-    Returns the prox, its singular values and those of z.  The prox is
-    monotone, so the new values stay sorted and the zeros trail.
+    Returns the prox and its singular values.  The prox is monotone, so the
+    new values stay sorted and the zeros trail.
     """
     p, s, qt = np.linalg.svd(z, full_matrices=False)
     s_new = scalar_prox(spec, s, eta)
     r = int(np.count_nonzero(s_new))
-    return (p[:, :r] * s_new[:r]) @ qt[:r], s_new, s
+    return (p[:, :r] * s_new[:r]) @ qt[:r], s_new
 
 
 def prox_spectral(spec: PenaltySpec, z: np.ndarray, eta: float) -> np.ndarray:
@@ -194,7 +194,6 @@ def fit(
     obs: ObservationSet,
     spec: PenaltySpec,
     config: SolverConfig = SolverConfig(),
-    prox_log: list | None = None,
 ) -> FitResult:
     """Run the accelerated proximal-gradient iteration to a fixed point.
 
@@ -210,9 +209,7 @@ def fit(
     change ||T+ - T||_F / max(1, ||T||_F) drops below ``config.tol`` or after
     ``config.max_iter`` accepted steps.  The reported
     ``fixed_point_residual`` is ||T - prox(T - eta grad L(T))||_F at the
-    final iterate, computed without the box clip.  When ``prox_log`` is a
-    list, the singular values of every pre-prox argument, discarded steps
-    included, are appended to it.
+    final iterate, computed without the box clip.
     """
     design = obs.design
     eta = 1.0 / estimate_lipschitz(design) if config.eta is None else float(config.eta)
@@ -231,9 +228,7 @@ def fit(
         z = point - eta * loss_gradient(obs, point)
         if not np.all(np.isfinite(z)):
             raise DivergenceError(f"iterate became non-finite at iteration {k}")
-        theta_new, spectrum, s = _prox_svd(spec, z, eta)
-        if prox_log is not None:
-            prox_log.append(s)
+        theta_new, spectrum = _prox_svd(spec, z, eta)
         if config.alpha_star is not None:
             theta_new = np.clip(theta_new, -config.alpha_star, config.alpha_star)
             spectrum = None

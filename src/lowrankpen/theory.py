@@ -73,18 +73,12 @@ class CurvatureEstimate:
 
     kappa_hat: float
     rho_hat: float
-    samples: int
-    min_witness: str
 
 
 @dataclass(frozen=True)
 class ErrorBoundReport:
     """Two-part Frobenius error bound evaluated at given constants."""
 
-    tau: float
-    lam: float
-    kappa: float
-    zeta_minus: float
     part_s1: float
     part_s2: float
     total: float
@@ -116,15 +110,7 @@ def error_bound_general(
     gap = kappa - zeta_minus
     part_s1 = tau * math.sqrt(r1) / gap
     part_s2 = 3.0 * lam * math.sqrt(r2) / gap
-    return ErrorBoundReport(
-        tau=tau,
-        lam=lam,
-        kappa=kappa,
-        zeta_minus=zeta_minus,
-        part_s1=part_s1,
-        part_s2=part_s2,
-        total=part_s1 + part_s2,
-    )
+    return ErrorBoundReport(part_s1=part_s1, part_s2=part_s2, total=part_s1 + part_s2)
 
 
 def oracle_bound(tau: float, r: int, kappa: float) -> float:
@@ -192,11 +178,9 @@ def lambda_oracle_rule(
 def lambda_oracle_completion(
     sigma: float, m1: int, m2: int, n: int, r: int, c: float = DEFAULT_RULE_CONSTANT
 ) -> float:
-    """Closed-form completion variant of the exact-recovery rule."""
-    big_m = max(m1, m2)
-    return c * (1.0 + math.sqrt(r)) * sigma * math.sqrt(
-        big_m * math.log(big_m) / (n * m1 * m2)
-    )
+    """Closed-form completion variant of the exact-recovery rule: the
+    completion rule at c = 1 as the noise term, with rho/kappa = 1."""
+    return lambda_oracle_rule(lambda_completion(sigma, m1, m2, n, 1.0), r, 1.0, 1.0, c)
 
 
 def lambda_oracle_sensing(
@@ -209,13 +193,10 @@ def lambda_oracle_sensing(
     eig_ratio: float = 1.0,
     c: float = DEFAULT_RULE_CONSTANT,
 ) -> float:
-    """Closed-form sensing variant; ``eig_ratio`` is lambda_max/lambda_min of Sigma."""
-    return (
-        c
-        * (1.0 + math.sqrt(r) * eig_ratio)
-        * sigma
-        * pi_sigma
-        * (math.sqrt(m1 / n) + math.sqrt(m2 / n))
+    """Closed-form sensing variant: the sensing rule at c = 1 as the noise
+    term, with ``eig_ratio`` = lambda_max/lambda_min of Sigma for rho/kappa."""
+    return lambda_oracle_rule(
+        lambda_sensing(sigma, pi_sigma, m1, m2, n, 1.0), r, eig_ratio, 1.0, c
     )
 
 
@@ -359,7 +340,7 @@ def probe_rsc(
     (m1 - r) x (m2 - r) core U_perp^T B V_perp (one batched singular-value
     call each, the same helper :func:`cone_condition` uses), and one stacked
     quadratic form.  The result equals the one-direction-at-a-time loop to
-    rounding; the witness is the first direction attaining the minimum.
+    rounding.
 
     With ``refine`` set, the sampled range is widened by cone-feasible
     directions built from the exact extreme eigen-subspaces of the quadratic
@@ -381,8 +362,6 @@ def probe_rsc(
     with_complement = 0 < sub.r < min(m1, m2)
     kappa_hat = math.inf
     rho_hat = -math.inf
-    min_ratio = 0.0
-    min_index = 0
     for start in range(0, trials, _PROBE_CHUNK):
         count = min(_PROBE_CHUNK, trials - start)
         aligned = np.empty((count, m1, m2))
@@ -405,22 +384,14 @@ def probe_rsc(
         if keep.size == 0:
             continue
         values = quadratic_form(design, directions[keep] / norms[keep, None, None])
-        first_min = int(np.argmin(values))
-        if values[first_min] < kappa_hat:
-            kappa_hat = float(values[first_min])
-            min_ratio = float(ratios[keep[first_min]])
-            min_index = start + int(keep[first_min])
+        kappa_hat = min(kappa_hat, float(values.min()))
         rho_hat = max(rho_hat, float(values.max()))
-    witness = f"sample {min_index} with complement/aligned nuclear ratio {min_ratio:.3f}"
     if refine:
         extrema = _refined_extrema(design, sub)
         if extrema is not None:
             kappa_hat = min(kappa_hat, extrema[0])
             rho_hat = max(rho_hat, extrema[1])
-            witness += "; refined via extreme eigen-subspaces"
-    return CurvatureEstimate(
-        kappa_hat=kappa_hat, rho_hat=rho_hat, samples=trials, min_witness=witness
-    )
+    return CurvatureEstimate(kappa_hat=kappa_hat, rho_hat=rho_hat)
 
 
 def tau_value(obs: ObservationSet, theta_star: np.ndarray, sub_s1: Subspace) -> float:

@@ -14,6 +14,9 @@ def run_cli(*args):
     return cli.main([str(a) for a in args])
 
 
+DROP = object()  # an override that removes the key
+
+
 def minimal_config(tmp_path, **overrides):
     cfg = {
         "model": "completion",
@@ -29,6 +32,7 @@ def minimal_config(tmp_path, **overrides):
         "solver": {"max_iter": 1200, "tol": 1e-7},
     }
     cfg.update(overrides)
+    cfg = {key: value for key, value in cfg.items() if value is not DROP}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -135,16 +139,26 @@ def test_simulate_rejects_fractional_max_iter_before_running(tmp_path, capsys):
         ("n_grid", {"n_grid": [True]}),
         ("n_grid", {"n_grid": ["200"]}),
         ("n_grid", {"n_grid": [0]}),
+        ("c", {"c": 5e-324}),  # lambda underflows to 0
+        ("N_grid", {"n_grid": DROP, "N_grid": [True]}),
+        ("lambda_rule", {"lambda_rule": "x"}),
+        ("model", {"model": "x"}),
+        ("penalties", {"penalties": []}),
+        ("penalties", {"penalties": [{"family": "nuclear"}]}),  # b defaults to 0
+        ("spectrum_rule", {"spectrum_rule": {"kind": "mixed", "r1": 1, "r2": 2,
+                                             "low_value": 0.1}}),
     ],
     ids=["sigma-nan", "margin-nan", "margin-list", "margin-negative", "b-list", "c-nan",
          "c-negative", "c-zero", "step_policy", "r1-negative", "low_value-negative",
-         "low_value-zero", "n_grid-float", "n_grid-bool", "n_grid-string", "n_grid-zero"],
+         "low_value-zero", "n_grid-float", "n_grid-bool", "n_grid-string", "n_grid-zero",
+         "c-underflow", "N_grid-bool", "lambda_rule-unknown", "model-unknown",
+         "penalties-empty", "penalties-zero-b", "spectrum_rule-rank-sum"],
 )
 def test_simulate_rejects_invalid_value_naming_its_key(tmp_path, capsys, key, overrides):
     config = minimal_config(tmp_path, **overrides)
     out = tmp_path / "x"
     assert run_cli("simulate", config, "--out-dir", out, "--jobs", 1) == 2
-    assert f"'{key}'" in capsys.readouterr().err
+    assert f"key '{key}':" in capsys.readouterr().err
     assert not out.exists()
 
 

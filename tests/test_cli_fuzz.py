@@ -3,9 +3,12 @@
 Runs in-process through ``cli.main`` at ``--jobs 1``.  Each example changes
 one key of a tiny valid ``simulate`` config, or one flag of a tiny ``fit`` /
 ``evaluate`` run (or ``simulate --jobs``), to a value drawn from NaN, +-inf,
-null, bools, strings, lists, negatives, zero and fractions.  Integer draws
-stay small: a large ``repeats``, ``probe_directions``, ``max_iter`` or grid
-size is a long run, not a crash, so the fuzzer never asks for one.
+null, bools, strings, lists, negatives, zero and fractions.  A second base
+config takes its sample sizes from ``N_grid`` and its spectrum from the
+``mixed`` rule, whose keys and entries are fuzzed too.  A ``simulate`` that
+exits nonzero must leave no output directory behind.  Integer draws stay
+small: a large ``repeats``, ``probe_directions``, ``max_iter`` or grid size
+is a long run, not a crash, so the fuzzer never asks for one.
 """
 
 import copy
@@ -55,6 +58,14 @@ def key_paths(doc, prefix=()):
 
 CONFIG_PATHS = list(key_paths(TINY_CONFIG))
 
+MIXED_CONFIG = {
+    **{key: value for key, value in TINY_CONFIG.items() if key != "n_grid"},
+    "r": 2,
+    "spectrum_rule": {"kind": "mixed", "r1": 1, "r2": 1, "low_value": 0.05},
+    "N_grid": [1.5, 2.0],
+}
+MIXED_PATHS = [p for p in key_paths(MIXED_CONFIG) if p[0] in ("spectrum_rule", "N_grid")]
+
 # valid words of other branches sit among the odd values, so a draw can also
 # switch the model, rule, family or warm start
 WORDS = ["", "x", "sensing", "mixed", "oracle", "nuclear", "mcp", "zero"]
@@ -78,11 +89,8 @@ def exit_code(argv) -> int:
         return exc.code
 
 
-@pytest.mark.parametrize("path", CONFIG_PATHS, ids=lambda p: ".".join(map(str, p)))
-@settings(max_examples=20)
-@given(value=ODD_VALUES)
-def test_simulate_config_mutation_exit_code(path, value):
-    cfg = copy.deepcopy(TINY_CONFIG)
+def simulate_mutated(base, path, value) -> None:
+    cfg = copy.deepcopy(base)
     parent = cfg
     for key in path[:-1]:
         parent = parent[key]
@@ -90,8 +98,24 @@ def test_simulate_config_mutation_exit_code(path, value):
     with tempfile.TemporaryDirectory() as work:
         config = Path(work) / "config.json"
         config.write_text(json.dumps(cfg))
-        code = exit_code(["simulate", config, "--out-dir", Path(work) / "out", "--jobs", 1])
+        out = Path(work) / "out"
+        code = exit_code(["simulate", config, "--out-dir", out, "--jobs", 1])
+        assert code == 0 or not out.exists(), f"{path} = {value!r} left {out} behind"
     assert code in ALLOWED_EXITS, f"{path} = {value!r} exited {code}"
+
+
+@pytest.mark.parametrize("path", CONFIG_PATHS, ids=lambda p: ".".join(map(str, p)))
+@settings(max_examples=20)
+@given(value=ODD_VALUES)
+def test_simulate_config_mutation_exit_code(path, value):
+    simulate_mutated(TINY_CONFIG, path, value)
+
+
+@pytest.mark.parametrize("path", MIXED_PATHS, ids=lambda p: ".".join(map(str, p)))
+@settings(max_examples=20)
+@given(value=ODD_VALUES)
+def test_mixed_rescaled_config_mutation_exit_code(path, value):
+    simulate_mutated(MIXED_CONFIG, path, value)
 
 
 COMMON_FLAGS = [

@@ -43,13 +43,6 @@ def test_derived_constants():
     assert nuc.zeta_minus == 0.0
 
 
-def test_json_round_trip():
-    spec = PenaltySpec(SCAD, 0.25, 4.2)
-    doc = spec.to_dict()
-    assert doc == {"family": "scad", "lambda": 0.25, "b": 4.2}
-    assert PenaltySpec.from_dict(doc) == spec
-
-
 def test_scad_values():
     assert penalty_value(SCAD_REF, 0.0) == 0.0
     assert penalty_value(SCAD_REF, 0.5) == pytest.approx(0.5)

@@ -35,8 +35,7 @@ def nuclear_norm(a):
 def reference_probe(design, sub, trials, rng):
     m1, m2 = design.m1, design.m2
     kappa_hat, rho_hat = math.inf, -math.inf
-    min_ratio, min_index = 0.0, 0
-    for i in range(trials):
+    for _ in range(trials):
         aligned = project_onto(sub, rng.standard_normal((m1, m2)))
         ratio = float(rng.uniform(0.0, CONE_FACTOR))
         direction = aligned
@@ -50,11 +49,9 @@ def reference_probe(design, sub, trials, rng):
         if nrm == 0.0:
             continue
         value = quadratic_form(design, direction / nrm)
-        if value < kappa_hat:
-            kappa_hat, min_ratio, min_index = value, ratio, i
+        kappa_hat = min(kappa_hat, value)
         rho_hat = max(rho_hat, value)
-    witness = f"sample {min_index} with complement/aligned nuclear ratio {min_ratio:.3f}"
-    return kappa_hat, rho_hat, witness
+    return kappa_hat, rho_hat
 
 
 def make_case(model, m1, m2, r, seed):
@@ -90,13 +87,11 @@ def test_chunked_probe_matches_per_direction_loop(model, m1, m2, r, trials):
     design, sub = make_case(model, m1, m2, r, seed=100 + 7 * r + trials)
     rng_ref = np.random.default_rng(2024)
     rng_new = np.random.default_rng(2024)
-    kappa, rho, witness = reference_probe(design, sub, trials, rng_ref)
+    kappa, rho = reference_probe(design, sub, trials, rng_ref)
     probe = probe_rsc(design, sub, trials, rng_new)
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
     assert close(probe.kappa_hat, kappa, PROBE_RTOL)
     assert close(probe.rho_hat, rho, PROBE_RTOL)
-    assert probe.min_witness == witness
-    assert probe.samples == trials
     if r == 0:
         assert probe.kappa_hat == math.inf
 

@@ -89,6 +89,17 @@ def test_array_prox_is_odd_and_monotone(case):
     assert np.all(np.diff(out) >= 0.0)
 
 
+@given(prox_cases())
+def test_prox_never_shrinks_more_than_soft_threshold(case):
+    # less shrinkage: every family keeps at least what the nuclear norm's
+    # soft threshold keeps, up to rounding relative to |z| (the SCAD
+    # stationary point can land a few ulps below the threshold it equals)
+    spec, eta, zs = case
+    kept = np.abs(scalar_prox(spec, zs, eta))
+    soft = np.maximum(np.abs(zs) - eta * spec.lam, 0.0)
+    assert np.all(kept >= soft - 1e-12 * np.abs(zs))
+
+
 def test_array_prox_keeps_shape_and_scalar_type():
     spec = PenaltySpec(SCAD, 1.0, 3.7)
     z = np.array([[5.0, -3.0], [0.5, 0.0]])

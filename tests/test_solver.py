@@ -14,7 +14,7 @@ from lowrankpen.operators import (
     sample_completion_design,
     sample_sensing_design,
 )
-from lowrankpen.penalty import MCP, NUCLEAR, SCAD, PenaltySpec, penalty_value, scalar_prox
+from lowrankpen.penalty import MCP, NUCLEAR, SCAD, PenaltySpec, penalty_value
 from lowrankpen.solver import (
     DivergenceError,
     RankDeficiencyError,
@@ -283,23 +283,6 @@ def test_fit_spectrum_matches_svd_of_estimate(model, warm_start, box):
     assert np.abs(result.spectrum - s).max() <= 1e-12 * s[0]
     assert result.rank_hat == numeric_rank(s, config.rank_tol_rel)
     assert 0 < result.rank_hat < s.size
-
-
-def test_scad_prox_never_shrinks_more_than_soft_threshold():
-    # less-shrinkage property checked on every singular value the fit sees
-    rng = np.random.default_rng(14)
-    theta_star, _, _ = random_low_rank(rng, 8, 8, [3.0, 1.0])
-    design = sample_sensing_design(rng, 8, 8, 300)
-    obs = generate_observations(design, theta_star, 0.2, rng)
-    spec = PenaltySpec(SCAD, 0.2, 3.7)
-    log: list[np.ndarray] = []
-    eta = 1.0 / estimate_lipschitz(design)
-    fit(obs, spec, SolverConfig(), prox_log=log)
-    assert log, "prox log should capture every iteration"
-    for spectrum in log:
-        for z in spectrum:
-            soft = max(z - eta * spec.lam, 0.0)
-            assert scalar_prox(spec, float(z), eta) >= soft - 1e-12
 
 
 def test_warm_start_never_worse_logged_not_failed():
