@@ -149,6 +149,10 @@ def parse_run_config(cfg: dict) -> tuple[TrialSpec, str | None]:
             )
         except (ValueError, OverflowError):
             raise ConfigError("N_grid", "must be a nonempty list of finite numbers") from None
+        if min(n_grid) < 1:
+            raise ConfigError(
+                "N_grid", f"entries must give sample sizes of at least 1, got n = {min(n_grid)}"
+            )
 
     penalties = []
     for i, doc in enumerate(_require(cfg, "penalties", list)):
@@ -224,6 +228,10 @@ def _build_penalty(args, m1: int, m2: int, n: int) -> PenaltySpec:
         if args.sigma is None:
             raise ConfigError("lambda", "pass --lambda or --sigma to resolve it")
         lam = simlab.standard_lambda(simlab.COMPLETION, args.sigma, m1, m2, n, args.c)
+        if not (math.isfinite(lam) and lam > 0):
+            raise ConfigError(
+                "--c", f"must give a finite positive lambda, got lambda = {lam!r} at n = {n}"
+            )
     return PenaltySpec(args.penalty, lam, args.b)
 
 

@@ -96,6 +96,14 @@ class PenaltyTemplate:
         check_family(self.family, self.b)
 
 
+def _check_low_value(rule: MixedSpectrum, nu: float) -> None:
+    if not rule.low_value < nu:
+        raise ValueError(
+            f"spectrum_rule is mixed and needs low_value below nu = b*lambda, "
+            f"got low_value = {rule.low_value!r} and nu = {nu!r}"
+        )
+
+
 @dataclass(frozen=True)
 class TrialSpec:
     """Complete description of a simulation grid.  A ``ValueError`` whose
@@ -129,8 +137,9 @@ class TrialSpec:
             raise ValueError("penalties must hold at least one template")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
-        for n in self.n_grid:
-            lam = standard_lambda(self.model, self.sigma, self.m1, self.m2, n, self.c)
+        lams = [standard_lambda(self.model, self.sigma, self.m1, self.m2, n, self.c)
+                for n in self.n_grid]
+        for n, lam in zip(self.n_grid, lams):
             if not (math.isfinite(lam) and lam > 0):
                 raise ValueError(
                     "c must be such that lambda is finite and positive at every n, "
@@ -151,6 +160,11 @@ class TrialSpec:
                     "penalties need b > 0 on every template "
                     "(it sets the ground-truth scale b*lambda)"
                 )
+        if isinstance(self.spectrum_rule, MixedSpectrum) and self.lambda_rule == "standard":
+            # the oracle rule's lambda needs the trial's probe: checked in the trial
+            for lam in lams:
+                for tpl in self.penalties:
+                    _check_low_value(self.spectrum_rule, tpl.b * lam)
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "penalties", tuple(self.penalties))
 
@@ -292,10 +306,7 @@ def _resolve_spectrum(
         raise ValueError(f"truth singular values from {lo} up overflow; lower b, c or margin")
     if isinstance(rule, AllAboveNu):
         return rng.uniform(lo, 2.0 * lo, size=spec.r)
-    if not rule.low_value < nu_ref:
-        raise ValueError(
-            f"mixed spectrum low_value {rule.low_value} must stay below nu = {nu_ref}"
-        )
+    _check_low_value(rule, nu_ref)
     high = rng.uniform(lo, 2.0 * lo, size=rule.r1)
     low = np.full(rule.r2, rule.low_value)
     return np.concatenate([high, low])

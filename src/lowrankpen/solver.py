@@ -1,17 +1,19 @@
 """Accelerated proximal-gradient solver for spectrally penalized least squares.
 
 The estimator minimizes ||y - X(Theta)||^2 / (2n) + sum_i p(gamma_i(Theta))
-by iterating a gradient step followed by the exact proximal map of the
-spectral penalty (the scalar prox applied to the whole spectrum of the
-stepped iterate).  Each step is taken from a FISTA extrapolation of the last
-two iterates; when the objective rises, the step is discarded, the momentum
-is reset and the plain step is taken instead (function-value adaptive
-restart, O'Donoghue & Candes 2015), so the accepted objective sequence stays
-monotone as in monotone APG for nonconvex penalties (Li & Lin 2015).  The
-nuclear-norm warm start and the SCAD/MCP fit run the same loop.  An optional
-entrywise box constraint ||Theta||_inf <= alpha* is enforced by clipping
-after the prox; the composite prox of box + spectral penalty has no
-tractable form, so this splitting is a documented heuristic.
+by iterating a gradient step followed by the proximal map of the spectral
+penalty (the scalar prox applied to the spectrum of the stepped iterate; on
+large matrices only the singular triplets that survive the threshold are
+computed, warm-started from the previous step, as in Soft-Impute, Mazumder,
+Hastie & Tibshirani 2010).  Each step is taken from a FISTA extrapolation of
+the last two iterates; when the objective rises, the step is discarded, the
+momentum is reset and the plain step is taken instead (function-value
+adaptive restart, O'Donoghue & Candes 2015), so the accepted objective
+sequence stays monotone as in monotone APG for nonconvex penalties (Li &
+Lin 2015).  The nuclear-norm warm start and the SCAD/MCP fit run the same
+loop.  An optional entrywise box constraint ||Theta||_inf <= alpha* is
+enforced by clipping after the prox; the composite prox of box + spectral
+penalty has no tractable form, so this splitting is a documented heuristic.
 
 Also provided: the exact smoothness constant of the loss, read from the
 design's cached Hessian and used for the default step size; the
@@ -37,7 +39,7 @@ from lowrankpen.operators import (
     loss_gradient,
     loss_value,
 )
-from lowrankpen.penalty import NUCLEAR, PenaltySpec, penalty_value, scalar_prox
+from lowrankpen.penalty import MCP, NUCLEAR, SCAD, PenaltySpec, penalty_value, scalar_prox
 
 WARM_ZERO = "zero"
 WARM_NUCLEAR = "nuclear"
@@ -159,16 +161,103 @@ def estimate_lipschitz(design: Design) -> float:
     return float(design.gram_eigh[0][-1])
 
 
-def _prox_svd(spec: PenaltySpec, z: np.ndarray, eta: float):
+# Truncated prox (see _prox_svd): the smallest min(m1, m2) that takes it (the
+# measured crossover with the full SVD on completion fits), the oversampling
+# columns carried past the kept rank, the block steps before the full SVD
+# takes over, and the residual tolerance, relative to the top Ritz value,
+# that every kept Ritz triplet must meet.
+_TRUNCATE_MIN_DIM = 100
+_OVERSAMPLE = 5
+_BLOCK_STEPS = 8
+_RITZ_TOL = 1e-12
+
+
+def _zeroes_below_threshold(spec: PenaltySpec, eta: float) -> bool:
+    """True when the scalar prox maps every value <= eta * lambda to zero.
+
+    The objective (x - z)^2 / 2 + eta * p(x) is then convex on x >= 0 with
+    slope eta * lambda - z at 0+: always for the nuclear norm, for SCAD when
+    eta < b - 1 and for MCP when eta < b.
+    """
+    if spec.family == SCAD:
+        return eta < spec.b - 1.0
+    if spec.family == MCP:
+        return eta < spec.b
+    return True
+
+
+def _truncated_svd(z: np.ndarray, block: np.ndarray, threshold: float):
+    """Leading singular triplets of z by block subspace iteration, or None.
+
+    Starts from the columns of ``block`` (approximate right singular
+    vectors) and repeats Y = z V, Q = qr(Y), (U_b, s, V^T) = svd(Q^T z),
+    U = Q U_b; z^T u_i = s_i v_i then holds by construction.  Accepts once
+    the last Ritz value is at most ``threshold`` and every Ritz triplet
+    above it has converged, ||z v_i - s_i u_i|| <= _RITZ_TOL * s_1.  While
+    every Ritz value is above the threshold the block doubles with the
+    Krylov directions z^T (z V - U S), which draws no random numbers.
+
+    Returns (U, s, V^T) or None: when the block would exceed half of
+    min(m1, m2), after _BLOCK_STEPS steps, or as soon as the residuals,
+    shrinking by about (s_k / s_r)^2 a step (s_r the smallest kept Ritz
+    value, s_k the last one), cannot reach the tolerance in the steps left.
+    """
+    limit = min(z.shape) // 2
+    if block.shape[1] > limit:
+        return None
+    y = z @ block
+    for steps_left in range(_BLOCK_STEPS - 1, -1, -1):
+        q, _ = np.linalg.qr(y)
+        ub, s, vt = np.linalg.svd(q.T @ z, full_matrices=False)
+        u = q @ ub
+        y = z @ vt.T
+        resid = y - u * s
+        if s[-1] > threshold:
+            if 2 * s.size > limit:
+                return None
+            y = np.hstack([y, z @ (z.T @ resid)])
+            continue
+        r = int(np.count_nonzero(s > threshold))
+        worst = np.linalg.norm(resid[:, :r], axis=0).max(initial=0.0)
+        tol = _RITZ_TOL * s[0]
+        if worst <= tol:
+            return u, s, vt
+        if worst * (s[-1] / s[r - 1]) ** (2 * steps_left) > tol:
+            return None
+    return None
+
+
+def _prox_svd(spec: PenaltySpec, z: np.ndarray, eta: float, block=None):
     """SVD of z, scalar prox of its spectrum, rebuild from the nonzero part.
 
-    Returns the prox and its singular values.  The prox is monotone, so the
-    new values stay sorted and the zeros trail.
+    Returns the prox, its min(m1, m2) singular values and ``block`` for the
+    next call: the right singular vectors of the kept part plus
+    _OVERSAMPLE more.  The prox is monotone, so the new values stay sorted
+    and the zeros trail.
+
+    Given a ``block`` from the previous step, only the triplets above
+    eta * lambda are computed (:func:`_truncated_svd`, warm-started from
+    the block) and the rest of the spectrum is zero.  That needs the scalar
+    prox to zero every value at or below eta * lambda and min(m1, m2) of at
+    least _TRUNCATE_MIN_DIM; otherwise, without a block, or when the block
+    iteration gives up, the SVD is the full one.  Ritz values are lower
+    bounds, so the truncated prox serves the iteration only:
+    :func:`prox_spectral` takes the full SVD and certifies the result.
     """
-    p, s, qt = np.linalg.svd(z, full_matrices=False)
+    svd = None
+    if (
+        block is not None
+        and min(z.shape) >= _TRUNCATE_MIN_DIM
+        and _zeroes_below_threshold(spec, eta)
+    ):
+        svd = _truncated_svd(z, block, eta * spec.lam)
+    p, s, qt = np.linalg.svd(z, full_matrices=False) if svd is None else svd
     s_new = scalar_prox(spec, s, eta)
     r = int(np.count_nonzero(s_new))
-    return (p[:, :r] * s_new[:r]) @ qt[:r], s_new
+    theta = (p[:, :r] * s_new[:r]) @ qt[:r]
+    if svd is not None:  # the untracked rest of the spectrum is zero
+        s_new = np.concatenate([s_new, np.zeros(min(z.shape) - s_new.size)])
+    return theta, s_new, qt[: r + _OVERSAMPLE].T
 
 
 def prox_spectral(spec: PenaltySpec, z: np.ndarray, eta: float) -> np.ndarray:
@@ -210,6 +299,16 @@ def fit(
     ``config.max_iter`` accepted steps.  The reported
     ``fixed_point_residual`` is ||T - prox(T - eta grad L(T))||_F at the
     final iterate, computed without the box clip.
+
+    The loop carries the previous step's right singular vectors (the kept
+    ones plus a few more) from step to step; the plain step after a reset
+    starts from the same vectors as the discarded one.  With them each prox
+    computes only the triplets above eta * lambda (see :func:`_prox_svd`),
+    so on a matrix with min(m1, m2) >= _TRUNCATE_MIN_DIM a step costs a few
+    products with a thin block instead of a full SVD.  The first step, and
+    any step whose block iteration does not converge, takes the full SVD.
+    ``fixed_point_residual`` always uses the full SVD, so it is an exact
+    certificate of the returned iterate.
     """
     design = obs.design
     eta = 1.0 / estimate_lipschitz(design) if config.eta is None else float(config.eta)
@@ -222,20 +321,20 @@ def fit(
         theta = np.zeros((design.m1, design.m2))
         spectrum = np.zeros(min(design.m1, design.m2))
 
-    def step(point: np.ndarray, k: int):
-        """Prox-gradient step from ``point``: the new iterate, its objective
-        and its singular values (None after the box clip)."""
+    def step(point: np.ndarray, k: int, block):
+        """Prox-gradient step from ``point``: the new iterate, its objective,
+        its singular values (None after the box clip) and the next block."""
         z = point - eta * loss_gradient(obs, point)
         if not np.all(np.isfinite(z)):
             raise DivergenceError(f"iterate became non-finite at iteration {k}")
-        theta_new, spectrum = _prox_svd(spec, z, eta)
+        theta_new, spectrum, block = _prox_svd(spec, z, eta, block)
         if config.alpha_star is not None:
             theta_new = np.clip(theta_new, -config.alpha_star, config.alpha_star)
             spectrum = None
         obj = _objective(obs, spec, theta_new, spectrum)
         if not math.isfinite(obj):
             raise DivergenceError(f"objective became non-finite at iteration {k}")
-        return theta_new, obj, spectrum
+        return theta_new, obj, spectrum, block
 
     obj = _objective(obs, spec, theta, spectrum)
     trace = [obj]
@@ -244,18 +343,19 @@ def fit(
     restarts = 0
     converged = False
     iterations = 0
+    block = None
     for k in range(1, config.max_iter + 1):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         momentum = (t - 1.0) / t_next
         point = theta + momentum * (theta - theta_prev) if momentum > 0.0 else theta
-        theta_new, obj_new, spectrum = step(point, k)
+        theta_new, obj_new, spectrum, block_new = step(point, k, block)
         if point is not theta and obj_new > obj:
             restarts += 1
             t_next = _T_AFTER_RESTART
-            theta_new, obj_new, spectrum = step(theta, k)
+            theta_new, obj_new, spectrum, block_new = step(theta, k, block)
         trace.append(obj_new)
         rel = np.linalg.norm(theta_new - theta) / max(1.0, np.linalg.norm(theta))
-        theta_prev, theta, obj, t = theta, theta_new, obj_new, t_next
+        theta_prev, theta, obj, t, block = theta, theta_new, obj_new, t_next, block_new
         iterations = k
         if rel <= config.tol:
             converged = True

@@ -147,12 +147,19 @@ def test_simulate_rejects_fractional_max_iter_before_running(tmp_path, capsys):
         ("penalties", {"penalties": [{"family": "nuclear"}]}),  # b defaults to 0
         ("spectrum_rule", {"spectrum_rule": {"kind": "mixed", "r1": 1, "r2": 2,
                                              "low_value": 0.1}}),
+        ("N_grid", {"n_grid": DROP, "N_grid": [0.001]}),  # rounds to n = 0
+        # nu = b*lambda is about 0.93 here
+        ("spectrum_rule", {"spectrum_rule": {"kind": "mixed", "r1": 1, "r2": 1,
+                                             "low_value": 50}}),
+        ("spectrum_rule", {"spectrum_rule": {"kind": "mixed", "r1": 1, "r2": 1,
+                                             "low_value": 0.95}}),
     ],
     ids=["sigma-nan", "margin-nan", "margin-list", "margin-negative", "b-list", "c-nan",
          "c-negative", "c-zero", "step_policy", "r1-negative", "low_value-negative",
          "low_value-zero", "n_grid-float", "n_grid-bool", "n_grid-string", "n_grid-zero",
          "c-underflow", "N_grid-bool", "lambda_rule-unknown", "model-unknown",
-         "penalties-empty", "penalties-zero-b", "spectrum_rule-rank-sum"],
+         "penalties-empty", "penalties-zero-b", "spectrum_rule-rank-sum", "N_grid-below-one",
+         "low_value-above-nu", "low_value-just-above-nu"],
 )
 def test_simulate_rejects_invalid_value_naming_its_key(tmp_path, capsys, key, overrides):
     config = minimal_config(tmp_path, **overrides)
@@ -193,7 +200,7 @@ def write_small_triplets(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["fit", "evaluate"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "5e-324"])  # 5e-324: lambda underflows
 def test_invalid_c_flag_names_it(tmp_path, capsys, command, value):
     src = write_small_triplets(tmp_path)
     assert run_cli(command, src, tmp_path / "out", "--sigma", 0.1, f"--c={value}") == 2

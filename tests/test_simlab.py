@@ -60,6 +60,26 @@ def test_trial_spec_validation():
             small_spec(c=c)
 
 
+def test_mixed_low_value_checked_against_every_nu():
+    # standard rule: lambda is known up front, so low_value must stay below
+    # b*lambda at every n and template before any trial runs; the smallest nu
+    # sits at the largest n and the smallest b
+    penalties = (PenaltyTemplate("scad", 3.7), PenaltyTemplate("scad", 40.0))
+    spec = small_spec(n_grid=(150, 300), penalties=penalties)
+    nu = 3.7 * simlab.standard_lambda(spec.model, spec.sigma, spec.m1, spec.m2, 300, spec.c)
+    for low_value, ok in ((0.999 * nu, True), (nu, False), (50.0, False)):
+        rule = MixedSpectrum(r1=1, r2=1, low_value=low_value)
+        if ok:
+            small_spec(n_grid=(150, 300), penalties=penalties, spectrum_rule=rule)
+        else:
+            with pytest.raises(ValueError, match="^spectrum_rule is mixed and needs low_value"):
+                small_spec(n_grid=(150, 300), penalties=penalties, spectrum_rule=rule)
+    # oracle rule: lambda needs the trial's probe, so the trial checks it
+    oracle = small_spec(lambda_rule="oracle", spectrum_rule=MixedSpectrum(1, 1, 1e6))
+    with pytest.raises(ValueError, match="^spectrum_rule is mixed and needs low_value"):
+        run_trial(oracle, oracle.n_grid[0], 0, 0)
+
+
 @pytest.mark.parametrize(
     "fields,key",
     [((-1, 3, 0.1), "r1"), ((2, -1, 0.1), "r2"), ((1, 1, 0.0), "low_value"),

@@ -3,7 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+from lowrankpen import solver as solver_module
 from lowrankpen.operators import (
+    apply_forward,
     CompletionDesign,
     ObservationSet,
     Subspace,
@@ -391,3 +393,132 @@ def test_fit_result_serialization():
     assert doc["eta"] == result.eta == 16.0  # 1/L with L = max(count)/n = 1/16
     assert doc["restarts"] == result.restarts >= 0
     assert len(doc["spectrum"]) == 4
+
+
+def spectrum_matrix(rng, m1, m2, values):
+    """m1 x m2 matrix with the given singular values (the rest zero)."""
+    q = min(m1, m2)
+    u, _ = np.linalg.qr(rng.standard_normal((m1, q)))
+    v, _ = np.linalg.qr(rng.standard_normal((m2, q)))
+    s = np.zeros(q)
+    s[: len(values)] = values
+    return (u * s) @ v.T
+
+
+def count_truncated(monkeypatch):
+    """Record the outcome of every truncated SVD attempt: True when it was accepted."""
+    outcomes = []
+    original = solver_module._truncated_svd
+
+    def counted(z, block, threshold):
+        out = original(z, block, threshold)
+        outcomes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(solver_module, "_truncated_svd", counted)
+    return outcomes
+
+
+PROX_SPECS = [PenaltySpec(NUCLEAR, 0.5), PenaltySpec(SCAD, 0.5, 3.7), PenaltySpec(MCP, 0.5, 2.5)]
+
+
+@pytest.mark.parametrize("spec", PROX_SPECS, ids=["nuclear", "scad", "mcp"])
+@pytest.mark.parametrize("shape", [(100, 120), (130, 100)], ids=["wide", "tall"])
+@pytest.mark.parametrize("case", ["near-threshold", "grows"])
+def test_truncated_prox_matches_full_svd(spec, shape, case, monkeypatch):
+    # the warm block comes from a nearby matrix, as between two solver steps;
+    # the near-threshold spectrum has values 1% and 0.5% on both sides of
+    # eta * lambda, and in the growing case the nearby matrix has rank 3
+    # while 14 values of z clear the threshold, so the 8-column block doubles
+    m = min(shape)
+    assert m >= solver_module._TRUNCATE_MIN_DIM
+    rng = np.random.default_rng(31)
+    eta = 1.3
+    tau = eta * spec.lam
+    if case == "near-threshold":
+        values = tau * np.concatenate(
+            [[6.0, 4.0, 2.5, 1.01, 1.005, 0.995, 0.99], 0.3 * rng.uniform(0.0, 1.0, m - 7)]
+        )
+    else:
+        values = tau * np.concatenate(
+            [np.linspace(8.0, 2.0, 14), 0.05 * rng.uniform(0.0, 1.0, m - 14)]
+        )
+    z = spectrum_matrix(rng, *shape, np.sort(values)[::-1])
+    nearby = z + 1e-6 * tau * rng.standard_normal(shape)
+    if case == "grows":
+        u, s, vt = np.linalg.svd(nearby, full_matrices=False)
+        nearby = (u[:, :3] * s[:3]) @ vt[:3]
+    _, _, block = solver_module._prox_svd(spec, nearby, eta)
+    outcomes = count_truncated(monkeypatch)
+
+    theta, spectrum, next_block = solver_module._prox_svd(spec, z, eta, block)
+    assert outcomes == [True]  # the truncated path ran and was accepted
+    theta_ref, spectrum_ref, _ = solver_module._prox_svd(spec, z, eta)
+    rank = int(np.count_nonzero(spectrum_ref))
+    assert spectrum.shape == spectrum_ref.shape == (m,)
+    assert np.count_nonzero(spectrum) == rank == (5 if case == "near-threshold" else 14)
+    scale = float(np.linalg.norm(z, 2))
+    assert np.abs(spectrum - spectrum_ref).max() <= 1e-10 * scale
+    assert np.abs(theta - theta_ref).max() <= 1e-10 * scale
+    assert np.array_equal(theta_ref, prox_spectral(spec, z, eta))
+    assert next_block.shape[0] == shape[1]
+    assert rank < next_block.shape[1] <= rank + solver_module._OVERSAMPLE
+
+
+@pytest.mark.parametrize("spec", PROX_SPECS[1:], ids=["scad", "mcp"])
+def test_truncated_prox_falls_back_when_eta_breaks_zeroing(spec, monkeypatch):
+    # SCAD with eta >= b - 1 and MCP with eta >= b can map a value above
+    # zero from below eta * lambda, so the block is ignored
+    rng = np.random.default_rng(32)
+    z = spectrum_matrix(rng, 100, 100, np.linspace(20.0, 0.1, 100))
+    eta = spec.b
+    _, _, block = solver_module._prox_svd(spec, z + 1e-6, eta)
+    outcomes = count_truncated(monkeypatch)
+    theta, spectrum, _ = solver_module._prox_svd(spec, z, eta, block)
+    assert outcomes == []
+    theta_ref, spectrum_ref, _ = solver_module._prox_svd(spec, z, eta)
+    assert np.array_equal(theta, theta_ref) and np.array_equal(spectrum, spectrum_ref)
+
+
+def test_truncated_prox_skipped_below_cutoff(monkeypatch):
+    rng = np.random.default_rng(33)
+    m = solver_module._TRUNCATE_MIN_DIM - 1
+    z = spectrum_matrix(rng, m, m + 5, np.linspace(5.0, 0.1, m))
+    spec = PenaltySpec(NUCLEAR, 1.0)
+    _, _, block = solver_module._prox_svd(spec, z, 1.0)
+    outcomes = count_truncated(monkeypatch)
+    theta, _, _ = solver_module._prox_svd(spec, z, 1.0, block)
+    assert outcomes == []
+    assert np.array_equal(theta, prox_spectral(spec, z, 1.0))
+
+
+def test_fit_at_cutoff_matches_full_svd_reference(monkeypatch):
+    # a completion fit of side _TRUNCATE_MIN_DIM against the same fit with
+    # the truncated prox switched off; neither may draw random numbers
+    m = solver_module._TRUNCATE_MIN_DIM
+    rng = np.random.default_rng(34)
+    design = sample_completion_design(rng, m, m, 4 * m * m // 10)
+    noise = generate_observations(design, np.zeros((m, m)), 0.5, rng)
+    # lambda puts eta * lambda 20% above the noise's top singular value, and
+    # the truth clears the SCAD flat threshold b * lambda
+    lam = 1.2 * np.linalg.norm(loss_gradient(noise, np.zeros((m, m))), 2)
+    spec = PenaltySpec(SCAD, lam, 1.0 + 2.0 * m * m)
+    theta_star, _, _ = random_low_rank(rng, m, m, spec.nu * np.array([2.5, 2.0, 1.6, 1.25]))
+    obs = ObservationSet(design, apply_forward(design, theta_star) + noise.y)
+    config = SolverConfig(warm_start="nuclear")
+
+    outcomes = count_truncated(monkeypatch)
+    state = np.random.get_state()
+    result = fit(obs, spec, config)
+    after = np.random.get_state()
+    assert after[0] == state[0] and np.array_equal(after[1], state[1]) and after[2:] == state[2:]
+    assert sum(outcomes) > result.iterations // 2  # most steps took the truncated path
+
+    monkeypatch.setattr(solver_module, "_TRUNCATE_MIN_DIM", m + 1)
+    reference = fit(obs, spec, config)
+    assert result.rank_hat == reference.rank_hat == 4
+    assert result.converged and reference.converged
+    rel = np.linalg.norm(result.theta_hat - reference.theta_hat) / np.linalg.norm(reference.theta_hat)
+    assert rel <= 1e-8
+    # the certificate takes the full SVD on both paths
+    assert result.fixed_point_residual == pytest.approx(reference.fixed_point_residual, rel=1e-3, abs=1e-9)
