@@ -193,6 +193,34 @@ def test_run_trial_without_identifiable_oracle_records_no_match(monkeypatch):
     assert outcome.oracle_match is None
 
 
+def test_diverged_trial_record(tmp_path):
+    # a fixed step of 100 overshoots 1/L by far: both fits blow up
+    spec = small_spec(
+        n_grid=(150,), base_seed=3, repeats=1, solver=SolverConfig(eta=100.0),
+        penalties=(PenaltyTemplate("scad", 129.0), PenaltyTemplate("nuclear", 129.0)),
+    )
+    grid = run_grid(spec)
+    for outcome, family in zip(grid.trials, ("scad", "nuclear")):
+        assert (outcome.penalty, outcome.n, outcome.repeat) == (family, 150, 0)
+        assert outcome.seed == trial_seed(3, 150, ("scad", "nuclear").index(family), 0)
+        assert outcome.mse == np.inf and outcome.frob_err == np.inf
+        assert outcome.rank_hat == -1 and outcome.rank_correct is False
+        assert outcome.oracle_match is None
+        assert outcome.bound_total is None and outcome.bound_holds is None
+        assert outcome.converged is False and outcome.fixed_point_residual == np.inf
+        assert outcome.in_cone is False and (outcome.r1, outcome.r2) == (0, 0)
+        assert 0 < outcome.theta_star_frob < np.inf and outcome.tol == spec.solver.tol
+        assert outcome.runtime_seconds > 0
+    path = tmp_path / "results.csv"
+    write_trials_csv(path, grid.trials)
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    for row in rows:
+        cells = dict(zip(header, row))
+        assert [cells[col] for col in CSV_COLUMNS[11:20]] == [
+            "inf", "inf", "-1", "false", "", "", "", "false", "inf"
+        ]
+
+
 def test_run_grid_single_cell_matches_run_trial():
     spec = small_spec(repeats=1)
     grid = run_grid(spec)
