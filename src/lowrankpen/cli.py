@@ -27,7 +27,7 @@ from lowrankpen.simlab import (
     PenaltyTemplate,
     TrialSpec,
 )
-from lowrankpen.solver import SolverConfig, fit
+from lowrankpen.solver import DivergenceError, SolverConfig, fit
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -87,6 +87,21 @@ def _read_fields(cls, doc: dict, where: str) -> dict:
     }
 
 
+def _read_section(cls, doc: dict, where: str, tags=()):
+    """``cls`` built from the config section ``doc``: its fields read by
+    :func:`_read_fields`, a key that is neither a field nor one of ``tags``
+    rejected by name, and a rejection by ``cls`` reported under the field its
+    message opens with, or else under ``where``."""
+    fields = _read_fields(cls, doc, where)
+    extra = set(doc) - {*tags, *fields}
+    if extra:
+        raise ConfigError(sorted(extra)[0], f"unknown key in {where}")
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise _field_error(exc, fields, where) from None
+
+
 def _is_list_of(raw, kind) -> bool:
     """``raw`` is a nonempty list of ``kind`` values, bools excluded."""
     return isinstance(raw, list) and bool(raw) and all(
@@ -125,14 +140,7 @@ def parse_run_config(cfg: dict) -> tuple[TrialSpec, str | None]:
     rule_type = _SPECTRUM_RULES.get(kind) if isinstance(kind, str) else None
     if rule_type is None:
         raise ConfigError("spectrum_rule.kind", "must be 'all_above_nu' or 'mixed'")
-    fields = _read_fields(rule_type, rule_doc, "spectrum_rule")
-    extra = set(rule_doc) - {"kind", *fields}
-    if extra:
-        raise ConfigError(sorted(extra)[0], "unknown key in spectrum_rule")
-    try:
-        rule: simlab.SpectrumRule = rule_type(**fields)
-    except ValueError as exc:
-        raise _field_error(exc, fields, "spectrum_rule") from None
+    rule = _read_section(rule_type, rule_doc, "spectrum_rule", tags={"kind"})
 
     if ("n_grid" in cfg) == ("N_grid" in cfg):
         raise ConfigError("n_grid", "exactly one of n_grid / N_grid is required")
@@ -156,17 +164,9 @@ def parse_run_config(cfg: dict) -> tuple[TrialSpec, str | None]:
 
     penalties = []
     for i, doc in enumerate(_require(cfg, "penalties", list)):
-        where = f"penalties[{i}]"
         if not isinstance(doc, dict):
             raise ConfigError("penalties", f"entry {i} must be an object")
-        fields = _read_fields(PenaltyTemplate, doc, where)
-        extra = set(doc) - set(fields)
-        if extra:
-            raise ConfigError(sorted(extra)[0], f"unknown key in {where}")
-        try:
-            penalties.append(PenaltyTemplate(**fields))
-        except ValueError as exc:
-            raise ConfigError(where, str(exc)) from None
+        penalties.append(_read_section(PenaltyTemplate, doc, f"penalties[{i}]"))
 
     solver_doc = _require(cfg, "solver", dict, default={})
     for key in solver_doc:
@@ -222,46 +222,38 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _build_penalty(args, m1: int, m2: int, n: int) -> PenaltySpec:
+def _fit_file_data(args, m1: int, m2: int, entries: np.ndarray, y: np.ndarray):
+    """Penalty and fit of the observations ``y`` of the m1 x m2 cells
+    ``entries`` under the flags of ``args``.  No step flag exists, so a fit
+    that overflows (diverges, or ends on a non-finite residual or spectrum)
+    was driven there by the input values: that is invalid input."""
+    design = CompletionDesign(m1=m1, m2=m2, entries=entries)
+    obs = ObservationSet(design=design, y=y, sigma=args.sigma or 0.0)
     lam = args.lam
     if lam is None:
         if args.sigma is None:
             raise ConfigError("lambda", "pass --lambda or --sigma to resolve it")
-        lam = simlab.standard_lambda(simlab.COMPLETION, args.sigma, m1, m2, n, args.c)
+        lam = simlab.standard_lambda(simlab.COMPLETION, args.sigma, m1, m2, design.n, args.c)
         if not (math.isfinite(lam) and lam > 0):
             raise ConfigError(
-                "--c", f"must give a finite positive lambda, got lambda = {lam!r} at n = {n}"
+                "--c",
+                f"must give a finite positive lambda, got lambda = {lam!r} at n = {design.n}",
             )
-    return PenaltySpec(args.penalty, lam, args.b)
-
-
-def _solver_from_args(args) -> SolverConfig:
-    return SolverConfig(
+    penalty = PenaltySpec(args.penalty, lam, args.b)
+    config = SolverConfig(
         max_iter=args.max_iter,
         tol=args.tol,
         alpha_star=args.alpha_star,
         warm_start=args.warm_start,
         rank_tol_rel=args.rank_tol,
     )
-
-
-def _load_observations(args):
-    """Read a dense or triplet file into a completion observation set."""
-    fmt = args.format
-    if fmt == "auto":
-        fmt = fileio.detect_format(args.input)
-    if fmt == "dense":
-        dense = fileio.read_dense_matrix(args.input)
-        m1, m2 = dense.shape
-        _guard_cells(m1, m2)
-        jj, kk = np.meshgrid(np.arange(m1), np.arange(m2), indexing="ij")
-        entries = np.column_stack([jj.ravel(), kk.ravel()])
-        design = CompletionDesign(m1=m1, m2=m2, entries=entries)
-        y = dense.ravel()
-        return design, y
-    triplets, m1, m2 = _read_triplet_file(args)
-    design = CompletionDesign(m1=m1, m2=m2, entries=triplets[:, :2].astype(np.int64))
-    return design, triplets[:, 2]
+    try:
+        result = fit(obs, penalty, config)
+    except DivergenceError as exc:
+        raise InputFormatError(f"the fit overflowed on the input values ({exc})") from None
+    if not (math.isfinite(result.fixed_point_residual) and np.isfinite(result.spectrum).all()):
+        raise InputFormatError("the fit overflowed on the input values (non-finite result)")
+    return penalty, result
 
 
 def _read_triplet_file(args) -> tuple[np.ndarray, int, int]:
@@ -318,10 +310,19 @@ def _check_flags(args) -> None:
 
 def cmd_fit(args) -> int:
     _check_flags(args)
-    design, y = _load_observations(args)
-    obs = ObservationSet(design=design, y=y, sigma=args.sigma or 0.0)
-    penalty = _build_penalty(args, design.m1, design.m2, design.n)
-    result = fit(obs, penalty, _solver_from_args(args))
+    fmt = args.format
+    if fmt == "auto":
+        fmt = fileio.detect_format(args.input)
+    if fmt == "dense":
+        dense = fileio.read_dense_matrix(args.input)
+        m1, m2 = dense.shape
+        _guard_cells(m1, m2)
+        entries = np.indices((m1, m2)).reshape(2, -1).T
+        y = dense.ravel()
+    else:
+        triplets, m1, m2 = _read_triplet_file(args)
+        entries, y = triplets[:, :2], triplets[:, 2]
+    penalty, result = _fit_file_data(args, m1, m2, entries, y)
     fileio.write_dense_matrix(args.out_prefix + ".theta.csv", result.theta_hat)
     doc = result.to_dict()
     doc["lambda"] = penalty.lam
@@ -329,7 +330,7 @@ def cmd_fit(args) -> int:
     doc["penalty"] = penalty.family
     fileio.write_json(args.out_prefix + ".fit.json", doc)
     print(
-        f"fit: {design.m1}x{design.m2}, n={design.n}, penalty={penalty.family}, "
+        f"fit: {m1}x{m2}, n={y.size}, penalty={penalty.family}, "
         f"rank_hat={result.rank_hat}, converged={result.converged} "
         f"-> {args.out_prefix}.theta.csv"
     )
@@ -344,16 +345,14 @@ def cmd_evaluate(args) -> int:
         train, test = simlab.holdout_split(triplets, args.holdout_fraction, rng)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from None
-    entries = train[:, :2].astype(np.int64)
-    design = CompletionDesign(m1=m1, m2=m2, entries=entries)
-    obs = ObservationSet(design=design, y=train[:, 2], sigma=args.sigma or 0.0)
-    penalty = _build_penalty(args, m1, m2, design.n)
-    result = fit(obs, penalty, _solver_from_args(args))
+    penalty, result = _fit_file_data(args, m1, m2, train[:, :2], train[:, 2])
     score = simlab.rmse(result.theta_hat, test)
+    if not math.isfinite(score):
+        raise InputFormatError("the held-out RMSE overflowed on the input values")
     doc = {"rmse": score, "rank_hat": result.rank_hat, "lambda": penalty.lam, "seed": args.seed}
     fileio.write_json(args.out, doc)
     print(
-        f"evaluate: n_train={design.n}, n_test={test.shape[0]}, "
+        f"evaluate: n_train={train.shape[0]}, n_test={test.shape[0]}, "
         f"rmse={score:.6g}, rank_hat={result.rank_hat} -> {args.out}"
     )
     return EXIT_OK

@@ -3,10 +3,10 @@ JSON writer of the result documents.
 
 Dense files carry one matrix row per line, comma separated, no header.
 Triplet files carry lines ``j,k,value`` with 0-based integer indices and an
-optional ``j,k,value`` header.  Blank lines are skipped.  Floats are written
-with ``repr`` so files round-trip exactly and repeated runs are byte
-identical.  JSON documents are written indented by two, with sorted keys and
-a final newline.
+optional ``j,k,value`` header.  Blank lines are skipped, and every value
+must be finite.  Floats are written with ``repr`` so files round-trip
+exactly and repeated runs are byte identical.  JSON documents are written
+indented by two, with sorted keys and a final newline.
 """
 
 from __future__ import annotations
@@ -53,8 +53,18 @@ def write_dense_matrix(path, a: np.ndarray) -> None:
             fh.write("\n")
 
 
+def _finite(values: np.ndarray, lines) -> np.ndarray:
+    """``values``, after rejecting its first row that holds a NaN or an
+    infinity by its line number in ``lines``."""
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise InputFormatError("values must be finite", int(lines[bad[0]]))
+    return values
+
+
 def read_dense_matrix(path) -> np.ndarray:
     rows: list[list[float]] = []
+    lines: list[int] = []
     width = None
     for lineno, record in _records(path):
         try:
@@ -66,9 +76,10 @@ def read_dense_matrix(path) -> np.ndarray:
         elif len(values) != width:
             raise InputFormatError(f"expected {width} columns, found {len(values)}", lineno)
         rows.append(values)
+        lines.append(lineno)
     if not rows:
         raise InputFormatError("file contains no data rows")
-    return np.asarray(rows, dtype=float)
+    return _finite(np.asarray(rows, dtype=float), lines)
 
 
 def _is_header(record: list[str]) -> bool:
@@ -96,7 +107,7 @@ def read_triplets(path) -> tuple[np.ndarray, np.ndarray]:
         lines.append(lineno)
     if not rows:
         raise InputFormatError("file contains no data rows")
-    out = np.array(rows, dtype=float)
+    out = _finite(np.array(rows, dtype=float), lines)
     return out, np.array(lines, dtype=np.int64)
 
 

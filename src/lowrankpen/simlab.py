@@ -177,10 +177,11 @@ CSV_COLUMNS = (
 ).split(",")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrialOutcome:
-    """One trial's results.  The leading fields mirror the CSV schema; the
-    trailing diagnostics support bound audits without re-running the fit."""
+    """One trial's results.  The leading fields mirror the CSV schema, with the
+    fit's fields defaulting to what a diverged fit records; the trailing
+    diagnostics support bound audits without re-running the fit."""
 
     model: str
     m1: int
@@ -193,24 +194,18 @@ class TrialOutcome:
     b: float
     repeat: int
     seed: int
-    mse: float
-    frob_err: float
-    rank_hat: int
-    rank_correct: bool
-    oracle_match: bool | None
-    bound_total: float | None
-    bound_holds: bool | None
-    converged: bool
-    fixed_point_residual: float
+    mse: float = math.inf
+    frob_err: float = math.inf
+    rank_hat: int = -1
+    rank_correct: bool = False
+    oracle_match: bool | None = None
+    bound_total: float | None = None
+    bound_holds: bool | None = None
+    converged: bool = False
+    fixed_point_residual: float = math.inf
     runtime_seconds: float
     # diagnostics beyond the CSV schema
     in_cone: bool = False
-    cone_ratio: float = math.inf
-    kappa_hat: float = 0.0
-    rho_hat: float = 0.0
-    zeta_minus: float = 0.0
-    tau: float = 0.0
-    nu: float = 0.0
     r1: int = 0
     r2: int = 0
     theta_star_frob: float = 0.0
@@ -223,24 +218,25 @@ class GridResult:
     aggregate: tuple[dict, ...]
 
 
+def _sample_size_unit(model: str, r: int, m: int) -> float:
+    """The unit of the rescaled sample size: r*m*log m for completion, r*m for sensing."""
+    if model == COMPLETION:
+        return r * m * math.log(m)
+    if model == SENSING:
+        return r * m
+    raise ValueError(f"unknown model {model!r}")
+
+
 def rescale_n(model: str, n: int, r: int, m: int) -> float:
-    """Rescaled sample size: n/(r*m*log m) for completion, n/(r*m) for sensing."""
+    """Rescaled sample size n / unit; see :func:`_sample_size_unit`."""
     if n < 1 or r < 1 or m < 1:
         raise ValueError("arguments must be positive")
-    if model == COMPLETION:
-        return n / (r * m * math.log(m))
-    if model == SENSING:
-        return n / (r * m)
-    raise ValueError(f"unknown model {model!r}")
+    return n / _sample_size_unit(model, r, m)
 
 
 def raw_sample_size(model: str, rescaled: float, r: int, m: int) -> int:
     """Inverse of :func:`rescale_n`, rounded to the nearest integer."""
-    if model == COMPLETION:
-        return int(round(rescaled * r * m * math.log(m)))
-    if model == SENSING:
-        return int(round(rescaled * r * m))
-    raise ValueError(f"unknown model {model!r}")
+    return int(round(rescaled * _sample_size_unit(model, r, m)))
 
 
 def trial_seed(base_seed: int, n: int, penalty_index: int, repeat_index: int) -> int:
@@ -290,6 +286,11 @@ def standard_lambda(model: str, sigma: float, m1: int, m2: int, n: int, c: float
 
 def _resolve_lambda(spec: TrialSpec, n: int, probe: theory.CurvatureEstimate) -> float:
     if spec.lambda_rule == "oracle":
+        if not probe.kappa_hat > 0:
+            raise ValueError(
+                "lambda_rule 'oracle' needs a positive curvature estimate, "
+                f"got kappa_hat = {probe.kappa_hat!r} at n = {n}"
+            )
         # at c = 1 the standard rule is the oracle rule's noise term
         noise = standard_lambda(spec.model, spec.sigma, spec.m1, spec.m2, n, 1.0)
         return theory.lambda_oracle_rule(noise, spec.r, probe.rho_hat, probe.kappa_hat, spec.c)
@@ -357,10 +358,6 @@ def run_trial(spec: TrialSpec, n: int, penalty_index: int, repeat_index: int) ->
         b=template.b,
         repeat=repeat_index,
         seed=seed,
-        kappa_hat=probe.kappa_hat,
-        rho_hat=probe.rho_hat,
-        zeta_minus=penalty.zeta_minus,
-        nu=nu_ref,
         theta_star_frob=float(np.linalg.norm(theta_star)),
         tol=spec.solver.tol,
     )
@@ -368,19 +365,7 @@ def run_trial(spec: TrialSpec, n: int, penalty_index: int, repeat_index: int) ->
     try:
         result = fit(obs, penalty, spec.solver)
     except DivergenceError:
-        return TrialOutcome(
-            mse=math.inf,
-            frob_err=math.inf,
-            rank_hat=-1,
-            rank_correct=False,
-            oracle_match=None,
-            bound_total=None,
-            bound_holds=None,
-            converged=False,
-            fixed_point_residual=math.inf,
-            runtime_seconds=time.perf_counter() - t_start,
-            **common,
-        )
+        return TrialOutcome(runtime_seconds=time.perf_counter() - t_start, **common)
 
     delta = result.theta_hat - theta_star
     frob_err = float(np.linalg.norm(delta))
@@ -389,7 +374,7 @@ def run_trial(spec: TrialSpec, n: int, penalty_index: int, repeat_index: int) ->
 
     split = theory.split_spectrum(gamma, penalty.nu)
     tau = theory.tau_value(obs, theta_star, sub.subframe(split.s1))
-    cone_ratio, in_cone = theory.cone_condition(delta, sub)
+    _, in_cone = theory.cone_condition(delta, sub)
 
     bound_total = None
     bound_holds = None
@@ -425,8 +410,6 @@ def run_trial(spec: TrialSpec, n: int, penalty_index: int, repeat_index: int) ->
         fixed_point_residual=result.fixed_point_residual,
         runtime_seconds=time.perf_counter() - t_start,
         in_cone=in_cone,
-        cone_ratio=cone_ratio,
-        tau=tau,
         r1=split.r1,
         r2=split.r2,
         **common,
@@ -458,29 +441,18 @@ def run_grid(spec: TrialSpec, jobs: int = 1) -> GridResult:
         trials = tuple(_trial_task(t) for t in tasks)
 
     aggregate = []
-    offset = 0
-    for n in spec.n_grid:
-        for p_idx, template in enumerate(spec.penalties):
-            cell = trials[offset : offset + spec.repeats]
-            offset += spec.repeats
-            mses = np.array([t.mse for t in cell])
-            frobs = np.array([t.frob_err for t in cell])
-            aggregate.append(
-                {
-                    "model": spec.model,
-                    "n": n,
-                    "N": rescale_n(spec.model, n, spec.r, max(spec.m1, spec.m2)),
-                    "penalty": template.family,
-                    "b": template.b,
-                    "lambda": cell[0].lam,
-                    "repeats": len(cell),
-                    "mean_mse": float(np.mean(mses)),
-                    "std_mse": float(np.std(mses, ddof=1)) if len(cell) > 1 else 0.0,
-                    "mean_frob_err": float(np.mean(frobs)),
-                    "rank_correct_rate": float(np.mean([t.rank_correct for t in cell])),
-                    "converged_rate": float(np.mean([t.converged for t in cell])),
-                }
-            )
+    for offset in range(0, len(trials), spec.repeats):
+        cell = trials[offset : offset + spec.repeats]
+        aggregate.append(
+            {
+                "n": cell[0].n,
+                "N": cell[0].N,
+                "penalty": cell[0].penalty,
+                "mean_mse": float(np.mean([t.mse for t in cell])),
+                "mean_frob_err": float(np.mean([t.frob_err for t in cell])),
+                "rank_correct_rate": float(np.mean([t.rank_correct for t in cell])),
+            }
+        )
     return GridResult(trials=trials, aggregate=tuple(aggregate))
 
 
@@ -504,12 +476,6 @@ def write_trials_csv(path, trials) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def spec_to_jsonable(spec: TrialSpec) -> dict:
-    doc = asdict(spec)
-    doc["spectrum_rule"]["kind"] = spec.spectrum_rule.kind
-    return doc
-
-
 def write_meta_json(path, spec: TrialSpec, elapsed_seconds: float | None = None) -> None:
     """Sidecar metadata: spec echo, library version, RNG identifier.
 
@@ -518,8 +484,10 @@ def write_meta_json(path, spec: TrialSpec, elapsed_seconds: float | None = None)
     """
     from lowrankpen import __version__
 
+    doc = asdict(spec)
+    doc["spectrum_rule"]["kind"] = spec.spectrum_rule.kind
     meta = {
-        "spec": spec_to_jsonable(spec),
+        "spec": doc,
         "library_version": __version__,
         "rng": RNG_DESCRIPTION,
         "run": {

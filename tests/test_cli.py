@@ -257,6 +257,58 @@ def test_non_finite_sigma_flag_is_invalid_input(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == [src]
 
 
+def test_oracle_rule_without_curvature_names_lambda_rule(tmp_path, capsys):
+    # n = 1 sensing draw cannot curve a rank-2 tangent space: kappa_hat is 0
+    config = minimal_config(
+        tmp_path, model="sensing", m1=2, m2=2, r=2, n_grid=[1], lambda_rule="oracle"
+    )
+    out = tmp_path / "x"
+    assert run_cli("simulate", config, "--out-dir", out, "--jobs", 1) == 2
+    err = capsys.readouterr().err
+    assert "lambda_rule" in err and "n = 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command,layout", [("fit", "triplets"), ("fit", "dense"),
+                                            ("evaluate", "triplets")])
+def test_non_finite_file_value_names_its_line(tmp_path, capsys, token, command, layout):
+    src = tmp_path / "in.csv"
+    if layout == "dense":
+        src.write_text(f"1.0,2.0,0.5\n0.5,1.0,2.0\n3.0,{token},1.5\n")
+    else:
+        src.write_text(f"j,k,value\n0,0,1.0\n1,1,{token}\n2,0,1.5\n0,2,2.5\n")
+    out = tmp_path / "out"
+    assert run_cli(command, src, out, "--sigma", 0.1) == 2
+    err = capsys.readouterr().err
+    assert "line 3: values must be finite" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [src]
+
+
+ALL_HUGE = [[0, 0, 1e308], [1, 1, -1e308], [2, 0, 1e308], [0, 2, -1e308]]
+# the fit stops on a finite objective, but its fixed-point residual overflows
+ONE_HUGE = [[j, k, 1e308 if (j, k) == (1, 0) else 0.5 * j - 0.3 * k]
+            for j in range(5) for k in range(4)]
+
+
+@pytest.mark.parametrize(
+    "command,triplets,flags",
+    [("fit", ALL_HUGE, []), ("evaluate", ALL_HUGE, []), ("fit", ONE_HUGE, []),
+     ("evaluate", ONE_HUGE, ["--seed", 1])],  # seed 1 holds the huge value out
+    ids=["fit-diverges", "evaluate-diverges", "fit-residual-overflows",
+         "evaluate-rmse-overflows"],
+)
+def test_overflowing_file_values_are_invalid_input(tmp_path, capsys, command, triplets, flags):
+    src = tmp_path / "in.csv"
+    write_triplets(src, np.array(triplets))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli(command, src, out, "--sigma", 0.2, "--max-iter", 30, *flags) == 2
+    err = capsys.readouterr().err
+    assert "overflowed on the input values" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [src]
+
+
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_simulate_rejects_jobs_below_one(tmp_path, capsys, jobs):
     out = tmp_path / "x"

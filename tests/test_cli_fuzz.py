@@ -6,7 +6,10 @@ one key of a tiny valid ``simulate`` config, or one flag of a tiny ``fit`` /
 null, bools, strings, lists, negatives, zero and fractions.  A second base
 config takes its sample sizes from ``N_grid`` and its spectrum from the
 ``mixed`` rule, whose keys and entries are fuzzed too.  A ``simulate`` that
-exits nonzero must leave no output directory behind.  Integer draws stay
+exits nonzero must leave no output directory behind.  The input files of
+``fit`` (triplet and dense) and ``evaluate`` are fuzzed by replacing one
+value cell with a token from a fixed set; a run that exits 0 must write
+JSON that parses with NaN and the infinities rejected.  Integer draws stay
 small: a large ``repeats``, ``probe_directions``, ``max_iter`` or grid size
 is a long run, not a crash, so the fuzzer never asks for one.
 """
@@ -17,11 +20,12 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lowrankpen import cli
-from lowrankpen.fileio import write_triplets
+from lowrankpen.fileio import write_dense_matrix, write_triplets
 
 ALLOWED_EXITS = {0, 2, 3, 4}
 
@@ -139,6 +143,10 @@ ODD_FLAG_VALUES = st.one_of(
 )
 
 
+TINY_MATRIX = [[0.5 * j - 0.3 * k for k in range(4)] for j in range(5)]
+TINY_TRIPLETS = [[j, k, x] for j, row in enumerate(TINY_MATRIX) for k, x in enumerate(row)]
+
+
 @pytest.mark.parametrize("command,flag", FLAGS, ids=lambda x: x)
 @settings(max_examples=20)
 @given(value=ODD_FLAG_VALUES)
@@ -151,7 +159,43 @@ def test_command_flag_exit_code(command, flag, value):
             argv = [command, config, "--out-dir", work / "out"]
         else:
             src = work / "t.csv"
-            write_triplets(src, [[j, k, 0.5 * j - 0.3 * k] for j in range(5) for k in range(4)])
+            write_triplets(src, TINY_TRIPLETS)
             argv = [command, src, work / "out", "--sigma=0.2", "--max-iter=30"]
         code = exit_code([*argv, f"{flag}={value}"])
     assert code in ALLOWED_EXITS, f"{command} {flag}={value!r} exited {code}"
+
+
+VALUE_TOKENS = ["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "", "x", "0"]
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+@pytest.mark.parametrize("command,layout", [("fit", "triplets"), ("fit", "dense"),
+                                            ("evaluate", "triplets")])
+@pytest.mark.parametrize("token", VALUE_TOKENS)
+@settings(max_examples=8)
+@given(cell=st.integers(0, len(TINY_TRIPLETS) - 1))
+def test_file_value_exit_code(command, layout, token, cell):
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        src = work / "in.csv"
+        if layout == "dense":
+            write_dense_matrix(src, TINY_MATRIX)
+            row, col = divmod(cell, 4)
+        else:
+            write_triplets(src, TINY_TRIPLETS)
+            row, col = cell + 1, 2  # past the header, the value field
+        lines = src.read_text().splitlines()
+        fields = lines[row].split(",")
+        fields[col] = token
+        lines[row] = ",".join(fields)
+        src.write_text("\n".join(lines) + "\n")
+        out = work / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = exit_code([command, src, out, "--sigma=0.2", "--max-iter=30"])
+        assert code in ALLOWED_EXITS, f"{command} {layout} cell {cell} = {token!r} exited {code}"
+        if code == 0:
+            doc = Path(f"{out}.fit.json") if command == "fit" else out
+            json.loads(doc.read_text(), parse_constant=reject_constant)

@@ -64,6 +64,18 @@ def test_triplets_bad_rows(tmp_path):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_values_name_their_line(tmp_path, token):
+    triplets = tmp_path / "t.csv"
+    triplets.write_text(f"j,k,value\n0,1,2.5\n1,0,1.0\n2,2,{token}\n")
+    dense = tmp_path / "d.csv"
+    dense.write_text(f"1.0,2.0\n3.0,{token}\n4.0,5.0\n")
+    for read, path, line in ((read_triplets, triplets, 4), (read_dense_matrix, dense, 2)):
+        with pytest.raises(InputFormatError, match="must be finite") as err:
+            read(path)
+        assert err.value.line == line
+
+
 def test_write_triplets_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     data = np.array([[0, 1, 2.5], [4, 0, -0.125]])
