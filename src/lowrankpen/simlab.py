@@ -219,7 +219,7 @@ class GridResult:
 
 
 def _sample_size_unit(model: str, r: int, m: int) -> float:
-    """The unit of the rescaled sample size: r*m*log m for completion, r*m for sensing."""
+    """The sample size that :func:`rescale_n` maps to 1."""
     if model == COMPLETION:
         return r * m * math.log(m)
     if model == SENSING:
@@ -228,7 +228,7 @@ def _sample_size_unit(model: str, r: int, m: int) -> float:
 
 
 def rescale_n(model: str, n: int, r: int, m: int) -> float:
-    """Rescaled sample size n / unit; see :func:`_sample_size_unit`."""
+    """Rescaled sample size: n/(r*m*log m) for completion, n/(r*m) for sensing."""
     if n < 1 or r < 1 or m < 1:
         raise ValueError("arguments must be positive")
     return n / _sample_size_unit(model, r, m)
