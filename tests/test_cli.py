@@ -258,7 +258,7 @@ def test_non_finite_sigma_flag_is_invalid_input(tmp_path, capsys, command):
 
 
 def test_oracle_rule_without_curvature_names_lambda_rule(tmp_path, capsys):
-    # n = 1 sensing draw cannot curve a rank-2 tangent space: kappa_hat is 0
+    # one sensing draw curves one direction of the 4-dim tangent space: kappa_hat is 0
     config = minimal_config(
         tmp_path, model="sensing", m1=2, m2=2, r=2, n_grid=[1], lambda_rule="oracle"
     )
