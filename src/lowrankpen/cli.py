@@ -51,19 +51,20 @@ class ResourceGuardError(RuntimeError):
 
 
 def _require(cfg: dict, key: str, kind, where: str = "config", default=dataclasses.MISSING):
-    """``cfg[key]`` checked to be of ``kind`` (a float must be finite), or
-    ``default`` when the key is absent and a default is given."""
+    """``cfg[key]`` checked to be of JSON kind ``kind``, or ``default`` when
+    the key is absent and a default is given; ``null`` is accepted where the
+    default is None.  The value itself is checked by the class it builds."""
     if key not in cfg:
         if default is dataclasses.MISSING:
             raise ConfigError(key, f"missing from {where}")
         return default
     value = cfg[key]
+    if value is None and default is None:
+        return None
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(key, f"expected {kind.__name__}")
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(key, f"{key} must be finite, got {value}")
     return value
 
 
@@ -74,7 +75,7 @@ def _field_error(exc: ValueError, keys, fallback: str) -> ConfigError:
     return ConfigError(field if field in keys else fallback, str(exc))
 
 
-_JSON_KINDS = {"int": int, "float": float, "str": str}
+_JSON_KINDS = {"int": int, "float": float, "float | None": float, "str": str}
 
 
 def _read_fields(cls, doc: dict, where: str) -> dict:
@@ -110,7 +111,6 @@ def _is_list_of(raw, kind) -> bool:
 
 
 _TOP_KEYS = {f.name for f in dataclasses.fields(TrialSpec)} | {"N_grid", "out_dir"}
-_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 _SPECTRUM_RULES = {rule.kind: rule for rule in (AllAboveNu, MixedSpectrum)}
 
 
@@ -168,14 +168,7 @@ def parse_run_config(cfg: dict) -> tuple[TrialSpec, str | None]:
             raise ConfigError("penalties", f"entry {i} must be an object")
         penalties.append(_read_section(PenaltyTemplate, doc, f"penalties[{i}]"))
 
-    solver_doc = _require(cfg, "solver", dict, default={})
-    for key in solver_doc:
-        if key not in _SOLVER_KEYS:
-            raise ConfigError(key, "unknown key in solver")
-    try:
-        solver = SolverConfig(**solver_doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("solver", str(exc)) from None
+    solver = _read_section(SolverConfig, _require(cfg, "solver", dict, default={}), "solver")
 
     out_dir = cfg.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
@@ -225,8 +218,9 @@ def cmd_simulate(args) -> int:
 def _fit_file_data(args, m1: int, m2: int, entries: np.ndarray, y: np.ndarray):
     """Penalty and fit of the observations ``y`` of the m1 x m2 cells
     ``entries`` under the flags of ``args``.  No step flag exists, so a fit
-    that overflows (diverges, or ends on a non-finite residual or spectrum)
-    was driven there by the input values: that is invalid input."""
+    that diverges (:func:`fit` raises on any non-finite iterate, objective,
+    residual or spectrum) was driven there by the input values: that is
+    invalid input."""
     design = CompletionDesign(m1=m1, m2=m2, entries=entries)
     obs = ObservationSet(design=design, y=y, sigma=args.sigma or 0.0)
     lam = args.lam
@@ -251,8 +245,6 @@ def _fit_file_data(args, m1: int, m2: int, entries: np.ndarray, y: np.ndarray):
         result = fit(obs, penalty, config)
     except DivergenceError as exc:
         raise InputFormatError(f"the fit overflowed on the input values ({exc})") from None
-    if not (math.isfinite(result.fixed_point_residual) and np.isfinite(result.spectrum).all()):
-        raise InputFormatError("the fit overflowed on the input values (non-finite result)")
     return penalty, result
 
 
@@ -341,10 +333,7 @@ def cmd_evaluate(args) -> int:
     _check_flags(args)
     triplets, m1, m2 = _read_triplet_file(args)
     rng = np.random.default_rng(args.seed)
-    try:
-        train, test = simlab.holdout_split(triplets, args.holdout_fraction, rng)
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from None
+    train, test = simlab.holdout_split(triplets, args.holdout_fraction, rng)
     penalty, result = _fit_file_data(args, m1, m2, train[:, :2], train[:, 2])
     score = simlab.rmse(result.theta_hat, test)
     if not math.isfinite(score):
@@ -368,11 +357,11 @@ def _add_penalty_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=float, default=None, help="noise level")
     p.add_argument("--alpha-star", dest="alpha_star", type=float, default=None,
                    help="entrywise box bound")
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=2000)
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-4)
+    p.add_argument("--max-iter", dest="max_iter", type=int, default=SolverConfig.max_iter)
+    p.add_argument("--tol", type=float, default=SolverConfig.tol)
+    p.add_argument("--rank-tol", dest="rank_tol", type=float, default=SolverConfig.rank_tol_rel)
     p.add_argument("--warm-start", dest="warm_start", choices=["zero", "nuclear"],
-                   default="zero")
+                   default=SolverConfig.warm_start)
     p.add_argument("--m1", type=int, default=None, help="rows (triplet input only)")
     p.add_argument("--m2", type=int, default=None, help="columns (triplet input only)")
 
@@ -418,8 +407,11 @@ def main(argv=None) -> int:
         if isinstance(value, list):
             parser.error(f"argument {dest}: '--' is not a value")
     try:
-        return args.func(args)
-    except (ConfigError, InputFormatError, ValueError) as exc:
+        # every overflow reaches a finiteness check that exits 2; numpy's
+        # floating-point warnings would only repeat it on stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except ValueError as exc:  # ConfigError and InputFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except ResourceGuardError as exc:

@@ -86,6 +86,16 @@ def _is_header(record: list[str]) -> bool:
     return [field.strip().lower() for field in record] == ["j", "k", "value"]
 
 
+def _triplet(record: list[str], lineno: int) -> tuple[int, int, float]:
+    """(j, k, value) of one ``j,k,value`` row, or an error naming ``lineno``."""
+    if len(record) != 3:
+        raise InputFormatError(f"expected 3 fields (j,k,value), found {len(record)}", lineno)
+    try:
+        return int(record[0]), int(record[1]), float(record[2])
+    except ValueError as exc:
+        raise InputFormatError(f"bad triplet ({exc})", lineno) from None
+
+
 def read_triplets(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse ``j,k,value`` rows; returns (triplets, 1-based line numbers)."""
     rows: list[tuple[int, int, float]] = []
@@ -93,14 +103,7 @@ def read_triplets(path) -> tuple[np.ndarray, np.ndarray]:
     for lineno, record in _records(path):
         if lineno == 1 and _is_header(record):
             continue
-        if len(record) != 3:
-            raise InputFormatError(f"expected 3 fields (j,k,value), found {len(record)}", lineno)
-        try:
-            j = int(record[0])
-            k = int(record[1])
-            value = float(record[2])
-        except ValueError as exc:
-            raise InputFormatError(f"bad triplet ({exc})", lineno) from None
+        j, k, value = _triplet(record, lineno)
         if j < 0 or k < 0:
             raise InputFormatError("indices must be nonnegative", lineno)
         rows.append((j, k, value))
@@ -126,13 +129,9 @@ def detect_format(path) -> str:
     for lineno, record in _records(path):
         if lineno == 1 and _is_header(record):
             return "triplets"
-        if len(record) != 3:
-            return "dense"
         try:
-            int(record[0])
-            int(record[1])
-            float(record[2])
-        except ValueError:
+            _triplet(record, lineno)
+        except InputFormatError:
             return "dense"
         return "triplets"
     raise InputFormatError("file contains no data rows")

@@ -29,7 +29,6 @@ from lowrankpen.operators import (
     SensingDesign,
     Subspace,
     loss_gradient,
-    project_complement,
     project_onto,
     quadratic_form,
 )
@@ -200,20 +199,15 @@ def lambda_oracle_sensing(
     )
 
 
-def _cone_nuclear_norms(
-    sub: Subspace, aligned_of: np.ndarray, complement_of: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nuclear norms of P(A) and of P_perp(B) for (..., m1, m2) stacks A and B.
+def _nuclear_norms(cores: np.ndarray) -> np.ndarray:
+    """Nuclear norms of a (..., p, q) stack of cores: one batched singular-value call.
 
     P(A) = U (U^T A V) V^T and P_perp(B) = U_perp (U_perp^T B V_perp) V_perp^T
     with orthonormal frames, so their nuclear norms are those of the r x r
-    and (m1 - r) x (m2 - r) cores: one batched singular-value call per part,
-    on matrices smaller than m1 x m2.
+    core U^T A V and the (m1 - r) x (m2 - r) core U_perp^T B V_perp, matrices
+    smaller than m1 x m2.
     """
-    u_perp, v_perp = sub.complement
-    aligned = np.linalg.svd(sub.U.T @ aligned_of @ sub.V, compute_uv=False)
-    complement = np.linalg.svd(u_perp.T @ complement_of @ v_perp, compute_uv=False)
-    return aligned.sum(axis=-1), complement.sum(axis=-1)
+    return np.linalg.svd(cores, compute_uv=False).sum(axis=-1)
 
 
 def cone_condition(delta: np.ndarray, sub: Subspace) -> tuple[float, bool]:
@@ -222,7 +216,9 @@ def cone_condition(delta: np.ndarray, sub: Subspace) -> tuple[float, bool]:
     Returns ``(ratio, in_cone)`` where the direction is in the cone when the
     complement's nuclear norm is at most five times the aligned part's.
     """
-    aligned, complement = _cone_nuclear_norms(sub, delta, delta)
+    u_perp, v_perp = sub.complement
+    aligned = _nuclear_norms(sub.U.T @ delta @ sub.V)
+    complement = _nuclear_norms(u_perp.T @ delta @ v_perp)
     ratio = float(complement / max(aligned, 1e-300))
     return ratio, bool(complement <= CONE_FACTOR * aligned)
 
@@ -274,19 +270,14 @@ def _refined_extrema(design: SensingDesign, sub: Subspace) -> tuple[float, float
 
     def block_value(block: slice) -> float | None:
         basis = eigvecs[:, block]
-        if basis.shape[1] == 0:
-            return None
-        # core-mass-optimal direction within the block's span
+        # core-mass-optimal unit direction within the block's span
         mats3 = basis.T.reshape(-1, design.m1, design.m2)
         cores = project_onto(sub, mats3)
         gram = np.einsum("iab,jab->ij", cores, mats3)
         gram = 0.5 * (gram + gram.T)
         _, vv = np.linalg.eigh(gram)
         direction = np.einsum("i,iab->ab", vv[:, -1], mats3)
-        nrm = float(np.linalg.norm(direction))
-        if nrm == 0.0:
-            return None
-        return _feasible_blend(design, sub, direction / nrm)
+        return _feasible_blend(design, sub, direction / float(np.linalg.norm(direction)))
 
     k = min(_REFINE_SUBSPACE, d)
     null_dim = int(np.count_nonzero(eigvals <= 1e-12 * max(eigvals[-1], 0.0)))
@@ -335,12 +326,13 @@ def probe_rsc(
     r, never on the values drawn.
 
     The draws are taken one direction at a time, the linear algebra a chunk
-    of ``_PROBE_CHUNK`` stacked directions at a time: one stacked projection
-    per part, the two nuclear norms from the r x r core U^T A V and the
-    (m1 - r) x (m2 - r) core U_perp^T B V_perp (one batched singular-value
-    call each, the same helper :func:`cone_condition` uses), and one stacked
-    quadratic form.  The result equals the one-direction-at-a-time loop to
-    rounding.
+    of ``_PROBE_CHUNK`` stacked directions at a time: the r x r cores
+    C = U^T A V and the (m1 - r) x (m2 - r) cores C_perp = U_perp^T B V_perp
+    are formed once, their nuclear norms taken by one batched
+    singular-value call each (the same helper :func:`cone_condition`
+    uses), each direction built as U C V^T + U_perp (scale C_perp) V_perp^T,
+    and the quadratic form taken on the stack.  The result equals the
+    one-direction-at-a-time loop to rounding.
 
     With ``refine`` set, the sampled range is widened by cone-feasible
     directions built from the exact extreme eigen-subspaces of the quadratic
@@ -360,6 +352,7 @@ def probe_rsc(
         raise ValueError("refinement needs a sensing design")
     m1, m2 = design.m1, design.m2
     with_complement = 0 < sub.r < min(m1, m2)
+    u_perp, v_perp = sub.complement
     kappa_hat = math.inf
     rho_hat = -math.inf
     for start in range(0, trials, _PROBE_CHUNK):
@@ -372,12 +365,14 @@ def probe_rsc(
             ratios[j] = rng.uniform(0.0, CONE_FACTOR)
             if with_complement:
                 rng.standard_normal(out=comp[j])
-        directions = project_onto(sub, aligned)
+        core = sub.U.T @ aligned @ sub.V
+        directions = sub.U @ core @ sub.V.T
         if with_complement:
-            aligned_nuc, comp_nuc = _cone_nuclear_norms(sub, aligned, comp)
+            comp_core = u_perp.T @ comp @ v_perp
+            aligned_nuc, comp_nuc = _nuclear_norms(core), _nuclear_norms(comp_core)
             scale = np.zeros(count)
             np.divide(ratios * aligned_nuc, comp_nuc, out=scale, where=comp_nuc > 0)
-            directions += project_complement(sub, comp) * scale[:, None, None]
+            directions += u_perp @ (comp_core * scale[:, None, None]) @ v_perp.T
         flat = directions.reshape(count, -1)
         norms = np.sqrt(np.vecdot(flat, flat))
         keep = np.flatnonzero(norms > 0.0)

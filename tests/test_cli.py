@@ -153,13 +153,23 @@ def test_simulate_rejects_fractional_max_iter_before_running(tmp_path, capsys):
                                              "low_value": 50}}),
         ("spectrum_rule", {"spectrum_rule": {"kind": "mixed", "r1": 1, "r2": 1,
                                              "low_value": 0.95}}),
+        ("tol", {"solver": {"tol": -1e-7}}),
+        ("eta", {"solver": {"eta": 0}}),
+        ("eta", {"solver": {"eta": math.inf}}),
+        ("alpha_star", {"solver": {"alpha_star": math.nan}}),
+        ("rank_tol_rel", {"solver": {"rank_tol_rel": math.nan}}),
+        ("max_iter", {"solver": {"max_iter": 0}}),
+        ("warm_start", {"solver": {"warm_start": "x"}}),
+        ("warm_start", {"solver": {"warm_start": None}}),
     ],
     ids=["sigma-nan", "margin-nan", "margin-list", "margin-negative", "b-list", "c-nan",
          "c-negative", "c-zero", "step_policy", "r1-negative", "low_value-negative",
          "low_value-zero", "n_grid-float", "n_grid-bool", "n_grid-string", "n_grid-zero",
          "c-underflow", "N_grid-bool", "lambda_rule-unknown", "model-unknown",
          "penalties-empty", "penalties-zero-b", "spectrum_rule-rank-sum", "N_grid-below-one",
-         "low_value-above-nu", "low_value-just-above-nu"],
+         "low_value-above-nu", "low_value-just-above-nu", "tol-negative", "eta-zero", "eta-inf",
+         "alpha_star-nan", "rank_tol_rel-nan", "max_iter-zero", "warm_start-unknown",
+         "warm_start-null"],
 )
 def test_simulate_rejects_invalid_value_naming_its_key(tmp_path, capsys, key, overrides):
     config = minimal_config(tmp_path, **overrides)
@@ -180,6 +190,14 @@ def test_simulate_overflowing_truth_scale_is_invalid_input(tmp_path, capsys, ove
     config = minimal_config(tmp_path, **overrides)
     assert run_cli("simulate", config, "--out-dir", tmp_path / "x", "--jobs", 1) == 2
     assert "overflow" in capsys.readouterr().err
+
+
+def test_simulate_accepts_null_for_the_optional_solver_fields(tmp_path):
+    config = minimal_config(tmp_path, solver={"max_iter": 1200, "eta": None, "alpha_star": None})
+    out = tmp_path / "out"
+    assert run_cli("simulate", config, "--out-dir", out, "--jobs", 1) == 0
+    solver = json.loads((out / "meta.json").read_text())["spec"]["solver"]
+    assert solver["eta"] is None and solver["alpha_star"] is None
 
 
 def test_simulate_mixed_spectrum_echoes_its_rule(tmp_path):
@@ -302,8 +320,7 @@ def test_overflowing_file_values_are_invalid_input(tmp_path, capsys, command, tr
     src = tmp_path / "in.csv"
     write_triplets(src, np.array(triplets))
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run_cli(command, src, out, "--sigma", 0.2, "--max-iter", 30, *flags) == 2
+    assert run_cli(command, src, out, "--sigma", 0.2, "--max-iter", 30, *flags) == 2
     err = capsys.readouterr().err
     assert "overflowed on the input values" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == [src]

@@ -28,6 +28,7 @@ from lowrankpen.solver import (
     prox_spectral,
     solve_oracle,
 )
+from lowrankpen.simlab import standard_lambda
 from lowrankpen.theory import lambda_sensing, probe_rsc
 
 from conftest import (
@@ -247,6 +248,18 @@ def test_fit_divergence_raises_named_iteration():
         fit(obs, PenaltySpec(SCAD, 1e-6, 3.7), config)
 
 
+def test_fit_rejects_a_non_finite_final_residual():
+    # a 5 x 4 completion with one observation at 1e308: the iteration stops
+    # on a finite objective after two steps, but the residual's gradient step
+    # (eta = 20) overflows; the fit must not report that as converged
+    cells = [(j, k) for j in range(5) for k in range(4)]
+    y = np.array([1e308 if cell == (1, 0) else 0.5 * cell[0] - 0.3 * cell[1] for cell in cells])
+    obs = ObservationSet(CompletionDesign(m1=5, m2=4, entries=np.array(cells)), y, sigma=0.2)
+    lam = standard_lambda("completion", 0.2, 5, 4, len(cells), 2.0)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="residual"):
+        fit(obs, PenaltySpec(SCAD, lam, 3.7), SolverConfig(max_iter=30))
+
+
 def test_fit_box_constraint_clips():
     rng = np.random.default_rng(13)
     theta_star, _, _ = random_low_rank(rng, 6, 6, [4.0, 2.0])
@@ -429,7 +442,8 @@ def test_truncated_prox_matches_full_svd(spec, shape, case, monkeypatch):
     # the warm block comes from a nearby matrix, as between two solver steps;
     # the near-threshold spectrum has values 1% and 0.5% on both sides of
     # eta * lambda, and in the growing case the nearby matrix has rank 3
-    # while 14 values of z clear the threshold, so the 8-column block doubles
+    # while 14 values of z clear the threshold, so the 8-column block cannot
+    # hold them and the full SVD takes over
     m = min(shape)
     assert m >= solver_module._TRUNCATE_MIN_DIM
     rng = np.random.default_rng(31)
@@ -452,7 +466,8 @@ def test_truncated_prox_matches_full_svd(spec, shape, case, monkeypatch):
     outcomes = count_truncated(monkeypatch)
 
     theta, spectrum, next_block = solver_module._prox_svd(spec, z, eta, block)
-    assert outcomes == [True]  # the truncated path ran and was accepted
+    # the truncated path ran, and was accepted unless it had to fall back
+    assert outcomes == [case == "near-threshold"]
     theta_ref, spectrum_ref, _ = solver_module._prox_svd(spec, z, eta)
     rank = int(np.count_nonzero(spectrum_ref))
     assert spectrum.shape == spectrum_ref.shape == (m,)
