@@ -253,19 +253,18 @@ def _read_triplet_file(args) -> tuple[np.ndarray, int, int]:
 
     The shape is ``--m1`` / ``--m2``, or one past the largest index.  An
     index outside it is an input error naming its line; negative indices
-    never get here, the reader rejects them.
+    never get here, the reader rejects them.  The checks run on the float
+    columns, so an index past int64 cannot wrap on a cast.
     """
     triplets, lines = fileio.read_triplets(args.input)
-    jj = triplets[:, 0].astype(np.int64)
-    kk = triplets[:, 1].astype(np.int64)
+    jj, kk = triplets[:, 0], triplets[:, 1]
     m1 = args.m1 if args.m1 else int(jj.max()) + 1
     m2 = args.m2 if args.m2 else int(kk.max()) + 1
     _guard_cells(m1, m2)
     bad = np.flatnonzero((jj >= m1) | (kk >= m2))
     if bad.size:
-        raise InputFormatError(
-            f"index ({jj[bad[0]]},{kk[bad[0]]}) outside {m1}x{m2}", int(lines[bad[0]])
-        )
+        j, k = int(jj[bad[0]]), int(kk[bad[0]])
+        raise InputFormatError(f"index ({j},{k}) outside {m1}x{m2}", int(lines[bad[0]]))
     return triplets, m1, m2
 
 

@@ -86,13 +86,14 @@ def _is_header(record: list[str]) -> bool:
     return [field.strip().lower() for field in record] == ["j", "k", "value"]
 
 
-def _triplet(record: list[str], lineno: int) -> tuple[int, int, float]:
-    """(j, k, value) of one ``j,k,value`` row, or an error naming ``lineno``."""
+def _triplet(record: list[str], lineno: int) -> tuple[float, float, float]:
+    """(j, k, value) of one ``j,k,value`` row as floats (the indices must be
+    integers), or an error naming ``lineno``."""
     if len(record) != 3:
         raise InputFormatError(f"expected 3 fields (j,k,value), found {len(record)}", lineno)
     try:
-        return int(record[0]), int(record[1]), float(record[2])
-    except ValueError as exc:
+        return float(int(record[0])), float(int(record[1])), float(record[2])
+    except (ValueError, OverflowError) as exc:
         raise InputFormatError(f"bad triplet ({exc})", lineno) from None
 
 

@@ -353,12 +353,3 @@ def generate_observations(
         y = y + sigma * rng.standard_normal(design.n)
     return ObservationSet(design=design, y=y, sigma=float(sigma))
 
-
-def spikiness(theta: np.ndarray) -> float:
-    """Spikiness ratio sqrt(m1*m2) * ||Theta||_inf / ||Theta||_F, in [1, sqrt(m1*m2)]."""
-    theta = np.asarray(theta, dtype=float)
-    fro = float(np.linalg.norm(theta))
-    if fro == 0.0:
-        raise ValueError("spikiness is undefined for the zero matrix")
-    m1, m2 = theta.shape
-    return float(np.sqrt(m1 * m2) * np.abs(theta).max() / fro)

@@ -28,6 +28,7 @@ from lowrankpen import fileio, theory
 from lowrankpen.operators import (
     Subspace,
     generate_observations,
+    loss_gradient,
     sample_completion_design,
     sample_sensing_design,
 )
@@ -181,7 +182,14 @@ CSV_COLUMNS = (
 class TrialOutcome:
     """One trial's results.  The leading fields mirror the CSV schema, with the
     fit's fields defaulting to what a diverged fit records; the trailing
-    diagnostics support bound audits without re-running the fit."""
+    diagnostics support bound audits without re-running the fit.
+
+    ``oracle_gap`` is the slack of the oracle-property condition at the
+    probed curvature, set (as ``bound_total`` is) when that curvature clears
+    the concavity level, and -inf for the nuclear norm, whose nu is infinite.
+    When it is positive the theorem says the fit equals the rank-restricted
+    oracle, which ``oracle_match`` checks.
+    """
 
     model: str
     m1: int
@@ -210,6 +218,7 @@ class TrialOutcome:
     r2: int = 0
     theta_star_frob: float = 0.0
     tol: float = 0.0
+    oracle_gap: float | None = None
 
 
 @dataclass(frozen=True)
@@ -252,24 +261,6 @@ def _sample_frames(rng: np.random.Generator, m1: int, m2: int, r: int):
     g = rng.standard_normal((m1, m2))
     u, _, vt = np.linalg.svd(g, full_matrices=False)
     return u[:, :r], vt[:r, :].T
-
-
-def generate_ground_truth(
-    rng: np.random.Generator, m1: int, m2: int, r: int, gamma_values
-) -> tuple[np.ndarray, Subspace, np.ndarray]:
-    """Random rank-r truth with the prescribed singular values.
-
-    Returns the matrix, the subspace of its singular frames, and the
-    spectrum sorted nonincreasing.
-    """
-    gamma = np.sort(np.asarray(gamma_values, dtype=float))[::-1]
-    if gamma.size != r or np.any(gamma <= 0):
-        raise ValueError("gamma_values must hold r positive entries")
-    if r > min(m1, m2):
-        raise ValueError("r exceeds matrix dimensions")
-    u, v = _sample_frames(rng, m1, m2, r)
-    theta = (u * gamma) @ v.T
-    return theta, Subspace(u, v), gamma
 
 
 def standard_lambda(model: str, sigma: float, m1: int, m2: int, n: int, c: float) -> float:
@@ -378,12 +369,18 @@ def run_trial(spec: TrialSpec, n: int, penalty_index: int, repeat_index: int) ->
 
     bound_total = None
     bound_holds = None
+    oracle_gap = None
     if probe.kappa_hat > penalty.zeta_minus:
         report = theory.error_bound_general(
             tau, lam, probe.kappa_hat, penalty.zeta_minus, split.r1, split.r2
         )
         bound_total = report.total
         bound_holds = bool(frob_err <= report.total)
+        # ||X*(eps)||_2 = n ||grad L(Theta*)||_2
+        adj_noise = n * float(np.linalg.norm(loss_gradient(obs, theta_star), 2))
+        oracle_gap = theory.oracle_condition_gap(
+            gamma, penalty.nu, spec.r, adj_noise, n, probe.kappa_hat
+        )
 
     oracle_match = None
     if template.family != NUCLEAR and isinstance(spec.spectrum_rule, AllAboveNu):
@@ -412,6 +409,7 @@ def run_trial(spec: TrialSpec, n: int, penalty_index: int, repeat_index: int) ->
         in_cone=in_cone,
         r1=split.r1,
         r2=split.r2,
+        oracle_gap=oracle_gap,
         **common,
     )
 

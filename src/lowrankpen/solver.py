@@ -246,8 +246,12 @@ def _prox_svd(spec: PenaltySpec, z: np.ndarray, eta: float, block=None):
 
 def prox_spectral(spec: PenaltySpec, z: np.ndarray, eta: float) -> np.ndarray:
     """Proximal map of the spectral penalty: scalar prox on each singular value
-    (which rejects an ``eta`` that is not finite and positive)."""
-    return _prox_svd(spec, np.asarray(z, dtype=float), eta)[0]
+    (which rejects an ``eta`` that is not finite and positive).  A non-finite
+    ``z`` raises ``ValueError`` before the SVD, which may not return on it."""
+    z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError("z must be finite")
+    return _prox_svd(spec, z, eta)[0]
 
 
 def _objective(obs: ObservationSet, spec: PenaltySpec, theta: np.ndarray, spectrum=None):

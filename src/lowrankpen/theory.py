@@ -3,11 +3,11 @@
 Every bound and condition the estimator's analysis rests on is evaluated
 numerically here so that simulation trials can check it on realized data:
 the spectral split of the true singular values at the flatness threshold,
-the two-part Frobenius error bound, the rank-restricted (oracle) rate and
-the gap in its applicability condition, regularization-level selection
-rules for completion and sensing, the cone membership test for error
-directions, an empirical restricted-curvature probe, and the singular-value
-perturbation (Weyl) check.
+the two-part Frobenius error bound, the slack in the oracle-property
+condition (under which the penalized and rank-restricted estimators
+coincide), the standard and exact-recovery regularization rules, the cone
+membership test for error directions, an empirical restricted-curvature
+probe, and the singular-value perturbation (Weyl) check.
 
 Population curvature constants are unknowable from data, so all bounds are
 evaluated with the empirical estimates returned by :func:`probe_rsc` and
@@ -112,13 +112,6 @@ def error_bound_general(
     return ErrorBoundReport(part_s1=part_s1, part_s2=part_s2, total=part_s1 + part_s2)
 
 
-def oracle_bound(tau: float, r: int, kappa: float) -> float:
-    """Best-case rate 2*sqrt(r)*tau/kappa attained when all values clear nu."""
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
-    return 2.0 * math.sqrt(r) * tau / kappa
-
-
 def oracle_condition_gap(
     gamma_star, nu: float, r: int, adj_noise_spectral: float, n: int, kappa: float
 ) -> float:
@@ -172,31 +165,6 @@ def lambda_oracle_rule(
     if not kappa > 0:
         raise ValueError("kappa must be positive")
     return c * adj_noise_over_n * (1.0 + math.sqrt(r) * rho / kappa)
-
-
-def lambda_oracle_completion(
-    sigma: float, m1: int, m2: int, n: int, r: int, c: float = DEFAULT_RULE_CONSTANT
-) -> float:
-    """Closed-form completion variant of the exact-recovery rule: the
-    completion rule at c = 1 as the noise term, with rho/kappa = 1."""
-    return lambda_oracle_rule(lambda_completion(sigma, m1, m2, n, 1.0), r, 1.0, 1.0, c)
-
-
-def lambda_oracle_sensing(
-    sigma: float,
-    pi_sigma: float,
-    m1: int,
-    m2: int,
-    n: int,
-    r: int,
-    eig_ratio: float = 1.0,
-    c: float = DEFAULT_RULE_CONSTANT,
-) -> float:
-    """Closed-form sensing variant: the sensing rule at c = 1 as the noise
-    term, with ``eig_ratio`` = lambda_max/lambda_min of Sigma for rho/kappa."""
-    return lambda_oracle_rule(
-        lambda_sensing(sigma, pi_sigma, m1, m2, n, 1.0), r, eig_ratio, 1.0, c
-    )
 
 
 def _nuclear_norms(cores: np.ndarray) -> np.ndarray:
@@ -400,11 +368,15 @@ def tau_value(obs: ObservationSet, theta_star: np.ndarray, sub_s1: Subspace) -> 
 
 
 def weyl_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """max_i |gamma_i(A) - gamma_i(B)| - ||A - B||_2; nonpositive in theory."""
+    """max_i |gamma_i(A) - gamma_i(B)| - ||A - B||_2; nonpositive in theory.
+    Raises ``ValueError`` for matrices of different shapes or holding a NaN or
+    an infinity."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("matrices must have the same shape")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("matrices must be finite")
     ga = np.linalg.svd(a, compute_uv=False)
     gb = np.linalg.svd(b, compute_uv=False)
     diff = float(np.abs(ga - gb).max()) if ga.size else 0.0

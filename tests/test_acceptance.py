@@ -1,8 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 The heavy simulation grids (criteria 3, 4, 5) are computed once in
-session-scoped fixtures; the bound-domination criterion re-reads their trial
-records.  Every grid is fully seeded, so the whole module is deterministic.
+session-scoped fixtures; the bound-domination criterion and the
+oracle-premise check re-read their trial records.  Every grid is fully
+seeded, so the whole module is deterministic.
 """
 
 import math
@@ -236,6 +237,24 @@ def test_criterion_6_bound_domination(recovery_grid, comparison_grid, oracle_gri
     )
     assert rate >= 0.95
     assert not stragglers, "bound violations must coincide with non-convergence"
+
+
+def test_oracle_premise_implies_match(recovery_grid, comparison_grid, oracle_grid):
+    # the oracle property: a trial whose oracle_gap is positive (its curvature
+    # estimate clears zeta_minus and min gamma* clears
+    # nu + 2 sqrt(r) ||X*(eps)||_2 / (n kappa_hat)) must equal the oracle
+    pool = list(recovery_grid[0].trials) + list(comparison_grid[0].trials) + list(
+        oracle_grid[0].trials
+    )
+    premise = [t for t in pool if t.oracle_gap is not None and t.oracle_gap > 0]
+    print(f"oracle premise holds in {len(premise)}/{len(pool)} pooled trials")
+    assert premise, "no trial meets the oracle premise"
+    misses = [
+        (t.model, t.n, t.penalty, t.repeat, t.oracle_gap)
+        for t in premise
+        if t.oracle_match is not True
+    ]
+    assert not misses, f"premise trials without an oracle match: {misses}"
 
 
 def test_criterion_7_scaling_slope():

@@ -449,6 +449,19 @@ def test_triplet_index_outside_m1_names_its_line(tmp_path, capsys, command):
     assert run_cli(command, src, out, "--m1", 3, "--lambda", 0.1) == 2
     err = capsys.readouterr().err
     assert "line 4" in err and "(4,1) outside 3x3" in err
+    # an index past int64 is checked as read, not wrapped by a cast
+    src.write_text("j,k,value\n0,0,1.0\n100000000000000000000,1,3.0\n2,2,4.0\n")
+    assert run_cli(command, src, out, "--m1", 5, "--m2", 5, "--lambda", 0.1) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "(100000000000000000000,1) outside 5x5" in err
+    # past the float range, the reader names the line
+    src.write_text(f"j,k,value\n0,0,1.0\n{10**400},1,3.0\n")
+    assert run_cli(command, src, out, "--m1", 5, "--m2", 5, "--lambda", 0.1) == 2
+    assert "line 3" in capsys.readouterr().err
+    # without --m1 the shape it implies trips the cell guard, as 2**53 + 1 does
+    for huge in (10**20, 2**53 + 1):
+        src.write_text(f"j,k,value\n0,0,1.0\n{huge},1,3.0\n")
+        assert run_cli(command, src, out, "--lambda", 0.1) == 4
 
 
 def test_fit_resource_guard(tmp_path):

@@ -16,7 +16,6 @@ from lowrankpen.operators import (
     quadratic_form,
     sample_completion_design,
     sample_sensing_design,
-    spikiness,
 )
 
 from conftest import reference_adjoint, reference_forward, random_low_rank
@@ -281,19 +280,3 @@ def test_generate_observations_exact_and_noisy():
     a = generate_observations(design, theta, sigma, np.random.default_rng(9))
     b = generate_observations(design, theta, sigma, np.random.default_rng(9))
     assert np.array_equal(a.y, b.y)
-
-
-def test_spikiness():
-    m = 6
-    assert spikiness(np.ones((m, m))) == pytest.approx(1.0)
-    spike = np.zeros((m, m))
-    spike[0, 0] = 1.0
-    assert spikiness(spike) == pytest.approx(m)
-    rng = np.random.default_rng(2)
-    g = rng.standard_normal((10, 10))
-    value = spikiness(g)
-    direct = np.sqrt(100) * np.abs(g).max() / np.linalg.norm(g)
-    assert value == pytest.approx(direct)
-    assert 1.0 <= value <= 10.0
-    with pytest.raises(ValueError):
-        spikiness(np.zeros((3, 3)))

@@ -10,7 +10,6 @@ from lowrankpen.simlab import (
     MixedSpectrum,
     PenaltyTemplate,
     TrialSpec,
-    generate_ground_truth,
     holdout_split,
     raw_sample_size,
     rescale_n,
@@ -109,21 +108,6 @@ def test_trial_seed_is_stable_and_distinct():
     assert 0 <= s < 2**64
 
 
-def test_generate_ground_truth():
-    rng = np.random.default_rng(0)
-    theta, sub, gamma = generate_ground_truth(rng, 7, 6, 3, [1.0, 3.0, 2.0])
-    assert gamma.tolist() == [3.0, 2.0, 1.0]
-    spectrum = np.linalg.svd(theta, compute_uv=False)
-    assert spectrum[:3] == pytest.approx(gamma, abs=1e-9)
-    assert np.abs(spectrum[3:]).max() <= 1e-9
-    assert np.linalg.matrix_rank(theta, tol=1e-9) == 3
-    # determinism
-    theta2, _, _ = generate_ground_truth(np.random.default_rng(0), 7, 6, 3, [1.0, 3.0, 2.0])
-    assert np.array_equal(theta, theta2)
-    with pytest.raises(ValueError):
-        generate_ground_truth(rng, 3, 3, 4, [1, 1, 1, 1])
-
-
 def test_run_trial_exact_fit_under_full_coverage():
     # sigma = 0, enough draws to cover every cell: the fit is exact
     spec = small_spec(sigma=0.0, n_grid=(400,), solver=SolverConfig(max_iter=4000, tol=1e-12))
@@ -209,6 +193,7 @@ def test_diverged_trial_record(tmp_path):
         assert outcome.bound_total is None and outcome.bound_holds is None
         assert outcome.converged is False and outcome.fixed_point_residual == np.inf
         assert outcome.in_cone is False and (outcome.r1, outcome.r2) == (0, 0)
+        assert outcome.oracle_gap is None
         assert 0 < outcome.theta_star_frob < np.inf and outcome.tol == spec.solver.tol
         assert outcome.runtime_seconds > 0
     path = tmp_path / "results.csv"
@@ -219,6 +204,14 @@ def test_diverged_trial_record(tmp_path):
         assert [cells[col] for col in CSV_COLUMNS[11:20]] == [
             "inf", "inf", "-1", "false", "", "", "", "false", "inf"
         ]
+
+
+def test_oracle_gap_is_minus_inf_for_the_nuclear_norm():
+    # the nuclear norm is never flat (nu = inf), so the oracle premise never holds
+    spec = small_spec(penalties=(PenaltyTemplate("nuclear", 129.0),), repeats=1)
+    outcome = run_trial(spec, 200, 0, 0)
+    assert outcome.bound_total is not None  # the curvature clears zeta_minus = 0
+    assert outcome.oracle_gap == -np.inf
 
 
 def test_run_grid_single_cell_matches_run_trial():

@@ -120,6 +120,15 @@ def test_prox_spectral_matches_soft_threshold_reference():
         assert np.abs(prox_spectral(spec, z, eta) - reference).max() <= 1e-10
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_prox_spectral_rejects_a_non_finite_input(bad):
+    # the SVD of a matrix holding an infinity may not return: check first
+    z = np.ones((3, 3))
+    z[0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        prox_spectral(PenaltySpec(SCAD, 0.5, 3.7), z, 1.0)
+
+
 def test_fit_noiseless_full_observation():
     rng = np.random.default_rng(3)
     theta_star, _, _ = random_low_rank(rng, 5, 5, [2.0, 1.0])

@@ -21,11 +21,8 @@ from lowrankpen.theory import (
     cone_condition,
     error_bound_general,
     lambda_completion,
-    lambda_oracle_completion,
     lambda_oracle_rule,
-    lambda_oracle_sensing,
     lambda_sensing,
-    oracle_bound,
     oracle_condition_gap,
     probe_rsc,
     split_spectrum,
@@ -74,15 +71,6 @@ def test_error_bound_general_arithmetic():
         error_bound_general(0.1, 0.5, 0.4, 0.5, 1, 0)
 
 
-def test_oracle_bound():
-    assert oracle_bound(0.0, 7, 0.3) == 0.0
-    assert oracle_bound(0.1, 4, 0.5) == pytest.approx(0.8)
-    # agrees with the two-part bound at r1=r, r2=0, zeta = kappa/2
-    assert oracle_bound(0.3, 5, 0.9) == pytest.approx(
-        error_bound_general(0.3, 1.0, 0.9, 0.45, 5, 0).total
-    )
-
-
 def test_oracle_condition_gap():
     assert oracle_condition_gap([1.0, 2.0], 1.0, 2, 0.0, 10, 0.5) == pytest.approx(0.0)
     # adjoint-noise term 2*sqrt(r)*adj/(n*kappa) set to 0.3
@@ -115,10 +103,6 @@ def test_lambda_rules_arithmetic():
 def test_lambda_oracle_rules():
     # base rule: c * adj * (1 + sqrt(r) * rho / kappa)
     assert lambda_oracle_rule(0.1, 4, 1.0, 0.5, 2.0) == pytest.approx(0.2 * (1 + 4.0))
-    base = lambda_completion(0.5, 40, 40, 1000, 2.0)
-    assert lambda_oracle_completion(0.5, 40, 40, 1000, 4, 2.0) == pytest.approx(3 * base)
-    plain = lambda_sensing(1.0, 1.0, 20, 20, 400, 2.0)
-    assert lambda_oracle_sensing(1.0, 1.0, 20, 20, 400, 4, 1.0, 2.0) == pytest.approx(3 * plain)
     with pytest.raises(ValueError):
         lambda_oracle_rule(0.1, 4, 1.0, 0.0)
 
@@ -311,3 +295,12 @@ def test_weyl_gap():
         assert weyl_gap(a, b) <= WEYL_SLACK
     with pytest.raises(ValueError):
         weyl_gap(np.zeros((2, 2)), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("side", [0, 1])
+def test_weyl_gap_rejects_a_non_finite_matrix(bad, side):
+    pair = [np.ones((3, 3)), np.eye(3)]
+    pair[side][0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        weyl_gap(*pair)
