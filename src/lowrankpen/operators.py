@@ -228,6 +228,25 @@ def hessian_product(design: Design, cols: np.ndarray) -> np.ndarray:
     return design.gram @ cols
 
 
+def subspace_hessian(design: Design, sub: Subspace) -> np.ndarray:
+    """K^T H K for K = U kron V, the Hessian of the loss over the r x r
+    coefficients C of U C V^T, indexed like row-major vec(C).
+
+    Completion never forms the (m1*m2) x r^2 matrix K: H is diagonal, so
+    K^T H K = sum_j (u_j u_j^T) kron (V^T diag(w_j) V), u_j the j-th row of U
+    and w_j that of the weights, which takes O(m1 m2 r^2 + m1 r^4) work.
+    """
+    r = sub.r
+    if isinstance(design, CompletionDesign):
+        inner = (design.weights[:, :, None] * sub.V).transpose(0, 2, 1) @ sub.V
+        outer = sub.U[:, :, None] * sub.U[:, None, :]
+        # rows (a, c), columns (b, d)
+        blocks = outer.reshape(-1, r * r).T @ inner.reshape(-1, r * r)
+        return blocks.reshape(r, r, r, r).transpose(0, 2, 1, 3).reshape(r * r, r * r)
+    k = np.kron(sub.U, sub.V)  # column a*r + b is vec(u_a v_b^T)
+    return k.T @ (design.gram @ k)
+
+
 def _apply_hessian(design: Design, theta: np.ndarray) -> np.ndarray:
     """X*(X(Theta)) / n as an m1 x m2 matrix."""
     col = _check_theta(design, theta).reshape(-1, 1)

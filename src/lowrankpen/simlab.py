@@ -364,7 +364,8 @@ def run_trial(spec: TrialSpec, n: int, penalty_index: int, repeat_index: int) ->
     rank_correct = result.rank_hat == spec.r
 
     split = theory.split_spectrum(gamma, penalty.nu)
-    tau = theory.tau_value(obs, theta_star, sub.subframe(split.s1))
+    grad_star = loss_gradient(obs, theta_star)
+    tau = theory.tau_value(grad_star, sub.subframe(split.s1))
     _, in_cone = theory.cone_condition(delta, sub)
 
     bound_total = None
@@ -377,7 +378,7 @@ def run_trial(spec: TrialSpec, n: int, penalty_index: int, repeat_index: int) ->
         bound_total = report.total
         bound_holds = bool(frob_err <= report.total)
         # ||X*(eps)||_2 = n ||grad L(Theta*)||_2
-        adj_noise = n * float(np.linalg.norm(loss_gradient(obs, theta_star), 2))
+        adj_noise = n * float(np.linalg.norm(grad_star, 2))
         oracle_gap = theory.oracle_condition_gap(
             gamma, penalty.nu, spec.r, adj_noise, n, probe.kappa_hat
         )

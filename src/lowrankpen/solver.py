@@ -5,7 +5,9 @@ by iterating a gradient step followed by the proximal map of the spectral
 penalty (the scalar prox applied to the spectrum of the stepped iterate; on
 large matrices only the singular triplets that survive the threshold are
 computed, warm-started from the previous step, as in Soft-Impute, Mazumder,
-Hastie & Tibshirani 2010).  Each step is taken from a FISTA extrapolation of
+Hastie & Tibshirani 2010, and a block that converges too slowly is used once
+its error is small against the step's progress, an inexact prox step as in
+Schmidt, Le Roux & Bach 2011).  Each step is taken from a FISTA extrapolation of
 the last two iterates; when the objective rises, the step is discarded, the
 momentum is reset and the plain step is taken instead (function-value
 adaptive restart, O'Donoghue & Candes 2015), so the accepted objective
@@ -34,9 +36,9 @@ from lowrankpen.operators import (
     Design,
     ObservationSet,
     Subspace,
-    hessian_product,
     loss_gradient,
     loss_value,
+    subspace_hessian,
 )
 from lowrankpen.penalty import MCP, NUCLEAR, SCAD, PenaltySpec, penalty_value, scalar_prox
 
@@ -103,7 +105,9 @@ class FitResult:
 
     ``objective_trace`` holds the starting objective and one value per
     accepted step; ``eta`` is the step size used and ``restarts`` the number
-    of momentum resets.
+    of momentum resets.  ``block`` holds the right singular vectors the last
+    prox step passes on (see :func:`_prox_svd`); a fit warm-started from
+    this one starts its truncated prox from them.  It is not serialized.
     """
 
     theta_hat: np.ndarray
@@ -115,6 +119,7 @@ class FitResult:
     converged: bool
     eta: float
     restarts: int
+    block: np.ndarray | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -153,12 +158,15 @@ def estimate_lipschitz(design: Design) -> float:
 # Truncated prox (see _prox_svd): the smallest min(m1, m2) that takes it (the
 # measured crossover with the full SVD on completion fits), the oversampling
 # columns carried past the kept rank, the block steps before the full SVD
-# takes over, and the residual tolerance, relative to the top Ritz value,
-# that every kept Ritz triplet must meet.
+# takes over, the residual tolerance, relative to the top Ritz value, that
+# every kept Ritz triplet must meet, and the fraction of the last accepted
+# step ||T_k - T_{k-1}||_F that the kept residual block may reach when that
+# tolerance is out of reach.
 _TRUNCATE_MIN_DIM = 100
 _OVERSAMPLE = 5
 _BLOCK_STEPS = 8
 _RITZ_TOL = 1e-12
+_PROGRESS_FRACTION = 0.2
 
 
 def _zeroes_below_threshold(spec: PenaltySpec, eta: float) -> bool:
@@ -175,7 +183,7 @@ def _zeroes_below_threshold(spec: PenaltySpec, eta: float) -> bool:
     return True
 
 
-def _truncated_svd(z: np.ndarray, block: np.ndarray, threshold: float):
+def _truncated_svd(z: np.ndarray, block: np.ndarray, threshold: float, allowance: float = 0.0):
     """Leading singular triplets of z by block subspace iteration, or None.
 
     Starts from the columns of ``block`` (approximate right singular
@@ -184,11 +192,20 @@ def _truncated_svd(z: np.ndarray, block: np.ndarray, threshold: float):
     the last Ritz value is at most ``threshold`` and every Ritz triplet
     above it has converged, ||z v_i - s_i u_i|| <= _RITZ_TOL * s_1.
 
-    Returns (U, s, V^T) or None: when the block exceeds half of min(m1, m2)
-    or every Ritz value is above the threshold (the block cannot hold the
-    kept part), after _BLOCK_STEPS steps, or as soon as the residuals,
-    shrinking by about (s_k / s_r)^2 a step (s_r the smallest kept Ritz
-    value, s_k the last one), cannot reach the tolerance in the steps left.
+    The iteration gives up after _BLOCK_STEPS steps, or as soon as the
+    residuals, shrinking by about (s_k / s_r)^2 a step (s_r the smallest
+    kept Ritz value, s_k the last one), cannot reach that tolerance in the
+    steps left.  It then still accepts the block when the residuals of the
+    kept triplets, R = z V_r - U_r S_r, have ||R||_F <= ``allowance``.  The
+    kept triplets are exact singular triplets of z - R V_r^T, a matrix within
+    ||R||_F of z, so the prox built from them is the exact prox of that
+    matrix whenever the spectrum the block does not track stays at or below
+    the threshold.
+
+    Returns (U, s, V^T, exact), ``exact`` False for a block accepted on the
+    allowance, or None: when the block exceeds half of min(m1, m2), when
+    every Ritz value is above the threshold (the block cannot hold the kept
+    part), or when the given-up block misses the allowance.
     """
     if block.shape[1] > min(z.shape) // 2:
         return None
@@ -200,33 +217,40 @@ def _truncated_svd(z: np.ndarray, block: np.ndarray, threshold: float):
             return None
         u = q @ ub
         y = z @ vt.T
-        resid = y - u * s
         r = int(np.count_nonzero(s > threshold))
-        worst = np.linalg.norm(resid[:, :r], axis=0).max(initial=0.0)
+        resid = y[:, :r] - u[:, :r] * s[:r]
+        worst = np.linalg.norm(resid, axis=0).max(initial=0.0)
         tol = _RITZ_TOL * s[0]
         if worst <= tol:
-            return u, s, vt
+            return u, s, vt, True
         if worst * (s[-1] / s[r - 1]) ** (2 * steps_left) > tol:
-            return None
-    return None
+            break
+    return (u, s, vt, False) if np.linalg.norm(resid) <= allowance else None
 
 
-def _prox_svd(spec: PenaltySpec, z: np.ndarray, eta: float, block=None):
+def _prox_svd(spec: PenaltySpec, z: np.ndarray, eta: float, block=None, allowance: float = 0.0):
     """SVD of z, scalar prox of its spectrum, rebuild from the nonzero part.
 
-    Returns the prox, its min(m1, m2) singular values and ``block`` for the
-    next call: the right singular vectors of the kept part plus
-    _OVERSAMPLE more.  The prox is monotone, so the new values stay sorted
-    and the zeros trail.
+    Returns the prox, its min(m1, m2) singular values, ``block`` for the
+    next call (the right singular vectors of the kept part plus
+    _OVERSAMPLE more) and whether the SVD was exact.  The prox is monotone,
+    so the new values stay sorted and the zeros trail.
 
     Given a ``block`` from the previous step, only the triplets above
     eta * lambda are computed (:func:`_truncated_svd`, warm-started from
     the block) and the rest of the spectrum is zero.  That needs the scalar
     prox to zero every value at or below eta * lambda and min(m1, m2) of at
     least _TRUNCATE_MIN_DIM; otherwise, without a block, or when the block
-    iteration gives up, the SVD is the full one.  Ritz values are lower
-    bounds, so the truncated prox serves the iteration only:
-    :func:`prox_spectral` takes the full SVD and certifies the result.
+    iteration gives up, the SVD is the full one.  A block whose iteration
+    gives up with its kept residual block R at ||R||_F <= ``allowance`` is
+    used anyway and reported inexact: the prox is then the exact prox of a
+    matrix within ``allowance`` of z, so it lies within L * ``allowance``
+    of prox(z) in the Frobenius norm, L the Lipschitz constant of the scalar
+    prox (1 for the nuclear norm, (b - 1)/(b - 1 - eta) for SCAD and
+    b/(b - eta) for MCP), as long as the spectrum the block does not track
+    stays at or below eta * lambda.  Ritz values are lower bounds,
+    so the truncated prox serves the iteration only: :func:`prox_spectral`
+    takes the full SVD and certifies the result.
     """
     svd = None
     if (
@@ -234,14 +258,14 @@ def _prox_svd(spec: PenaltySpec, z: np.ndarray, eta: float, block=None):
         and min(z.shape) >= _TRUNCATE_MIN_DIM
         and _zeroes_below_threshold(spec, eta)
     ):
-        svd = _truncated_svd(z, block, eta * spec.lam)
-    p, s, qt = np.linalg.svd(z, full_matrices=False) if svd is None else svd
+        svd = _truncated_svd(z, block, eta * spec.lam, allowance)
+    p, s, qt, exact = (*np.linalg.svd(z, full_matrices=False), True) if svd is None else svd
     s_new = scalar_prox(spec, s, eta)
     r = int(np.count_nonzero(s_new))
     theta = (p[:, :r] * s_new[:r]) @ qt[:r]
     if svd is not None:  # the untracked rest of the spectrum is zero
         s_new = np.concatenate([s_new, np.zeros(min(z.shape) - s_new.size)])
-    return theta, s_new, qt[: r + _OVERSAMPLE].T
+    return theta, s_new, qt[: r + _OVERSAMPLE].T, exact
 
 
 def prox_spectral(spec: PenaltySpec, z: np.ndarray, eta: float) -> np.ndarray:
@@ -277,9 +301,11 @@ def fit(
     t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2 and takes the prox-gradient step at
     y.  When the objective at the result rises above the one at T_k, that
     step is discarded, the momentum is reset (t = 1) and the plain step from
-    T_k is taken instead; ``restarts`` counts these resets.  The accepted
-    objective sequence is therefore monotone whenever the plain step is,
-    which holds for the exact step 1/L without the box clip.
+    T_k is taken instead; ``restarts`` counts these resets.  A plain step
+    whose prox was inexact (below) and that raises the objective is redone
+    with the full SVD.  The accepted objective sequence is therefore
+    monotone whenever the exact plain step is, which holds for the step 1/L
+    without the box clip.
 
     ``iterations`` counts accepted steps.  Stops when the relative iterate
     change ||T+ - T||_F / max(1, ||T||_F) drops below ``config.tol`` or after
@@ -291,12 +317,18 @@ def fit(
 
     The loop carries the previous step's right singular vectors (the kept
     ones plus a few more) from step to step; the plain step after a reset
-    starts from the same vectors as the discarded one.  With them each prox
-    computes only the triplets above eta * lambda (see :func:`_prox_svd`),
-    so on a matrix with min(m1, m2) >= _TRUNCATE_MIN_DIM a step costs a few
-    products with a thin block instead of a full SVD.  The first step, any
-    step whose block is too small to hold every value above eta * lambda,
-    and any step whose block iteration does not converge take the full SVD.
+    starts from the same vectors as the discarded one, and the SCAD/MCP loop
+    after a nuclear warm start starts from the warm fit's last ones
+    (``FitResult.block``).  With them each prox computes only the triplets
+    above eta * lambda (see :func:`_prox_svd`), so on a matrix with
+    min(m1, m2) >= _TRUNCATE_MIN_DIM a step costs a few products with a
+    thin block instead of a full SVD.  A block whose iteration cannot reach
+    _RITZ_TOL is still used, as an inexact prox, when its kept residuals
+    have a Frobenius norm of at most _PROGRESS_FRACTION times the last
+    accepted step ||T_k - T_{k-1}||_F (so never on a fit's first step).
+    The first step of a fit without a warm block, any step whose block is
+    too small to hold every value above eta * lambda, and any step whose
+    block misses that allowance take the full SVD.
     ``fixed_point_residual`` always uses the full SVD, so it is an exact
     certificate of the returned iterate.
     """
@@ -306,25 +338,27 @@ def fit(
     if config.warm_start == WARM_NUCLEAR and spec.family != NUCLEAR:
         warm_config = replace(config, warm_start=WARM_ZERO, eta=eta)
         warm = fit(obs, PenaltySpec(NUCLEAR, spec.lam), warm_config)
-        theta, spectrum = np.array(warm.theta_hat), warm.spectrum
+        theta, spectrum, block = np.array(warm.theta_hat), warm.spectrum, warm.block
     else:
         theta = np.zeros((design.m1, design.m2))
         spectrum = np.zeros(min(design.m1, design.m2))
+        block = None
 
-    def step(point: np.ndarray, k: int, block):
+    def step(point: np.ndarray, k: int, block, allowance=0.0):
         """Prox-gradient step from ``point``: the new iterate, its objective,
-        its singular values (None after the box clip) and the next block."""
+        its singular values (None after the box clip), the next block and
+        whether the prox was exact."""
         z = point - eta * loss_gradient(obs, point)
         if not np.all(np.isfinite(z)):
             raise DivergenceError(f"iterate became non-finite at iteration {k}")
-        theta_new, spectrum, block = _prox_svd(spec, z, eta, block)
+        theta_new, spectrum, block, exact = _prox_svd(spec, z, eta, block, allowance)
         if config.alpha_star is not None:
             theta_new = np.clip(theta_new, -config.alpha_star, config.alpha_star)
             spectrum = None
         obj = _objective(obs, spec, theta_new, spectrum)
         if not math.isfinite(obj):
             raise DivergenceError(f"objective became non-finite at iteration {k}")
-        return theta_new, obj, spectrum, block
+        return theta_new, obj, spectrum, block, exact
 
     obj = _objective(obs, spec, theta, spectrum)
     trace = [obj]
@@ -333,18 +367,22 @@ def fit(
     restarts = 0
     converged = False
     iterations = 0
-    block = None
+    progress = 0.0  # ||T_k - T_{k-1}||_F of the last accepted step
     for k in range(1, config.max_iter + 1):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         momentum = (t - 1.0) / t_next
         point = theta + momentum * (theta - theta_prev) if momentum > 0.0 else theta
-        theta_new, obj_new, spectrum, block_new = step(point, k, block)
+        allowance = _PROGRESS_FRACTION * progress
+        theta_new, obj_new, spectrum, block_new, exact = step(point, k, block, allowance)
         if point is not theta and obj_new > obj:
             restarts += 1
             t_next = _T_AFTER_RESTART
-            theta_new, obj_new, spectrum, block_new = step(theta, k, block)
+            theta_new, obj_new, spectrum, block_new, exact = step(theta, k, block, allowance)
+        if not exact and obj_new > obj:  # an inexact plain step rose: take the full SVD
+            theta_new, obj_new, spectrum, block_new, _ = step(theta, k, None)
         trace.append(obj_new)
-        rel = np.linalg.norm(theta_new - theta) / max(1.0, np.linalg.norm(theta))
+        progress = float(np.linalg.norm(theta_new - theta))
+        rel = progress / max(1.0, np.linalg.norm(theta))
         theta_prev, theta, obj, t, block = theta, theta_new, obj_new, t_next, block_new
         iterations = k
         if rel <= config.tol:
@@ -369,6 +407,7 @@ def fit(
         converged=converged,
         eta=eta,
         restarts=restarts,
+        block=block,
     )
 
 
@@ -377,7 +416,8 @@ def solve_oracle(obs: ObservationSet, sub: Subspace) -> np.ndarray:
 
     Minimizes ||y - X(U C V^T)||^2 / (2n) over the r x r coefficient matrix
     C.  With K = U kron V, the d = r^2 normal equations K^T H K c = K^T
-    X*(y)/n are formed from the design's cached Hessian and solved by one
+    X*(y)/n are formed from the design's cached Hessian
+    (:func:`~lowrankpen.operators.subspace_hessian`) and solved by one
     eigendecomposition of the normal matrix.  The matrix has rank at most n,
     so only its top min(n, d) eigenpairs are kept, and of those the ones
     above d * eps times the largest; the solution is the minimum-norm one on
@@ -390,9 +430,8 @@ def solve_oracle(obs: ObservationSet, sub: Subspace) -> np.ndarray:
         return np.zeros((obs.design.m1, obs.design.m2))
     if r > min(obs.design.m1, obs.design.m2):
         raise ValueError("subspace rank exceeds matrix dimensions")
-    k = np.kron(sub.U, sub.V)  # column a*r + b is vec(u_a v_b^T)
-    gram = k.T @ hessian_product(obs.design, k)
-    rhs = k.T @ obs.xty.ravel()
+    gram = subspace_hessian(obs.design, sub)
+    rhs = (sub.U.T @ obs.xty @ sub.V).ravel()
     d = r * r
 
     if obs.n < d:

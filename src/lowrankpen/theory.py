@@ -25,10 +25,8 @@ import numpy as np
 
 from lowrankpen.operators import (
     Design,
-    ObservationSet,
     SensingDesign,
     Subspace,
-    loss_gradient,
     project_onto,
     quadratic_form,
 )
@@ -357,12 +355,12 @@ def probe_rsc(
     return CurvatureEstimate(kappa_hat=kappa_hat, rho_hat=rho_hat)
 
 
-def tau_value(obs: ObservationSet, theta_star: np.ndarray, sub_s1: Subspace) -> float:
-    """Spectral norm of the loss gradient at the truth, projected onto the
-    subspace spanned by the large-singular-value frames."""
+def tau_value(grad: np.ndarray, sub_s1: Subspace) -> float:
+    """Spectral norm of ``grad``, the loss gradient at the truth
+    (:func:`~lowrankpen.operators.loss_gradient` at Theta*), projected onto
+    the subspace spanned by the large-singular-value frames."""
     if sub_s1.r == 0:
         return 0.0
-    grad = loss_gradient(obs, theta_star)
     core = sub_s1.U.T @ grad @ sub_s1.V
     return float(np.linalg.norm(core, 2))
 

@@ -16,6 +16,7 @@ from lowrankpen.operators import (
     quadratic_form,
     sample_completion_design,
     sample_sensing_design,
+    subspace_hessian,
 )
 
 from conftest import reference_adjoint, reference_forward, random_low_rank
@@ -143,6 +144,25 @@ def test_quadratic_model_matches_reference_maps():
         assert abs(loss_value(obs, theta) - loss_ref) <= MODEL_TOL * max(1.0, loss_ref)
         curvature = quadratic_form(design, delta)
         assert abs(curvature - curvature_ref) <= MODEL_TOL * max(1.0, curvature_ref)
+
+
+@pytest.mark.parametrize("model", ["completion", "sensing"])
+def test_subspace_hessian_matches_explicit_design(model):
+    # K^T H K against the explicit maps: column a*r + b of the reduced design
+    # is X(u_a v_b^T), and the Hessian over C is its Gram matrix over n
+    rng = np.random.default_rng(36)
+    m1, m2, r = 7, 5, 3
+    if model == "completion":
+        design = sample_completion_design(rng, m1, m2, 60)
+    else:
+        design = sample_sensing_design(rng, m1, m2, 50)
+    _, u, v = random_low_rank(rng, m1, m2, [3.0, 2.0, 1.0])
+    reduced = np.column_stack(
+        [reference_forward(design, np.outer(u[:, a], v[:, b])) for a in range(r) for b in range(r)]
+    )
+    reference = reduced.T @ reduced / design.n
+    got = subspace_hessian(design, Subspace(u, v))
+    assert np.abs(got - reference).max() <= MODEL_TOL * np.abs(reference).max()
 
 
 def test_loss_gradient_matches_finite_differences():

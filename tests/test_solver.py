@@ -432,8 +432,8 @@ def count_truncated(monkeypatch):
     outcomes = []
     original = solver_module._truncated_svd
 
-    def counted(z, block, threshold):
-        out = original(z, block, threshold)
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
         outcomes.append(out is not None)
         return out
 
@@ -471,13 +471,15 @@ def test_truncated_prox_matches_full_svd(spec, shape, case, monkeypatch):
     if case == "grows":
         u, s, vt = np.linalg.svd(nearby, full_matrices=False)
         nearby = (u[:, :3] * s[:3]) @ vt[:3]
-    _, _, block = solver_module._prox_svd(spec, nearby, eta)
+    block = solver_module._prox_svd(spec, nearby, eta)[2]
     outcomes = count_truncated(monkeypatch)
 
-    theta, spectrum, next_block = solver_module._prox_svd(spec, z, eta, block)
-    # the truncated path ran, and was accepted unless it had to fall back
+    theta, spectrum, next_block, exact = solver_module._prox_svd(spec, z, eta, block)
+    # the truncated path ran, and was accepted unless it had to fall back;
+    # with no allowance an accepted block is an exact one
     assert outcomes == [case == "near-threshold"]
-    theta_ref, spectrum_ref, _ = solver_module._prox_svd(spec, z, eta)
+    assert exact
+    theta_ref, spectrum_ref, _, _ = solver_module._prox_svd(spec, z, eta)
     rank = int(np.count_nonzero(spectrum_ref))
     assert spectrum.shape == spectrum_ref.shape == (m,)
     assert np.count_nonzero(spectrum) == rank == (5 if case == "near-threshold" else 14)
@@ -496,11 +498,11 @@ def test_truncated_prox_falls_back_when_eta_breaks_zeroing(spec, monkeypatch):
     rng = np.random.default_rng(32)
     z = spectrum_matrix(rng, 100, 100, np.linspace(20.0, 0.1, 100))
     eta = spec.b
-    _, _, block = solver_module._prox_svd(spec, z + 1e-6, eta)
+    block = solver_module._prox_svd(spec, z + 1e-6, eta)[2]
     outcomes = count_truncated(monkeypatch)
-    theta, spectrum, _ = solver_module._prox_svd(spec, z, eta, block)
+    theta, spectrum, _, _ = solver_module._prox_svd(spec, z, eta, block)
     assert outcomes == []
-    theta_ref, spectrum_ref, _ = solver_module._prox_svd(spec, z, eta)
+    theta_ref, spectrum_ref, _, _ = solver_module._prox_svd(spec, z, eta)
     assert np.array_equal(theta, theta_ref) and np.array_equal(spectrum, spectrum_ref)
 
 
@@ -509,9 +511,9 @@ def test_truncated_prox_skipped_below_cutoff(monkeypatch):
     m = solver_module._TRUNCATE_MIN_DIM - 1
     z = spectrum_matrix(rng, m, m + 5, np.linspace(5.0, 0.1, m))
     spec = PenaltySpec(NUCLEAR, 1.0)
-    _, _, block = solver_module._prox_svd(spec, z, 1.0)
+    block = solver_module._prox_svd(spec, z, 1.0)[2]
     outcomes = count_truncated(monkeypatch)
-    theta, _, _ = solver_module._prox_svd(spec, z, 1.0, block)
+    theta = solver_module._prox_svd(spec, z, 1.0, block)[0]
     assert outcomes == []
     assert np.array_equal(theta, prox_spectral(spec, z, 1.0))
 
@@ -546,3 +548,131 @@ def test_fit_at_cutoff_matches_full_svd_reference(monkeypatch):
     assert rel <= 1e-8
     # the certificate takes the full SVD on both paths
     assert result.fixed_point_residual == pytest.approx(reference.fixed_point_residual, rel=1e-3, abs=1e-9)
+
+
+def prox_lipschitz(spec, eta):
+    """Lipschitz constant of the scalar prox of ``spec`` at step ``eta`` (below the
+    concavity limits of :func:`solver._zeroes_below_threshold`)."""
+    if spec.family == SCAD:
+        return (spec.b - 1.0) / (spec.b - 1.0 - eta)
+    if spec.family == MCP:
+        return spec.b / (spec.b - eta)
+    return 1.0
+
+
+@pytest.mark.parametrize("spec", PROX_SPECS, ids=["nuclear", "scad", "mcp"])
+def test_truncated_prox_within_allowance_of_full_svd(spec, monkeypatch):
+    # a cluster of eleven values just below eta * lambda, one 2% above it and
+    # a block from a matrix 1e-3 * eta * lambda away: the residuals cannot
+    # reach _RITZ_TOL, so the exact iteration gives up
+    rng = np.random.default_rng(35)
+    eta = 1.3
+    tau = eta * spec.lam
+    values = tau * np.concatenate(
+        [[6.0, 4.0, 2.5, 1.02], 1.0 - 0.002 * np.arange(1, 12), 0.3 * rng.uniform(0.0, 1.0, 85)]
+    )
+    z = spectrum_matrix(rng, 100, 110, np.sort(values)[::-1])
+    block = solver_module._prox_svd(spec, z + 1e-3 * tau * rng.standard_normal(z.shape), eta)[2]
+    theta_ref, spectrum_ref, _, _ = solver_module._prox_svd(spec, z, eta)
+    outcomes = count_truncated(monkeypatch)
+
+    # no allowance: the full SVD takes over, as without one
+    theta, spectrum, _, exact = solver_module._prox_svd(spec, z, eta, block)
+    assert outcomes == [False] and exact
+    assert np.array_equal(theta, theta_ref) and np.array_equal(spectrum, spectrum_ref)
+
+    allowance = 1e-2 * tau
+    theta, spectrum, _, exact = solver_module._prox_svd(spec, z, eta, block, allowance)
+    assert outcomes == [False, True] and not exact
+    assert np.count_nonzero(spectrum) == np.count_nonzero(spectrum_ref) == 4
+    assert 0.0 < np.linalg.norm(theta - theta_ref) <= prox_lipschitz(spec, eta) * allowance
+
+
+def cutoff_fit_problem():
+    """The completion problem of test_fit_at_cutoff_matches_full_svd_reference."""
+    m = solver_module._TRUNCATE_MIN_DIM
+    rng = np.random.default_rng(34)
+    design = sample_completion_design(rng, m, m, 4 * m * m // 10)
+    noise = generate_observations(design, np.zeros((m, m)), 0.5, rng)
+    lam = 1.2 * np.linalg.norm(loss_gradient(noise, np.zeros((m, m))), 2)
+    spec = PenaltySpec(SCAD, lam, 1.0 + 2.0 * m * m)
+    theta_star, _, _ = random_low_rank(rng, m, m, spec.nu * np.array([2.5, 2.0, 1.6, 1.25]))
+    return ObservationSet(design, apply_forward(design, theta_star) + noise.y), spec
+
+
+def record_prox_steps(monkeypatch):
+    """Log every prox of fit as (fit depth, whether it took the full SVD); the
+    warm start runs at depth 1, nested through the module-level name."""
+    steps, depth = [], [0]
+    prox = solver_module._prox_svd
+    truncated = solver_module._truncated_svd
+    outer = solver_module.fit
+
+    def logged_truncated(*args, **kwargs):
+        out = truncated(*args, **kwargs)
+        steps[-1][1] = out is None
+        return out
+
+    def logged_prox(*args, **kwargs):
+        steps.append([depth[0], True])
+        return prox(*args, **kwargs)
+
+    def nested_fit(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return outer(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(solver_module, "_truncated_svd", logged_truncated)
+    monkeypatch.setattr(solver_module, "_prox_svd", logged_prox)
+    monkeypatch.setattr(solver_module, "fit", nested_fit)
+    return steps
+
+
+def test_fit_main_loop_starts_from_the_warm_block(monkeypatch):
+    obs, spec = cutoff_fit_problem()
+    steps = record_prox_steps(monkeypatch)
+    result = fit(obs, spec, SolverConfig(warm_start="nuclear"))
+    main = [full for depth, full in steps if depth == 0]
+    # one prox per step and one more per restart, then the certificate
+    assert len(main) == result.iterations + result.restarts + 1
+    assert main[0] is False  # the first step reuses the warm start's block
+    assert main[-1] is True  # fixed_point_residual takes the full SVD
+
+
+def test_fit_redoes_a_rising_inexact_step(monkeypatch):
+    # the nuclear fit that warm-starts the cutoff problem; a huge fraction
+    # accepts every block the exact iteration gives up on, and dropping the
+    # leading triplet of each such block makes those steps raise the
+    # objective: each plain one must be redone with the full SVD, so the
+    # trace stays monotone.  The problem is convex, so at a tight tol the
+    # fit also reaches the minimizer of the full-SVD reference
+    obs, spec = cutoff_fit_problem()
+    spec = PenaltySpec(NUCLEAR, spec.lam)
+    config = SolverConfig(tol=1e-10)
+    monkeypatch.setattr(solver_module, "_TRUNCATE_MIN_DIM", solver_module._TRUNCATE_MIN_DIM + 1)
+    reference = fit(obs, spec, config)
+    monkeypatch.undo()
+
+    monkeypatch.setattr(solver_module, "_PROGRESS_FRACTION", 1e12)
+    truncated = solver_module._truncated_svd
+
+    def degraded(*args, **kwargs):
+        out = truncated(*args, **kwargs)
+        if out is None or out[3]:
+            return out
+        u, s, vt, _ = out
+        return u[:, 1:], s[1:], vt[1:], False
+
+    monkeypatch.setattr(solver_module, "_truncated_svd", degraded)
+    steps = record_prox_steps(monkeypatch)
+    result = fit(obs, spec, config)
+    # besides the redone steps, only the first step and the certificate
+    # take the full SVD
+    assert sum(full for _, full in steps) > 2
+    assert np.all(np.diff(result.objective_trace) <= 1e-12)
+    assert result.converged and reference.converged
+    assert result.rank_hat == reference.rank_hat
+    rel = np.linalg.norm(result.theta_hat - reference.theta_hat) / np.linalg.norm(reference.theta_hat)
+    assert rel <= 1e-8

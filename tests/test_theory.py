@@ -9,6 +9,7 @@ from lowrankpen.operators import (
     apply_adjoint,
     apply_forward,
     generate_observations,
+    loss_gradient,
     project_complement,
     project_onto,
     quadratic_form,
@@ -253,16 +254,14 @@ def test_tau_value_noiseless_and_contraction():
     design = sample_completion_design(rng, m, m, 400)
     exact = generate_observations(design, theta_star, 0.0, rng)
     sub = Subspace(u, v)
-    assert tau_value(exact, theta_star, sub) == pytest.approx(0.0, abs=1e-14)
+    assert tau_value(loss_gradient(exact, theta_star), sub) == pytest.approx(0.0, abs=1e-14)
 
     noisy = generate_observations(design, theta_star, 0.4, rng)
-    from lowrankpen.operators import loss_gradient
-
-    full = np.linalg.norm(loss_gradient(noisy, theta_star), 2)
-    tau = tau_value(noisy, theta_star, sub)
-    assert tau <= full + 1e-12
+    grad = loss_gradient(noisy, theta_star)
+    tau = tau_value(grad, sub)
+    assert tau <= np.linalg.norm(grad, 2) + 1e-12
     empty = Subspace(u[:, :0], v[:, :0])
-    assert tau_value(noisy, theta_star, empty) == 0.0
+    assert tau_value(grad, empty) == 0.0
 
 
 def test_tau_scaling_slope_in_n():
@@ -277,7 +276,7 @@ def test_tau_scaling_slope_in_n():
             theta_star, u, v = random_low_rank(rng, m, m, [3.0, 2.0, 1.0])
             design = sample_completion_design(rng, m, m, n)
             obs = generate_observations(design, theta_star, sigma, rng)
-            taus.append(tau_value(obs, theta_star, Subspace(u, v)))
+            taus.append(tau_value(loss_gradient(obs, theta_star), Subspace(u, v)))
         means.append(np.mean(taus))
     slope = np.polyfit(np.log(ns), np.log(means), 1)[0]
     assert slope == pytest.approx(-0.5, abs=0.1)
