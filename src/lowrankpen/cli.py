@@ -222,7 +222,7 @@ def _fit_file_data(args, m1: int, m2: int, entries: np.ndarray, y: np.ndarray):
     residual or spectrum) was driven there by the input values: that is
     invalid input."""
     design = CompletionDesign(m1=m1, m2=m2, entries=entries)
-    obs = ObservationSet(design=design, y=y, sigma=args.sigma or 0.0)
+    obs = ObservationSet(design=design, y=y)
     lam = args.lam
     if lam is None:
         if args.sigma is None:
@@ -294,6 +294,8 @@ def _check_flags(args) -> None:
     """Reject flag values of ``fit`` / ``evaluate`` that parse but cannot be used."""
     if not (math.isfinite(args.c) and args.c > 0):
         raise ConfigError("--c", f"must be finite and positive, got {args.c}")
+    if args.sigma is not None and not (math.isfinite(args.sigma) and args.sigma >= 0):
+        raise ConfigError("--sigma", f"must be finite and nonnegative, got {args.sigma}")
     for flag, value in (("--m1", args.m1), ("--m2", args.m2)):
         if value is not None and value < 1:
             raise ConfigError(flag, f"must be at least 1, got {value}")

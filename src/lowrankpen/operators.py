@@ -113,18 +113,15 @@ Design = CompletionDesign | SensingDesign
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """A design together with its responses y and the noise level sigma."""
+    """A design together with its responses y."""
 
     design: Design
     y: np.ndarray
-    sigma: float = 0.0
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y, dtype=float)
         if y.ndim != 1 or y.shape[0] != self.design.n:
             raise ValueError("y must be a vector of length design.n")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
         object.__setattr__(self, "y", _freeze(y))
 
     @property
@@ -365,10 +362,12 @@ def sample_sensing_design(
 def generate_observations(
     design: Design, theta_star: np.ndarray, sigma: float, rng: np.random.Generator
 ) -> ObservationSet:
-    """Form y = X(Theta*) + eps with eps ~ N(0, sigma^2 I); the observation
-    set rejects a negative or non-finite sigma."""
+    """Form y = X(Theta*) + eps with eps ~ N(0, sigma^2 I), sigma finite and
+    nonnegative."""
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
     y = apply_forward(design, theta_star)
     if sigma > 0:
         y = y + sigma * rng.standard_normal(design.n)
-    return ObservationSet(design=design, y=y, sigma=float(sigma))
+    return ObservationSet(design=design, y=y)
 

@@ -132,11 +132,7 @@ def penalty_derivative(spec: PenaltySpec, t):
     if spec.family == NUCLEAR:
         out = np.full_like(arr, lam)
     elif spec.family == SCAD:
-        out = np.select(
-            [arr <= lam, arr <= b * lam],
-            [np.full_like(arr, lam), (b * lam - arr) / (b - 1.0)],
-            default=0.0,
-        )
+        out = np.where(arr <= lam, lam, np.where(arr <= b * lam, (b * lam - arr) / (b - 1.0), 0.0))
     else:
         out = np.where(arr <= b * lam, lam - arr / b, 0.0)
     if np.ndim(t) == 0:
@@ -215,7 +211,6 @@ class ConditionCheck:
 
     passed: bool
     witness: float
-    at: object = None
 
 
 @dataclass(frozen=True)
@@ -256,6 +251,13 @@ def check_regularity(spec: PenaltySpec, grid) -> RegularityReport:
     (iii) q(0) = 0 and q'(0+) = 0 within 1e-9 (the one-sided derivative is
           probed at t = 1e-12).
     (iv)  |q'(t)| <= lambda + 1e-9 on the grid.
+
+    Every condition takes one pass over the grid.  With g = q' + zeta_minus*t,
+    (ii) says g_j - g_i >= -1e-9 for every pair i < j, so its worst pair is
+    min_j (g_j - max_{i<j} g_i), a running maximum.  Its witness is the largest
+    neighbour difference quotient -(q'_{j+1} - q'_j) / (t_{j+1} - t_j): the
+    quotient of any pair is the mean of the neighbour quotients between its
+    ends weighted by their lengths, so no pair exceeds the largest of them.
     """
     pts = np.asarray(grid, dtype=float)
     if pts.ndim != 1 or pts.size == 0:
@@ -264,59 +266,30 @@ def check_regularity(spec: PenaltySpec, grid) -> RegularityReport:
         raise ValueError("grid must be strictly increasing and positive")
 
     lam = spec.lam
-    nu = spec.nu
-    zeta = spec.zeta_minus
     qd = concave_part_derivative(spec, pts)
 
-    # (i) flatness beyond nu
-    if math.isinf(nu):
-        flat = ConditionCheck(
-            passed=False,
-            witness=float(penalty_derivative(spec, pts[-1])),
-            at=float(pts[-1]),
-        )
+    # (i) flatness beyond nu, p' read as q' + lambda
+    if math.isinf(spec.nu):
+        flat = ConditionCheck(passed=False, witness=float(qd[-1] + lam))
     else:
-        beyond = pts[pts >= nu]
-        if beyond.size == 0:
-            flat = ConditionCheck(passed=True, witness=0.0, at=None)
-        else:
-            dv = np.abs(penalty_derivative(spec, beyond))
-            k = int(np.argmax(dv))
-            flat = ConditionCheck(
-                passed=bool(dv[k] <= _REG_TOL), witness=float(dv[k]), at=float(beyond[k])
-            )
+        dv = np.abs(qd[pts >= spec.nu] + lam).max(initial=0.0)
+        flat = ConditionCheck(passed=bool(dv <= _REG_TOL), witness=float(dv))
 
     # (ii) curvature of q' bounded below by -zeta_minus
-    dq = qd[None, :] - qd[:, None]
-    dt = pts[None, :] - pts[:, None]
-    upper = dt > 0
-    if not upper.any():
-        curvature = ConditionCheck(passed=True, witness=0.0, at=None)
-    else:
-        slack = np.where(upper, dq + zeta * dt, np.inf)
-        worst = float(slack.min())
-        slopes = np.where(upper, -dq / np.where(upper, dt, 1.0), -np.inf)
-        k_flat = int(np.argmax(slopes))
-        i, j = divmod(k_flat, pts.size)
-        curvature = ConditionCheck(
-            passed=bool(worst >= -_REG_TOL),
-            witness=float(slopes.flat[k_flat]),
-            at=(float(pts[i]), float(pts[j])),
-        )
+    g = qd + spec.zeta_minus * pts
+    worst = (g[1:] - np.maximum.accumulate(g[:-1])).min(initial=np.inf)
+    slopes = -np.diff(qd) / np.diff(pts)
+    curvature = ConditionCheck(
+        passed=bool(worst >= -_REG_TOL), witness=float(slopes.max()) if slopes.size else 0.0
+    )
 
     # (iii) q and q' vanish at the origin
-    q0 = abs(concave_part_value(spec, 0.0))
-    qd0 = abs(concave_part_derivative(spec, 1e-12))
-    origin = ConditionCheck(
-        passed=bool(max(q0, qd0) <= _REG_TOL), witness=float(max(q0, qd0)), at=0.0
-    )
+    at_zero = max(abs(concave_part_value(spec, 0.0)), abs(concave_part_derivative(spec, 1e-12)))
+    origin = ConditionCheck(passed=bool(at_zero <= _REG_TOL), witness=float(at_zero))
 
     # (iv) |q'| bounded by lambda
-    absqd = np.abs(qd)
-    k = int(np.argmax(absqd))
-    bounded = ConditionCheck(
-        passed=bool(absqd[k] <= lam + _REG_TOL), witness=float(absqd[k]), at=float(pts[k])
-    )
+    absqd = float(np.abs(qd).max())
+    bounded = ConditionCheck(passed=bool(absqd <= lam + _REG_TOL), witness=absqd)
 
     return RegularityReport(
         flat_beyond_nu=flat,

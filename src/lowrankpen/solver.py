@@ -40,7 +40,7 @@ from lowrankpen.operators import (
     loss_value,
     subspace_hessian,
 )
-from lowrankpen.penalty import MCP, NUCLEAR, SCAD, PenaltySpec, penalty_value, scalar_prox
+from lowrankpen.penalty import NUCLEAR, PenaltySpec, penalty_value, scalar_prox
 
 WARM_ZERO = "zero"
 WARM_NUCLEAR = "nuclear"
@@ -169,20 +169,6 @@ _RITZ_TOL = 1e-12
 _PROGRESS_FRACTION = 0.2
 
 
-def _zeroes_below_threshold(spec: PenaltySpec, eta: float) -> bool:
-    """True when the scalar prox maps every value <= eta * lambda to zero.
-
-    The objective (x - z)^2 / 2 + eta * p(x) is then convex on x >= 0 with
-    slope eta * lambda - z at 0+: always for the nuclear norm, for SCAD when
-    eta < b - 1 and for MCP when eta < b.
-    """
-    if spec.family == SCAD:
-        return eta < spec.b - 1.0
-    if spec.family == MCP:
-        return eta < spec.b
-    return True
-
-
 def _truncated_svd(z: np.ndarray, block: np.ndarray, threshold: float, allowance: float = 0.0):
     """Leading singular triplets of z by block subspace iteration, or None.
 
@@ -239,25 +225,23 @@ def _prox_svd(spec: PenaltySpec, z: np.ndarray, eta: float, block=None, allowanc
     Given a ``block`` from the previous step, only the triplets above
     eta * lambda are computed (:func:`_truncated_svd`, warm-started from
     the block) and the rest of the spectrum is zero.  That needs the scalar
-    prox to zero every value at or below eta * lambda and min(m1, m2) of at
-    least _TRUNCATE_MIN_DIM; otherwise, without a block, or when the block
-    iteration gives up, the SVD is the full one.  A block whose iteration
-    gives up with its kept residual block R at ||R||_F <= ``allowance`` is
-    used anyway and reported inexact: the prox is then the exact prox of a
-    matrix within ``allowance`` of z, so it lies within L * ``allowance``
-    of prox(z) in the Frobenius norm, L the Lipschitz constant of the scalar
-    prox (1 for the nuclear norm, (b - 1)/(b - 1 - eta) for SCAD and
-    b/(b - eta) for MCP), as long as the spectrum the block does not track
-    stays at or below eta * lambda.  Ritz values are lower bounds,
+    prox to zero every value at or below eta * lambda, which holds when its
+    objective (x - z)^2 / 2 + eta * p(x) is convex, eta * zeta_minus < 1
+    (always for the nuclear norm, eta < b - 1 for SCAD, eta < b for MCP),
+    and min(m1, m2) of at least _TRUNCATE_MIN_DIM; otherwise, without a
+    block, or when the block iteration gives up, the SVD is the full one.  A
+    block whose iteration gives up with its kept residual block R at
+    ||R||_F <= ``allowance`` is used anyway and reported inexact: the prox
+    is then the exact prox of a matrix within ``allowance`` of z, so it lies
+    within ``allowance`` / (1 - eta * zeta_minus) of prox(z) in the
+    Frobenius norm, that factor being the Lipschitz constant of the scalar
+    prox, as long as the spectrum the block does not track stays at or
+    below eta * lambda.  Ritz values are lower bounds,
     so the truncated prox serves the iteration only: :func:`prox_spectral`
     takes the full SVD and certifies the result.
     """
     svd = None
-    if (
-        block is not None
-        and min(z.shape) >= _TRUNCATE_MIN_DIM
-        and _zeroes_below_threshold(spec, eta)
-    ):
+    if block is not None and min(z.shape) >= _TRUNCATE_MIN_DIM and eta * spec.zeta_minus < 1.0:
         svd = _truncated_svd(z, block, eta * spec.lam, allowance)
     p, s, qt, exact = (*np.linalg.svd(z, full_matrices=False), True) if svd is None else svd
     s_new = scalar_prox(spec, s, eta)
@@ -278,9 +262,7 @@ def prox_spectral(spec: PenaltySpec, z: np.ndarray, eta: float) -> np.ndarray:
     return _prox_svd(spec, z, eta)[0]
 
 
-def _objective(obs: ObservationSet, spec: PenaltySpec, theta: np.ndarray, spectrum=None):
-    if spectrum is None:
-        spectrum = np.linalg.svd(theta, compute_uv=False)
+def _objective(obs: ObservationSet, spec: PenaltySpec, theta: np.ndarray, spectrum):
     # overflow to inf is the divergence signal handled by the caller
     with np.errstate(over="ignore"):
         return loss_value(obs, theta) + float(np.sum(penalty_value(spec, spectrum)))
@@ -346,15 +328,14 @@ def fit(
 
     def step(point: np.ndarray, k: int, block, allowance=0.0):
         """Prox-gradient step from ``point``: the new iterate, its objective,
-        its singular values (None after the box clip), the next block and
-        whether the prox was exact."""
+        its singular values, the next block and whether the prox was exact."""
         z = point - eta * loss_gradient(obs, point)
         if not np.all(np.isfinite(z)):
             raise DivergenceError(f"iterate became non-finite at iteration {k}")
         theta_new, spectrum, block, exact = _prox_svd(spec, z, eta, block, allowance)
         if config.alpha_star is not None:
             theta_new = np.clip(theta_new, -config.alpha_star, config.alpha_star)
-            spectrum = None
+            spectrum = np.linalg.svd(theta_new, compute_uv=False)
         obj = _objective(obs, spec, theta_new, spectrum)
         if not math.isfinite(obj):
             raise DivergenceError(f"objective became non-finite at iteration {k}")
@@ -393,8 +374,6 @@ def fit(
     fpr = math.inf  # unless the gradient step is finite: an SVD of infinities may not return
     if np.isfinite(residual_arg).all():
         fpr = float(np.linalg.norm(theta - prox_spectral(spec, residual_arg, eta)))
-    if spectrum is None:  # the box clip changed the accepted prox step
-        spectrum = np.linalg.svd(theta, compute_uv=False)
     if not (math.isfinite(fpr) and np.isfinite(spectrum).all()):
         raise DivergenceError(f"non-finite residual or spectrum after {iterations} iterations")
     return FitResult(

@@ -275,6 +275,15 @@ def test_non_finite_sigma_flag_is_invalid_input(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == [src]
 
 
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+@pytest.mark.parametrize("value", ["-1", "inf"])
+def test_invalid_sigma_flag_names_it(tmp_path, capsys, command, value):
+    src = write_small_triplets(tmp_path)
+    assert run_cli(command, src, tmp_path / "out", f"--sigma={value}") == 2
+    assert "--sigma" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [src]
+
+
 def test_oracle_rule_without_curvature_names_lambda_rule(tmp_path, capsys):
     # one sensing draw curves one direction of the 4-dim tangent space: kappa_hat is 0
     config = minimal_config(

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import lowrankpen.penalty as penalty_module
 from lowrankpen.penalty import (
     MCP,
     NUCLEAR,
@@ -211,3 +213,68 @@ def test_check_regularity_rejects_bad_grid():
         check_regularity(SCAD_REF, [0.0, 1.0])
     with pytest.raises(ValueError):
         check_regularity(SCAD_REF, [1.0, 0.5])
+
+
+def all_pairs_curvature(spec, pts, qd):
+    """Condition (ii) over every grid pair, as N x N arrays: (passed, witness)."""
+    dq = qd[None, :] - qd[:, None]
+    dt = pts[None, :] - pts[:, None]
+    upper = dt > 0
+    if not upper.any():
+        return True, 0.0
+    slack = np.where(upper, dq + spec.zeta_minus * dt, np.inf)
+    slopes = np.where(upper, -dq / np.where(upper, dt, 1.0), -np.inf)
+    return bool(slack.min() >= -1e-9), float(slopes.max())
+
+
+@pytest.mark.parametrize("spec", [SCAD_REF, PenaltySpec(MCP, 0.7, 2.5), PenaltySpec(NUCLEAR, 1.3)],
+                         ids=["scad", "mcp", "nuclear"])
+def test_check_regularity_curvature_matches_all_pairs(spec, monkeypatch):
+    # q' plus noise of 0 to a few times the 1e-9 tolerance, so that the
+    # condition both passes and fails across the grids
+    rng = np.random.default_rng(61)
+    true_qd = penalty_module.concave_part_derivative
+    flags = set()
+    for noise in (0.0, 2e-10, 2e-9, 2e-8):
+        for _ in range(4):
+            pts = 0.005 + np.cumsum(rng.uniform(0.01, 0.1, int(rng.integers(2, 300))))
+            qd = true_qd(spec, pts) + noise * rng.standard_normal(pts.size)
+            monkeypatch.setattr(
+                penalty_module,
+                "concave_part_derivative",
+                lambda s, t, qd=qd: qd if np.ndim(t) else true_qd(s, t),
+            )
+            got = check_regularity(spec, pts).curvature_bounded
+            passed, witness = all_pairs_curvature(spec, pts, qd)
+            assert got.passed == passed
+            assert got.witness == pytest.approx(witness, rel=1e-12, abs=0.0)
+            flags.add(passed)
+    assert flags == {True, False}
+
+
+def test_check_regularity_curvature_sees_a_two_step_violation(monkeypatch):
+    # each neighbour pair misses by 0.6e-9, inside the tolerance; the pair
+    # (1, 3) misses by 1.2e-9, outside it
+    zeta = SCAD_REF.zeta_minus
+    true_qd = penalty_module.concave_part_derivative
+
+    def fake(s, t):
+        return -(zeta + 0.6e-9) * (np.asarray(t) - 1.0) if np.ndim(t) else true_qd(s, t)
+
+    monkeypatch.setattr(penalty_module, "concave_part_derivative", fake)
+    pts = np.array([1.0, 2.0, 3.0])
+    slack = np.diff(fake(SCAD_REF, pts)) + zeta * np.diff(pts)
+    assert np.all((slack < 0) & (slack > -1e-9))
+    assert not check_regularity(SCAD_REF, pts).curvature_bounded.passed
+
+
+def test_check_regularity_memory_is_linear_in_the_grid():
+    n = 2000
+    grid = np.linspace(0.01, 10.0, n)
+    tracemalloc.start()
+    try:
+        check_regularity(SCAD_REF, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 8 * n

@@ -263,7 +263,7 @@ def test_fit_rejects_a_non_finite_final_residual():
     # (eta = 20) overflows; the fit must not report that as converged
     cells = [(j, k) for j in range(5) for k in range(4)]
     y = np.array([1e308 if cell == (1, 0) else 0.5 * cell[0] - 0.3 * cell[1] for cell in cells])
-    obs = ObservationSet(CompletionDesign(m1=5, m2=4, entries=np.array(cells)), y, sigma=0.2)
+    obs = ObservationSet(CompletionDesign(m1=5, m2=4, entries=np.array(cells)), y)
     lam = standard_lambda("completion", 0.2, 5, 4, len(cells), 2.0)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="residual"):
         fit(obs, PenaltySpec(SCAD, lam, 3.7), SolverConfig(max_iter=30))
@@ -551,13 +551,9 @@ def test_fit_at_cutoff_matches_full_svd_reference(monkeypatch):
 
 
 def prox_lipschitz(spec, eta):
-    """Lipschitz constant of the scalar prox of ``spec`` at step ``eta`` (below the
-    concavity limits of :func:`solver._zeroes_below_threshold`)."""
-    if spec.family == SCAD:
-        return (spec.b - 1.0) / (spec.b - 1.0 - eta)
-    if spec.family == MCP:
-        return spec.b / (spec.b - eta)
-    return 1.0
+    """Lipschitz constant of the scalar prox of ``spec`` at a step ``eta`` with
+    eta * zeta_minus < 1."""
+    return 1.0 / (1.0 - eta * spec.zeta_minus)
 
 
 @pytest.mark.parametrize("spec", PROX_SPECS, ids=["nuclear", "scad", "mcp"])
