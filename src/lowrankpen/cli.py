@@ -132,8 +132,9 @@ def parse_run_config(cfg: dict) -> tuple[TrialSpec, str | None]:
     model, m1, m2, r = (scalars[key] for key in ("model", "m1", "m2", "r"))
     if model not in (simlab.COMPLETION, simlab.SENSING):
         raise ConfigError("model", f"must be 'completion' or 'sensing', got {model!r}")
-    if m1 < 1 or m2 < 1:
-        raise ConfigError("m1", "dimensions must be positive")
+    for key, size in (("m1", m1), ("m2", m2)):
+        if size < 1:
+            raise ConfigError(key, "dimensions must be positive")
 
     rule_doc = _require(cfg, "spectrum_rule", dict)
     kind = rule_doc.get("kind")

@@ -244,8 +244,8 @@ def subspace_hessian(design: Design, sub: Subspace) -> np.ndarray:
     return k.T @ (design.gram @ k)
 
 
-def _apply_hessian(design: Design, theta: np.ndarray) -> np.ndarray:
-    """X*(X(Theta)) / n as an m1 x m2 matrix."""
+def apply_hessian(design: Design, theta: np.ndarray) -> np.ndarray:
+    """H Theta = X*(X(Theta)) / n as an m1 x m2 matrix."""
     col = _check_theta(design, theta).reshape(-1, 1)
     return hessian_product(design, col).reshape(design.m1, design.m2)
 
@@ -268,23 +268,27 @@ def quadratic_form(design: Design, delta: np.ndarray) -> float | np.ndarray:
     return values.reshape(delta.shape[:-2])
 
 
-def loss_value(obs: ObservationSet, theta: np.ndarray) -> float:
+def loss_value(
+    obs: ObservationSet, theta: np.ndarray, h_theta: np.ndarray | None = None
+) -> float:
     """Quadratic empirical loss ||y - X(Theta)||^2 / (2n).
 
     Sensing expands the square into Theta^T H Theta / 2 - <Theta, X*(y)/n> +
-    ||y||^2 / (2n); completion keeps the O(n) residual sum, which is exactly
-    zero at an exact fit.
+    ||y||^2 / (2n), reading H Theta from ``h_theta`` when the caller already
+    holds it (:func:`apply_hessian`); completion keeps the O(n) residual sum,
+    which is exactly zero at an exact fit, and ignores ``h_theta``.
     """
     if isinstance(obs.design, CompletionDesign):
         resid = obs.y - apply_forward(obs.design, theta)
         return float(resid @ resid) / (2.0 * obs.n)
-    h_theta = _apply_hessian(obs.design, theta)
+    if h_theta is None:
+        h_theta = apply_hessian(obs.design, theta)
     return float(np.vdot(theta, 0.5 * h_theta - obs.xty)) + obs.loss_at_zero
 
 
 def loss_gradient(obs: ObservationSet, theta: np.ndarray) -> np.ndarray:
     """Gradient of the quadratic loss: X*(X(Theta) - y) / n = H Theta - X*(y)/n."""
-    return _apply_hessian(obs.design, theta) - obs.xty
+    return apply_hessian(obs.design, theta) - obs.xty
 
 
 def _check_frames(sub: Subspace, a: np.ndarray) -> np.ndarray:

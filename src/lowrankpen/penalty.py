@@ -90,6 +90,16 @@ class PenaltySpec:
             return 1.0 / self.b
         return 0.0
 
+    def convex_at(self, eta: float) -> bool:
+        """Whether (x - z)^2 / 2 + eta * p(|x|) is strictly convex for a
+        positive step: eta * zeta_minus < 1, read as eta < b - 1 for SCAD and
+        eta < b for MCP so that no rounded product admits eta = b - 1 or b."""
+        if self.family == SCAD:
+            return eta < self.b - 1.0
+        if self.family == MCP:
+            return eta < self.b
+        return True
+
 
 def penalty_value(spec: PenaltySpec, t):
     """Evaluate p(|t|) for a scalar or array argument.
@@ -158,6 +168,33 @@ def concave_part_derivative(spec: PenaltySpec, t):
     return out
 
 
+def convex_prox(spec: PenaltySpec, s: np.ndarray, eta: float) -> np.ndarray:
+    """Closed-form prox of a nonnegative array ``s`` for a finite positive
+    ``eta`` at which ``spec.convex_at(eta)``.
+
+    The objective (x - s)^2 / 2 + eta * p(x) is then convex, and its
+    minimizer is a thresholding rule (Fan & Li, JASA 2001): the soft
+    threshold max(s - eta*lambda, 0) for the nuclear norm; for SCAD the soft
+    threshold up to (1 + eta)*lambda, the stationary point of the quadratic
+    branch ((b-1)s - eta*b*lambda) / (b-1-eta) up to b*lambda, and s beyond;
+    for MCP firm thresholding, max(b(s - eta*lambda) / (b - eta), 0) up to
+    b*lambda and s beyond.  The stationary point grows faster than s and
+    the soft threshold and meets them at the knots, so each rule is a min of
+    maxes with no branch test.  Each piece is the expression
+    :func:`scalar_prox` evaluates for the same candidate, so the two agree
+    bitwise away from the knots.  The caller checks the gate and the
+    arguments; values at or below eta*lambda map to exactly zero.
+    """
+    lam, b = spec.lam, spec.b
+    shrunk = s - eta * lam
+    if spec.family == NUCLEAR:
+        return np.maximum(shrunk, 0.0)
+    if spec.family == SCAD:
+        middle = ((b - 1.0) * s - eta * b * lam) / ((b - 1.0) - eta)
+        return np.minimum(np.maximum(np.maximum(shrunk, 0.0), middle), s)
+    return np.minimum(np.maximum(b * shrunk / (b - eta), 0.0), s)
+
+
 def scalar_prox(spec: PenaltySpec, z, eta: float):
     """Global minimizer of f(x) = (x - z)^2 / 2 + eta * p(|x|), per entry of z.
 
@@ -166,9 +203,12 @@ def scalar_prox(spec: PenaltySpec, z, eta: float):
     minimum: the spline knots {0, lambda, b*lambda}, the identity point |z|,
     and the stationary point of each quadratic branch.  Enumerating and
     comparing objective values sidesteps the case analysis a closed form
-    would need for general eta.  Each entry's candidates are sorted and the
-    first minimum is taken, so exact ties go to the candidate with the
-    smaller magnitude, which keeps the map odd and deterministic.
+    would need when eta * zeta_minus >= 1, where f need not be convex; below
+    that (:meth:`PenaltySpec.convex_at`), :func:`convex_prox` gives the
+    minimizer in closed form and is the map the solver uses.  Each entry's
+    candidates are sorted and the first minimum is taken, so exact ties go
+    to the candidate with the smaller magnitude, which keeps the map odd and
+    deterministic.
     """
     if not (math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be positive and finite, got {eta}")

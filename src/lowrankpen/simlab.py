@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from concurrent.futures import ProcessPoolExecutor
 from typing import ClassVar
 
 import numpy as np
@@ -434,6 +433,10 @@ def run_grid(spec: TrialSpec, jobs: int = 1) -> GridResult:
     ]
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # imported here: the pool module loads multiprocessing, which a
+        # serial run and every other command can skip
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             trials = tuple(pool.map(_trial_task, tasks, chunksize=1))
     else:

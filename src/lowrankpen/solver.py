@@ -12,8 +12,9 @@ the last two iterates; when the objective rises, the step is discarded, the
 momentum is reset and the plain step is taken instead (function-value
 adaptive restart, O'Donoghue & Candes 2015), so the accepted objective
 sequence stays monotone as in monotone APG for nonconvex penalties (Li &
-Lin 2015).  The nuclear-norm warm start and the SCAD/MCP fit run the same
-loop.  An optional entrywise box constraint ||Theta||_inf <= alpha* is
+Lin 2015).  The nuclear-norm warm start, stopped at sqrt(tol), and the
+SCAD/MCP fit run the same loop, which takes one Hessian product per prox
+step.  An optional entrywise box constraint ||Theta||_inf <= alpha* is
 enforced by clipping after the prox; the composite prox of box + spectral
 penalty has no tractable form, so this splitting is a documented heuristic.
 
@@ -36,11 +37,11 @@ from lowrankpen.operators import (
     Design,
     ObservationSet,
     Subspace,
-    loss_gradient,
+    apply_hessian,
     loss_value,
     subspace_hessian,
 )
-from lowrankpen.penalty import NUCLEAR, PenaltySpec, penalty_value, scalar_prox
+from lowrankpen.penalty import NUCLEAR, PenaltySpec, convex_prox, penalty_value, scalar_prox
 
 WARM_ZERO = "zero"
 WARM_NUCLEAR = "nuclear"
@@ -74,7 +75,11 @@ class SolverConfig:
     constant (:func:`estimate_lipschitz`); a positive ``eta`` is used as a
     fixed step instead.
     ``warm_start="nuclear"`` first solves the convex nuclear-norm problem at
-    the same lambda and starts the nonconvex iteration there.
+    the same lambda, with the same step, to the tolerance sqrt(tol), and
+    starts the nonconvex iteration there: a folded-concave fit needs its
+    convex start only to statistical accuracy (Fan, Xue & Zou, Ann. Statist.
+    2014), not to the final tolerance.  The warm start is a nested
+    :func:`fit` call, so its result carries its own iteration count.
     """
 
     max_iter: int = 2000
@@ -160,8 +165,8 @@ def estimate_lipschitz(design: Design) -> float:
 # columns carried past the kept rank, the block steps before the full SVD
 # takes over, the residual tolerance, relative to the top Ritz value, that
 # every kept Ritz triplet must meet, and the fraction of the last accepted
-# step ||T_k - T_{k-1}||_F that the kept residual block may reach when that
-# tolerance is out of reach.
+# step ||T_k - T_{k-1}||_F, over the momentum weight t_k, that the kept
+# residual block may reach when that tolerance is out of reach.
 _TRUNCATE_MIN_DIM = 100
 _OVERSAMPLE = 5
 _BLOCK_STEPS = 8
@@ -178,11 +183,12 @@ def _truncated_svd(z: np.ndarray, block: np.ndarray, threshold: float, allowance
     the last Ritz value is at most ``threshold`` and every Ritz triplet
     above it has converged, ||z v_i - s_i u_i|| <= _RITZ_TOL * s_1.
 
-    The iteration gives up after _BLOCK_STEPS steps, or as soon as the
-    residuals, shrinking by about (s_k / s_r)^2 a step (s_r the smallest
-    kept Ritz value, s_k the last one), cannot reach that tolerance in the
-    steps left.  It then still accepts the block when the residuals of the
-    kept triplets, R = z V_r - U_r S_r, have ||R||_F <= ``allowance``.  The
+    The residuals shrink by about (s_k / s_r)^2 a step (s_r the smallest
+    kept Ritz value, s_k the last one).  Once they cannot reach that
+    tolerance in the _BLOCK_STEPS steps, the block is still accepted as soon
+    as the residuals of the kept triplets, R = z V_r - U_r S_r, have
+    ||R||_F <= ``allowance``; the iteration goes on while ||R||_F can still
+    reach the allowance in the steps left and gives up otherwise.  The
     kept triplets are exact singular triplets of z - R V_r^T, a matrix within
     ||R||_F of z, so the prox built from them is the exact prox of that
     matrix whenever the spectrum the block does not track stays at or below
@@ -191,7 +197,7 @@ def _truncated_svd(z: np.ndarray, block: np.ndarray, threshold: float, allowance
     Returns (U, s, V^T, exact), ``exact`` False for a block accepted on the
     allowance, or None: when the block exceeds half of min(m1, m2), when
     every Ritz value is above the threshold (the block cannot hold the kept
-    part), or when the given-up block misses the allowance.
+    part), or when the block cannot reach the allowance.
     """
     if block.shape[1] > min(z.shape) // 2:
         return None
@@ -209,13 +215,27 @@ def _truncated_svd(z: np.ndarray, block: np.ndarray, threshold: float, allowance
         tol = _RITZ_TOL * s[0]
         if worst <= tol:
             return u, s, vt, True
-        if worst * (s[-1] / s[r - 1]) ** (2 * steps_left) > tol:
-            break
+        rate = (s[-1] / s[r - 1]) ** (2 * steps_left)
+        if worst * rate > tol:
+            kept = np.linalg.norm(resid)
+            if kept <= allowance:
+                return u, s, vt, False
+            if kept * rate > allowance:
+                return None
     return (u, s, vt, False) if np.linalg.norm(resid) <= allowance else None
 
 
 def _prox_svd(spec: PenaltySpec, z: np.ndarray, eta: float, block=None, allowance: float = 0.0):
     """SVD of z, scalar prox of its spectrum, rebuild from the nonzero part.
+
+    The scalar prox is the closed form :func:`~lowrankpen.penalty.convex_prox`
+    when eta is finite and positive and eta * zeta_minus < 1
+    (:meth:`~lowrankpen.penalty.PenaltySpec.convex_at`), the same gate as the
+    truncated prox below, and the enumeration
+    :func:`~lowrankpen.penalty.scalar_prox` otherwise (which rejects an
+    ``eta`` that is not finite and positive).  The iteration and
+    :func:`prox_spectral` both come here, so the residual certifies the map
+    the iteration applies.
 
     Returns the prox, its min(m1, m2) singular values, ``block`` for the
     next call (the right singular vectors of the kept part plus
@@ -230,9 +250,9 @@ def _prox_svd(spec: PenaltySpec, z: np.ndarray, eta: float, block=None, allowanc
     (always for the nuclear norm, eta < b - 1 for SCAD, eta < b for MCP),
     and min(m1, m2) of at least _TRUNCATE_MIN_DIM; otherwise, without a
     block, or when the block iteration gives up, the SVD is the full one.  A
-    block whose iteration gives up with its kept residual block R at
-    ||R||_F <= ``allowance`` is used anyway and reported inexact: the prox
-    is then the exact prox of a matrix within ``allowance`` of z, so it lies
+    block that cannot reach the exact tolerance but whose kept residual
+    block R reaches ||R||_F <= ``allowance`` is used and reported inexact:
+    the prox is then the exact prox of a matrix within ``allowance`` of z, so it lies
     within ``allowance`` / (1 - eta * zeta_minus) of prox(z) in the
     Frobenius norm, that factor being the Lipschitz constant of the scalar
     prox, as long as the spectrum the block does not track stays at or
@@ -241,10 +261,11 @@ def _prox_svd(spec: PenaltySpec, z: np.ndarray, eta: float, block=None, allowanc
     takes the full SVD and certifies the result.
     """
     svd = None
-    if block is not None and min(z.shape) >= _TRUNCATE_MIN_DIM and eta * spec.zeta_minus < 1.0:
+    convex = 0.0 < eta < math.inf and spec.convex_at(eta)
+    if block is not None and min(z.shape) >= _TRUNCATE_MIN_DIM and convex:
         svd = _truncated_svd(z, block, eta * spec.lam, allowance)
     p, s, qt, exact = (*np.linalg.svd(z, full_matrices=False), True) if svd is None else svd
-    s_new = scalar_prox(spec, s, eta)
+    s_new = convex_prox(spec, s, eta) if convex else scalar_prox(spec, s, eta)
     r = int(np.count_nonzero(s_new))
     theta = (p[:, :r] * s_new[:r]) @ qt[:r]
     if svd is not None:  # the untracked rest of the spectrum is zero
@@ -254,18 +275,19 @@ def _prox_svd(spec: PenaltySpec, z: np.ndarray, eta: float, block=None, allowanc
 
 def prox_spectral(spec: PenaltySpec, z: np.ndarray, eta: float) -> np.ndarray:
     """Proximal map of the spectral penalty: scalar prox on each singular value
-    (which rejects an ``eta`` that is not finite and positive).  A non-finite
-    ``z`` raises ``ValueError`` before the SVD, which may not return on it."""
+    (see :func:`_prox_svd`; an ``eta`` that is not finite and positive is
+    rejected).  A non-finite ``z`` raises ``ValueError`` before the SVD,
+    which may not return on it."""
     z = np.asarray(z, dtype=float)
     if not np.isfinite(z).all():
         raise ValueError("z must be finite")
     return _prox_svd(spec, z, eta)[0]
 
 
-def _objective(obs: ObservationSet, spec: PenaltySpec, theta: np.ndarray, spectrum):
+def _objective(obs: ObservationSet, spec: PenaltySpec, theta, h_theta, spectrum):
     # overflow to inf is the divergence signal handled by the caller
     with np.errstate(over="ignore"):
-        return loss_value(obs, theta) + float(np.sum(penalty_value(spec, spectrum)))
+        return loss_value(obs, theta, h_theta) + float(np.sum(penalty_value(spec, spectrum)))
 
 
 # t after the plain step that follows a momentum reset to t = 1
@@ -289,6 +311,17 @@ def fit(
     monotone whenever the exact plain step is, which holds for the step 1/L
     without the box clip.
 
+    Each prox step takes one Hessian product, H T of its new iterate T (see
+    :func:`~lowrankpen.operators.apply_hessian`), plus one for the starting
+    point.  It gives the loss of T (expanded for sensing; completion keeps
+    its residual sum) and, since H is linear, the gradient at the next
+    extrapolated point, H y - X*(y)/n with H y = H T_k + m (H T_k - H T_{k-1}),
+    at a restart's plain point and in the final residual.  The scalar prox
+    of every step and of the residual is the closed form when
+    eta * zeta_minus < 1 and the enumeration otherwise (:func:`_prox_svd`).
+    With ``warm_start="nuclear"`` the nested nuclear fit runs first, to the
+    tolerance sqrt(``config.tol``) (see :class:`SolverConfig`).
+
     ``iterations`` counts accepted steps.  Stops when the relative iterate
     change ||T+ - T||_F / max(1, ||T||_F) drops below ``config.tol`` or after
     ``config.max_iter`` accepted steps.  The reported
@@ -307,7 +340,10 @@ def fit(
     thin block instead of a full SVD.  A block whose iteration cannot reach
     _RITZ_TOL is still used, as an inexact prox, when its kept residuals
     have a Frobenius norm of at most _PROGRESS_FRACTION times the last
-    accepted step ||T_k - T_{k-1}||_F (so never on a fit's first step).
+    accepted step ||T_k - T_{k-1}||_F, divided by the momentum weight t_k
+    (so never on a fit's first step).  An accelerated method weighs the
+    error of step k by about k = 2 t_k against a plain one (Schmidt, Le Roux
+    & Bach 2011), so its allowance shrinks with t_k; a restart resets it.
     The first step of a fit without a warm block, any step whose block is
     too small to hold every value above eta * lambda, and any step whose
     block misses that allowance take the full SVD.
@@ -318,7 +354,8 @@ def fit(
     eta = 1.0 / estimate_lipschitz(design) if config.eta is None else float(config.eta)
 
     if config.warm_start == WARM_NUCLEAR and spec.family != NUCLEAR:
-        warm_config = replace(config, warm_start=WARM_ZERO, eta=eta)
+        # a convex start needs only statistical accuracy, not the final tol
+        warm_config = replace(config, warm_start=WARM_ZERO, eta=eta, tol=math.sqrt(config.tol))
         warm = fit(obs, PenaltySpec(NUCLEAR, spec.lam), warm_config)
         theta, spectrum, block = np.array(warm.theta_hat), warm.spectrum, warm.block
     else:
@@ -326,24 +363,27 @@ def fit(
         spectrum = np.zeros(min(design.m1, design.m2))
         block = None
 
-    def step(point: np.ndarray, k: int, block, allowance=0.0):
-        """Prox-gradient step from ``point``: the new iterate, its objective,
-        its singular values, the next block and whether the prox was exact."""
-        z = point - eta * loss_gradient(obs, point)
+    def step(point: np.ndarray, h_point: np.ndarray, k: int, block, allowance=0.0):
+        """Prox-gradient step from ``point``, given H ``point``: the new
+        iterate, H times it, its objective, its singular values, the next
+        block and whether the prox was exact."""
+        z = point - eta * (h_point - obs.xty)
         if not np.all(np.isfinite(z)):
             raise DivergenceError(f"iterate became non-finite at iteration {k}")
         theta_new, spectrum, block, exact = _prox_svd(spec, z, eta, block, allowance)
         if config.alpha_star is not None:
             theta_new = np.clip(theta_new, -config.alpha_star, config.alpha_star)
             spectrum = np.linalg.svd(theta_new, compute_uv=False)
-        obj = _objective(obs, spec, theta_new, spectrum)
+        h_new = apply_hessian(design, theta_new)
+        obj = _objective(obs, spec, theta_new, h_new, spectrum)
         if not math.isfinite(obj):
             raise DivergenceError(f"objective became non-finite at iteration {k}")
-        return theta_new, obj, spectrum, block, exact
+        return theta_new, h_new, obj, spectrum, block, exact
 
-    obj = _objective(obs, spec, theta, spectrum)
+    h = apply_hessian(design, theta)
+    obj = _objective(obs, spec, theta, h, spectrum)
     trace = [obj]
-    theta_prev = theta
+    theta_prev, h_prev = theta, h
     t = 1.0
     restarts = 0
     converged = False
@@ -352,25 +392,33 @@ def fit(
     for k in range(1, config.max_iter + 1):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         momentum = (t - 1.0) / t_next
-        point = theta + momentum * (theta - theta_prev) if momentum > 0.0 else theta
-        allowance = _PROGRESS_FRACTION * progress
-        theta_new, obj_new, spectrum, block_new, exact = step(point, k, block, allowance)
+        point, h_point = theta, h
+        if momentum > 0.0:  # H is linear: H y = H T_k + momentum (H T_k - H T_{k-1})
+            point = theta + momentum * (theta - theta_prev)
+            h_point = h + momentum * (h - h_prev)
+        allowance = _PROGRESS_FRACTION * progress / t
+        theta_new, h_new, obj_new, spectrum, block_new, exact = step(
+            point, h_point, k, block, allowance
+        )
         if point is not theta and obj_new > obj:
             restarts += 1
             t_next = _T_AFTER_RESTART
-            theta_new, obj_new, spectrum, block_new, exact = step(theta, k, block, allowance)
+            theta_new, h_new, obj_new, spectrum, block_new, exact = step(
+                theta, h, k, block, allowance
+            )
         if not exact and obj_new > obj:  # an inexact plain step rose: take the full SVD
-            theta_new, obj_new, spectrum, block_new, _ = step(theta, k, None)
+            theta_new, h_new, obj_new, spectrum, block_new, _ = step(theta, h, k, None)
         trace.append(obj_new)
         progress = float(np.linalg.norm(theta_new - theta))
         rel = progress / max(1.0, np.linalg.norm(theta))
-        theta_prev, theta, obj, t, block = theta, theta_new, obj_new, t_next, block_new
+        theta_prev, h_prev, theta, h = theta, h, theta_new, h_new
+        obj, t, block = obj_new, t_next, block_new
         iterations = k
         if rel <= config.tol:
             converged = True
             break
 
-    residual_arg = theta - eta * loss_gradient(obs, theta)
+    residual_arg = theta - eta * (h - obs.xty)
     fpr = math.inf  # unless the gradient step is finite: an SVD of infinities may not return
     if np.isfinite(residual_arg).all():
         fpr = float(np.linalg.norm(theta - prox_spectral(spec, residual_arg, eta)))

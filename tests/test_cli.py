@@ -1,5 +1,9 @@
+import concurrent.futures
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +165,7 @@ def test_simulate_rejects_fractional_max_iter_before_running(tmp_path, capsys):
         ("max_iter", {"solver": {"max_iter": 0}}),
         ("warm_start", {"solver": {"warm_start": "x"}}),
         ("warm_start", {"solver": {"warm_start": None}}),
+        ("m2", {"m1": 5, "m2": 0}),
     ],
     ids=["sigma-nan", "margin-nan", "margin-list", "margin-negative", "b-list", "c-nan",
          "c-negative", "c-zero", "step_policy", "r1-negative", "low_value-negative",
@@ -169,7 +174,7 @@ def test_simulate_rejects_fractional_max_iter_before_running(tmp_path, capsys):
          "penalties-empty", "penalties-zero-b", "spectrum_rule-rank-sum", "N_grid-below-one",
          "low_value-above-nu", "low_value-just-above-nu", "tol-negative", "eta-zero", "eta-inf",
          "alpha_star-nan", "rank_tol_rel-nan", "max_iter-zero", "warm_start-unknown",
-         "warm_start-null"],
+         "warm_start-null", "m2-zero"],
 )
 def test_simulate_rejects_invalid_value_naming_its_key(tmp_path, capsys, key, overrides):
     config = minimal_config(tmp_path, **overrides)
@@ -344,7 +349,9 @@ def test_simulate_rejects_jobs_below_one(tmp_path, capsys, jobs):
 
 
 def test_simulate_starts_no_more_workers_than_trials(tmp_path, monkeypatch):
-    # a pool stand-in that records its size and maps serially: no process starts
+    # a pool stand-in that records its size and maps serially: no process
+    # starts; run_grid imports the pool class when it needs one, so the
+    # stand-in replaces it in concurrent.futures
     sizes = []
 
     class SerialPool:
@@ -360,7 +367,7 @@ def test_simulate_starts_no_more_workers_than_trials(tmp_path, monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli.simlab, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     config = minimal_config(tmp_path, repeats=2)
     serial, pooled = tmp_path / "serial", tmp_path / "pooled"
     assert run_cli("simulate", config, "--out-dir", serial, "--jobs", 1) == 0
@@ -369,6 +376,16 @@ def test_simulate_starts_no_more_workers_than_trials(tmp_path, monkeypatch):
     assert strip_runtime((serial / "results.csv").read_text()) == strip_runtime(
         (pooled / "results.csv").read_text()
     )
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # run_grid imports the pool only for more than one worker, so a CLI
+    # start (--version included) does not load multiprocessing
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import lowrankpen.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_simulate_resource_guard_counts_design_and_gram(tmp_path, monkeypatch):

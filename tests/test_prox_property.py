@@ -1,4 +1,5 @@
-"""Property tests of the array prox against the per-value enumeration it replaced."""
+"""Property tests of the array prox against the per-value enumeration it replaced,
+and of the closed-form convex prox against the array prox."""
 
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lowrankpen.penalty import MCP, NUCLEAR, SCAD, PenaltySpec, scalar_prox
+from lowrankpen.penalty import MCP, NUCLEAR, SCAD, PenaltySpec, convex_prox, scalar_prox
 
 
 def value(spec, x):
@@ -107,3 +108,37 @@ def test_array_prox_keeps_shape_and_scalar_type():
     assert out.shape == (2, 2)
     np.testing.assert_allclose(out, [[5.0, -4.4 / 1.7], [0.0, 0.0]], rtol=1e-15)
     assert type(scalar_prox(spec, 3.0, 1.0)) is float
+
+
+def prox_objective(spec, x, a, eta):
+    return 0.5 * (x - a) * (x - a) + eta * value(spec, x)
+
+
+# relative distance from a branch point of the closed form beyond which it
+# must pick the same candidate as the enumeration
+KNOT_GAP = 1e-9
+
+
+def convex_case(case):
+    """eta * zeta_minus < 1, compared without rounding the product."""
+    spec, eta, _ = case
+    return {NUCLEAR: True, SCAD: eta < spec.b - 1.0, MCP: eta < spec.b}[spec.family]
+
+
+@given(prox_cases().filter(convex_case))
+def test_convex_prox_matches_enumeration_where_convex(case):
+    # eta * zeta_minus < 1: the closed form is never worse than the
+    # enumeration by more than 4 ulps of the objective, and away from the
+    # branch points eta*lambda, (1 + eta)*lambda and b*lambda it is the same
+    # candidate, bitwise
+    spec, eta, zs = case
+    a = np.abs(zs)
+    got = convex_prox(spec, a, eta)
+    want = np.abs(scalar_prox(spec, zs, eta))
+    for x, w, ai in zip(got.tolist(), want.tolist(), a.tolist()):
+        best = prox_objective(spec, w, ai, eta)
+        assert prox_objective(spec, x, ai, eta) <= best + 4 * math.ulp(best)
+    lam, b = spec.lam, spec.b
+    knots = [eta * lam] if spec.family == NUCLEAR else [eta * lam, (1 + eta) * lam, b * lam]
+    away = np.all([np.abs(a - k) > KNOT_GAP * k for k in knots], axis=0)
+    assert got[away].tobytes() == want[away].tobytes()

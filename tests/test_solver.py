@@ -1,8 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from lowrankpen import operators
 from lowrankpen import solver as solver_module
 from lowrankpen.operators import (
     apply_forward,
@@ -222,6 +224,52 @@ def test_fit_accelerated_trace_monotone_through_restarts(spec):
     assert result.restarts > 0  # the momentum overshot and was reset
     assert result.objective_trace.size == result.iterations + 1  # accepted steps only
     assert np.all(np.diff(result.objective_trace) <= 1e-12)
+
+
+@pytest.mark.parametrize("model", ["completion", "sensing"])
+def test_fit_takes_one_hessian_product_per_prox_step(model, monkeypatch):
+    # each new iterate's H Theta gives its loss and, by linearity, the
+    # gradient at the next extrapolated point, at the restart's plain point
+    # and in the final residual: one product per prox step (a restart's
+    # discarded step included) plus one for the starting point
+    rng = np.random.default_rng(1)
+    theta_star, _, _ = random_low_rank(rng, 8, 8, [3.0, 1.5])
+    sample = sample_completion_design if model == "completion" else sample_sensing_design
+    obs = generate_observations(sample(rng, 8, 8, 200), theta_star, 0.2, rng)
+    products = []
+    hessian_product = operators.hessian_product
+
+    def counted(design, cols):
+        products.append(cols.shape)
+        return hessian_product(design, cols)
+
+    monkeypatch.setattr(operators, "hessian_product", counted)
+    result = fit(obs, PenaltySpec(SCAD, 0.05, 3.7), SolverConfig())
+    assert result.converged and result.restarts > 0
+    assert len(products) == result.iterations + result.restarts + 1
+    assert all(shape == (64, 1) for shape in products)
+
+
+def test_warm_start_runs_to_the_square_root_of_tol(monkeypatch):
+    # the convex start needs only statistical accuracy: the nested nuclear
+    # fit gets tol = sqrt(tol) and the outer fit's step, and nothing else
+    configs = []
+    outer = solver_module.fit
+
+    def logged(obs, spec, config=SolverConfig()):
+        configs.append((spec.family, config))
+        return outer(obs, spec, config)
+
+    monkeypatch.setattr(solver_module, "fit", logged)
+    rng = np.random.default_rng(9)
+    theta_star, _, _ = random_low_rank(rng, 8, 8, [3.0, 1.5])
+    obs = generate_observations(sample_completion_design(rng, 8, 8, 200), theta_star, 0.2, rng)
+    config = SolverConfig(warm_start="nuclear", tol=1e-8, max_iter=500)
+    result = solver_module.fit(obs, PenaltySpec(SCAD, 0.05, 3.7), config)
+    assert [family for family, _ in configs] == [SCAD, NUCLEAR]
+    warm = configs[1][1]
+    assert warm.tol == math.sqrt(config.tol)
+    assert warm == SolverConfig(max_iter=500, tol=warm.tol, eta=result.eta)
 
 
 def test_fit_fixed_point_residual_small_after_convergence():
