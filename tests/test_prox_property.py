@@ -115,8 +115,10 @@ def prox_objective(spec, x, a, eta):
 
 
 # relative distance from a branch point of the closed form beyond which it
-# must pick the same candidate as the enumeration
-KNOT_GAP = 1e-9
+# must pick the same candidate as the enumeration; rounding in the SCAD
+# stationary point, amplified by (b - 1) / (b - 1 - eta), moved the choice up
+# to 9e-7 from b*lambda in a random search with eta near b - 1
+KNOT_GAP = 1e-6
 
 
 def convex_case(case):
