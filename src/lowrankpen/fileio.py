@@ -46,10 +46,13 @@ def write_json(path, doc) -> None:
 
 
 def write_dense_matrix(path, a: np.ndarray) -> None:
+    """One line per row, each value its ``repr``.  Rows are converted to
+    Python floats one at a time: converting the whole matrix at once would
+    hold a Python float per entry (about 1.3 MB more at 200 x 200)."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     with open(path, "w", newline="") as fh:
         for row in a:
-            fh.write(",".join(_fmt(x) for x in row))
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")
 
 

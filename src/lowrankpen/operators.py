@@ -17,8 +17,9 @@ X*(y)/n.  Both are built once, on first use: the d x d Gram matrix
 H = X^T X / n over row-major vec(X_i) for sensing (d = m1*m2), and the
 per-cell observation count / n -- the diagonal of H -- for completion.  The
 loss gradient, the curvature ||X(Delta)||^2 / n of the theory diagnostics, the
-solver's step size and the rank-restricted least-squares solve all read these
-statistics instead of sweeping the n observations.  :func:`apply_forward` and
+solver's step size, the rank-restricted least-squares solve and the solver's
+alternating least-squares finisher (both through :func:`row_grams` for
+completion) all read these statistics instead of sweeping the n observations.  :func:`apply_forward` and
 :func:`apply_adjoint` remain the direct maps.
 """
 
@@ -225,20 +226,41 @@ def hessian_product(design: Design, cols: np.ndarray) -> np.ndarray:
     return design.gram @ cols
 
 
+def _row_outer(frame: np.ndarray) -> np.ndarray:
+    """Row-wise outer products of an m x r frame, one flattened r x r product per row."""
+    r = frame.shape[1]
+    return (frame[:, :, None] * frame[:, None, :]).reshape(-1, r * r)
+
+
+def row_grams(weights: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """F^T diag(w_j) F for each row w_j of ``weights`` (p x m) and the m x r
+    ``frame`` F, as a p x r x r stack, in one product with the row-wise outer
+    products of F.
+
+    With the completion weights and a right frame V these are the blocks of
+    the diagonal Hessian seen through V, row by row: the normal matrices of
+    the per-row least-squares problems over U C V^T or A V^T
+    (:func:`subspace_hessian`, the solver's alternating least squares); the
+    transposed weights and a left frame give the per-column ones.
+    """
+    r = frame.shape[1]
+    return (weights @ _row_outer(frame)).reshape(-1, r, r)
+
+
 def subspace_hessian(design: Design, sub: Subspace) -> np.ndarray:
     """K^T H K for K = U kron V, the Hessian of the loss over the r x r
     coefficients C of U C V^T, indexed like row-major vec(C).
 
     Completion never forms the (m1*m2) x r^2 matrix K: H is diagonal, so
     K^T H K = sum_j (u_j u_j^T) kron (V^T diag(w_j) V), u_j the j-th row of U
-    and w_j that of the weights, which takes O(m1 m2 r^2 + m1 r^4) work.
+    and w_j that of the weights (:func:`row_grams`), which takes
+    O(m1 m2 r^2 + m1 r^4) work.
     """
     r = sub.r
     if isinstance(design, CompletionDesign):
-        inner = (design.weights[:, :, None] * sub.V).transpose(0, 2, 1) @ sub.V
-        outer = sub.U[:, :, None] * sub.U[:, None, :]
+        inner = row_grams(design.weights, sub.V).reshape(-1, r * r)
         # rows (a, c), columns (b, d)
-        blocks = outer.reshape(-1, r * r).T @ inner.reshape(-1, r * r)
+        blocks = _row_outer(sub.U).T @ inner
         return blocks.reshape(r, r, r, r).transpose(0, 2, 1, 3).reshape(r * r, r * r)
     k = np.kron(sub.U, sub.V)  # column a*r + b is vec(u_a v_b^T)
     return k.T @ (design.gram @ k)

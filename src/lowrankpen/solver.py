@@ -14,7 +14,11 @@ adaptive restart, O'Donoghue & Candes 2015), so the accepted objective
 sequence stays monotone as in monotone APG for nonconvex penalties (Li &
 Lin 2015).  The nuclear-norm warm start, stopped at sqrt(tol), and the
 SCAD/MCP fit run the same loop, which takes one Hessian product per prox
-step.  An optional entrywise box constraint ||Theta||_inf <= alpha* is
+step.  Once a SCAD/MCP completion fit's kept singular values all sit in the
+penalty's flat region, where the fit is the rank-r least-squares fit on its
+own frames (the oracle property), an alternating least-squares finisher
+solves that problem directly, and one full-SVD prox-gradient step from its
+point certifies it as a fixed point.  An optional entrywise box constraint ||Theta||_inf <= alpha* is
 enforced by clipping after the prox; the composite prox of box + spectral
 penalty has no tractable form, so this splitting is a documented heuristic.
 
@@ -39,6 +43,7 @@ from lowrankpen.operators import (
     Subspace,
     apply_hessian,
     loss_value,
+    row_grams,
     subspace_hessian,
 )
 from lowrankpen.penalty import NUCLEAR, PenaltySpec, convex_prox, penalty_value, scalar_prox
@@ -108,11 +113,16 @@ class SolverConfig:
 class FitResult:
     """Solution of one penalized fit plus its convergence trace.
 
-    ``objective_trace`` holds the starting objective and one value per
-    accepted step; ``eta`` is the step size used and ``restarts`` the number
-    of momentum resets.  ``block`` holds the right singular vectors the last
-    prox step passes on (see :func:`_prox_svd`); a fit warm-started from
-    this one starts its truncated prox from them.  It is not serialized.
+    ``objective_trace`` holds the starting objective, one value per
+    accepted step and, when the finisher's point is accepted, its objective
+    last; ``eta`` is the step size used and ``restarts`` the number
+    of momentum resets.  ``finish_sweeps`` counts the sweeps of the
+    alternating least-squares finisher (see :func:`fit`), whether or not its
+    point was accepted; it is 0 when the finisher did not run, and the
+    sweeps are not in ``iterations``.  ``block`` holds the right singular
+    vectors the last prox step passes on (see :func:`_prox_svd`); a fit
+    warm-started from this one starts its truncated prox from them.  It is
+    not serialized.
     """
 
     theta_hat: np.ndarray
@@ -124,6 +134,7 @@ class FitResult:
     converged: bool
     eta: float
     restarts: int
+    finish_sweeps: int = 0
     block: np.ndarray | None = None
 
     def to_dict(self) -> dict:
@@ -134,6 +145,7 @@ class FitResult:
             "fixed_point_residual": self.fixed_point_residual,
             "eta": self.eta,
             "restarts": self.restarts,
+            "finish_sweeps": self.finish_sweeps,
             "spectrum": [float(s) for s in self.spectrum],
         }
 
@@ -284,6 +296,69 @@ def prox_spectral(spec: PenaltySpec, z: np.ndarray, eta: float) -> np.ndarray:
     return _prox_svd(spec, z, eta)[0]
 
 
+# Finisher (see fit): the accepted steps the kept rank must hold before it
+# runs, and the most alternating least-squares sweeps it takes.
+_FINISH_AFTER = 3
+_FINISH_SWEEPS = 100
+
+
+def _r_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """R_x R_y^T for x = Q_x R_x and y = Q_y R_y: a small matrix with the
+    Frobenius norm and the nonzero singular values of x y^T, which is never
+    formed.  Backward stable, so a difference of two products written as
+    [x1, -x0] [y1, y0]^T keeps its accuracy."""
+    return np.linalg.qr(x, mode="r") @ np.linalg.qr(y, mode="r").T
+
+
+def _als_finish(obs: ObservationSet, theta: np.ndarray, frame: np.ndarray, tol: float):
+    """Rank-r least-squares completion fit by alternating least squares.
+
+    Starts from B = ``frame``, the r right singular vectors of ``theta``,
+    and A = theta B, so that A B^T = theta, and alternately minimizes
+    ||y - X(A B^T)||^2 / (2n) exactly over A and over B.  The Hessian is
+    diagonal, so the rows of A are independent: row j solves
+    (B^T diag(w_j) B) a_j = B^T g_j, with w_j and g_j the j-th rows of the
+    weights and of X*(y)/n.  A half-sweep is one product for the r x r Grams
+    (:func:`~lowrankpen.operators.row_grams`) and one batched solve
+    (softImpute-ALS, Hastie, Mazumder, Lee & Zadeh, JMLR 2015).  Stops once
+    the product moves by ||A B^T - previous||_F <= ``tol`` *
+    max(1, ||previous||_F), or after _FINISH_SWEEPS sweeps.  The sweeps keep
+    to the factors (:func:`_r_product` measures the move), so no m1 x m2
+    matrix is made before the result.
+
+    Returns (A B^T, its min(m1, m2) singular values, sweeps taken).  The
+    matrix and spectrum are None when a row or column has fewer than r
+    observed cells (its Gram is singular, and no sweep is taken), when a
+    Gram is singular, or when a sweep is not finite.
+    """
+    w, g = obs.design.weights, obs.xty
+    r = frame.shape[1]
+    if min(np.count_nonzero(w, axis=1).min(), np.count_nonzero(w, axis=0).min()) < r:
+        return None, None, 0
+    a, b = theta @ frame, frame
+    sweeps = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while sweeps < _FINISH_SWEEPS:
+            sweeps += 1
+            try:
+                a_new = np.linalg.solve(row_grams(w, b), (g @ b)[..., None])[..., 0]
+                b_new = np.linalg.solve(row_grams(w.T, a_new), (g.T @ a_new)[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                return None, None, sweeps
+            if not (np.isfinite(a_new).all() and np.isfinite(b_new).all()):
+                return None, None, sweeps
+            move = np.linalg.norm(_r_product(np.hstack([a_new, -a]), np.hstack([b_new, b])))
+            scale = max(1.0, np.linalg.norm(_r_product(a, b)))
+            a, b = a_new, b_new
+            if move <= tol * scale:
+                break
+        core = _r_product(a, b)
+        if not np.isfinite(core).all():
+            return None, None, sweeps
+    s = np.linalg.svd(core, compute_uv=False)
+    return a @ b.T, np.concatenate([s, np.zeros(min(w.shape) - s.size)]), sweeps
+
+
 def _objective(obs: ObservationSet, spec: PenaltySpec, theta, h_theta, spectrum):
     # overflow to inf is the divergence signal handled by the caller
     with np.errstate(over="ignore"):
@@ -349,6 +424,28 @@ def fit(
     block misses that allowance take the full SVD.
     ``fixed_point_residual`` always uses the full SVD, so it is an exact
     certificate of the returned iterate.
+
+    A SCAD/MCP fit on a :class:`~lowrankpen.operators.CompletionDesign`,
+    without ``alpha_star`` and at a step with eta * zeta_minus < 1, tries an
+    alternating least-squares finisher once: as soon as the kept rank r
+    (the nonzero values of the last prox) has held for _FINISH_AFTER
+    accepted steps and every kept value is at least nu = b * lambda.  There
+    the penalty is flat, so a fixed point is a stationary point of rank-r
+    least squares whose gradient has spectral norm at most lambda off its
+    frames.  The finisher (:func:`_als_finish`) starts from A = T B, with B
+    the first r columns of the carried block (T's right singular vectors),
+    and sweeps to the same relative-change tolerance.  Its point is
+    accepted only when its objective is no higher than the last accepted
+    one and one full-SVD prox-gradient step from it moves it by at most
+    ``config.tol`` * max(1, ||T||_F); that step's movement is the returned
+    ``fixed_point_residual``, so the certificate stays exact, and its
+    objective ends ``objective_trace``.  Otherwise (a row or column with
+    fewer than r observed cells, a singular or non-finite Gram, a higher
+    objective or a larger step) the loop goes on from where it was; after a
+    rejected point, with its momentum reset.
+    ``finish_sweeps`` counts the sweeps, which are not ``iterations``.  The
+    finisher adds one Hessian product, at its point; when accepted, its
+    certificate is the fit's last prox.
     """
     design = obs.design
     eta = 1.0 / estimate_lipschitz(design) if config.eta is None else float(config.eta)
@@ -363,11 +460,18 @@ def fit(
         spectrum = np.zeros(min(design.m1, design.m2))
         block = None
 
+    def gradient_step(point: np.ndarray, h_point: np.ndarray) -> np.ndarray:
+        """point - eta * (H point - X*(y)/n), built in one new array."""
+        z = h_point - obs.xty
+        z *= -eta
+        z += point
+        return z
+
     def step(point: np.ndarray, h_point: np.ndarray, k: int, block, allowance=0.0):
         """Prox-gradient step from ``point``, given H ``point``: the new
         iterate, H times it, its objective, its singular values, the next
         block and whether the prox was exact."""
-        z = point - eta * (h_point - obs.xty)
+        z = gradient_step(point, h_point)
         if not np.all(np.isfinite(z)):
             raise DivergenceError(f"iterate became non-finite at iteration {k}")
         theta_new, spectrum, block, exact = _prox_svd(spec, z, eta, block, allowance)
@@ -380,6 +484,16 @@ def fit(
             raise DivergenceError(f"objective became non-finite at iteration {k}")
         return theta_new, h_new, obj, spectrum, block, exact
 
+    def residual(point: np.ndarray, arg: np.ndarray) -> float:
+        """||T - prox(arg)||_F by the full SVD for the gradient step
+        arg = T - eta grad L(T), or inf unless arg is finite: an SVD of
+        infinities may not return."""
+        if not np.isfinite(arg).all():
+            return math.inf
+        moved = prox_spectral(spec, arg, eta)
+        moved -= point
+        return float(np.linalg.norm(moved))
+
     h = apply_hessian(design, theta)
     obj = _objective(obs, spec, theta, h, spectrum)
     trace = [obj]
@@ -389,18 +503,29 @@ def fit(
     converged = False
     iterations = 0
     progress = 0.0  # ||T_k - T_{k-1}||_F of the last accepted step
+    fpr = None
+    may_finish = (
+        isinstance(design, CompletionDesign)
+        and math.isfinite(spec.nu)
+        and config.alpha_star is None
+        and spec.convex_at(eta)
+    )
+    finish_sweeps = 0
+    rank = int(np.count_nonzero(spectrum))
+    steady = 0  # accepted steps since the kept rank last changed
     for k in range(1, config.max_iter + 1):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         momentum = (t - 1.0) / t_next
-        point, h_point = theta, h
-        if momentum > 0.0:  # H is linear: H y = H T_k + momentum (H T_k - H T_{k-1})
-            point = theta + momentum * (theta - theta_prev)
-            h_point = h + momentum * (h - h_prev)
+        extrapolate = momentum > 0.0
         allowance = _PROGRESS_FRACTION * progress / t
+        # H is linear: H y = H T_k + momentum (H T_k - H T_{k-1}); the
+        # extrapolated pair lives only as long as its step
         theta_new, h_new, obj_new, spectrum, block_new, exact = step(
-            point, h_point, k, block, allowance
+            theta + momentum * (theta - theta_prev) if extrapolate else theta,
+            h + momentum * (h - h_prev) if extrapolate else h,
+            k, block, allowance,
         )
-        if point is not theta and obj_new > obj:
+        if extrapolate and obj_new > obj:
             restarts += 1
             t_next = _T_AFTER_RESTART
             theta_new, h_new, obj_new, spectrum, block_new, exact = step(
@@ -417,11 +542,31 @@ def fit(
         if rel <= config.tol:
             converged = True
             break
+        kept = int(np.count_nonzero(spectrum))
+        steady = steady + 1 if kept == rank else 0
+        rank = kept
+        if may_finish and steady >= _FINISH_AFTER and kept and spectrum[kept - 1] >= spec.nu:
+            may_finish = False  # once per fit
+            theta_als, spectrum_als, finish_sweeps = _als_finish(
+                obs, theta, block[:, :kept], config.tol
+            )
+            if theta_als is None:
+                continue
+            # the loop restarts its momentum if it goes on, so T_{k-1} is
+            # not held through the certificate's SVD
+            theta_prev, h_prev, t = theta, h, 1.0
+            # completion's loss reads no H T; the one Hessian product at the
+            # point lives only as long as its gradient step
+            obj_als = _objective(obs, spec, theta_als, None, spectrum_als)
+            fpr_als = residual(theta_als, gradient_step(theta_als, apply_hessian(design, theta_als)))
+            if obj_als <= obj and fpr_als <= config.tol * max(1.0, np.linalg.norm(theta_als)):
+                theta, spectrum, fpr = theta_als, spectrum_als, fpr_als
+                trace.append(obj_als)
+                converged = True
+                break
 
-    residual_arg = theta - eta * (h - obs.xty)
-    fpr = math.inf  # unless the gradient step is finite: an SVD of infinities may not return
-    if np.isfinite(residual_arg).all():
-        fpr = float(np.linalg.norm(theta - prox_spectral(spec, residual_arg, eta)))
+    if fpr is None:
+        fpr = residual(theta, gradient_step(theta, h))
     if not (math.isfinite(fpr) and np.isfinite(spectrum).all()):
         raise DivergenceError(f"non-finite residual or spectrum after {iterations} iterations")
     return FitResult(
@@ -434,6 +579,7 @@ def fit(
         converged=converged,
         eta=eta,
         restarts=restarts,
+        finish_sweeps=finish_sweeps,
         block=block,
     )
 

@@ -579,3 +579,35 @@ def test_evaluate_requires_lambda_or_sigma(tmp_path, capsys):
     code = run_cli("evaluate", src, tmp_path / "o.json")
     assert code == 2
     assert "lambda" in capsys.readouterr().err
+
+
+def sparse_row_ratings(tmp_path):
+    """A 30 x 30 rank-3 triplet file with about 70% of the cells observed,
+    except row 0, which holds one: fewer than the fitted rank, so its
+    alternating least-squares Gram is singular.  The SCAD flags put every
+    true singular value above b * lambda, with eta * zeta_minus < 1."""
+    rng = np.random.default_rng(8)
+    m = 30
+    b = 1.0 + 2.0 * m * m
+    theta, _, _ = random_low_rank(rng, m, m, [3.0, 2.0, 1.5])
+    cells = np.array([(j, k) for j in range(1, m) for k in range(m)])
+    cells = np.vstack([[[0, 4]], cells[rng.random(len(cells)) < 0.7]])
+    values = theta[cells[:, 0], cells[:, 1]] + 0.01 * rng.standard_normal(len(cells))
+    src = tmp_path / "sparse.csv"
+    write_triplets(src, np.column_stack([cells, values]))
+    return src, ["--penalty", "scad", "--lambda", 1.5 / (2.0 * b), "--b", b,
+                 "--warm-start", "nuclear"]
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_row_observed_fewer_times_than_the_rank_exits_0(tmp_path, command):
+    # the finisher declines on a singular Gram instead of raising
+    # LinAlgError, a ValueError the CLI would report as invalid input
+    src, flags = sparse_row_ratings(tmp_path)
+    out = tmp_path / ("fit" if command == "fit" else "eval.json")
+    assert run_cli(command, src, out, *flags) == 0
+    if command == "fit":
+        doc = json.loads((tmp_path / "fit.fit.json").read_text())
+        assert doc["rank_hat"] == 3 and doc["converged"] and doc["finish_sweeps"] == 0
+    else:
+        assert json.loads(out.read_text())["rank_hat"] == 3

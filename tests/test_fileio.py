@@ -22,6 +22,20 @@ def test_dense_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_dense_bytes_are_the_repr_of_each_element(tmp_path):
+    # a 200 x 200 matrix with values across the float range, as each
+    # element's repr(float(x)), comma separated, one row per line
+    rng = np.random.default_rng(49)
+    a = rng.standard_normal((200, 200)) * np.exp(rng.uniform(-300.0, 300.0, (200, 200)))
+    a[0, :4] = [0.0, -0.0, 1e-320, 1.0]
+    path = tmp_path / "m.csv"
+    write_dense_matrix(path, a)
+    expected = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in a)
+    assert path.read_bytes() == expected.encode()
+    write_dense_matrix(path, np.array([3.5, -1.0]))  # one row
+    assert path.read_bytes() == b"3.5,-1.0\n"
+
+
 def test_dense_errors_carry_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n1.0,x\n")

@@ -14,6 +14,7 @@ from lowrankpen.operators import (
     project_complement,
     project_onto,
     quadratic_form,
+    row_grams,
     sample_completion_design,
     sample_sensing_design,
     subspace_hessian,
@@ -300,3 +301,14 @@ def test_generate_observations_exact_and_noisy():
     a = generate_observations(design, theta, sigma, np.random.default_rng(9))
     b = generate_observations(design, theta, sigma, np.random.default_rng(9))
     assert np.array_equal(a.y, b.y)
+
+
+def test_row_grams_match_per_row_products():
+    rng = np.random.default_rng(37)
+    weights = rng.uniform(0.0, 1.0, (6, 9))
+    frame = rng.standard_normal((9, 3))
+    got = row_grams(weights, frame)
+    assert got.shape == (6, 3, 3)
+    for j in range(6):
+        reference = frame.T @ np.diag(weights[j]) @ frame
+        assert np.abs(got[j] - reference).max() <= 1e-14 * np.abs(reference).max()

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -457,11 +458,12 @@ def test_fit_result_serialization():
     doc = result.to_dict()
     assert set(doc) == {
         "rank_hat", "iterations", "converged", "fixed_point_residual", "spectrum",
-        "eta", "restarts",
+        "eta", "restarts", "finish_sweeps",
     }
     assert doc["rank_hat"] == result.rank_hat
     assert doc["eta"] == result.eta == 16.0  # 1/L with L = max(count)/n = 1/16
     assert doc["restarts"] == result.restarts >= 0
+    assert doc["finish_sweeps"] == result.finish_sweeps == 0  # the nuclear norm never finishes
     assert len(doc["spectrum"]) == 4
 
 
@@ -720,3 +722,136 @@ def test_fit_redoes_a_rising_inexact_step(monkeypatch):
     assert result.rank_hat == reference.rank_hat
     rel = np.linalg.norm(result.theta_hat - reference.theta_hat) / np.linalg.norm(reference.theta_hat)
     assert rel <= 1e-8
+
+
+def flat_completion_problem(family=SCAD, low=None, seed=41):
+    """A 30 x 30 completion problem whose rank-3 truth clears the flat
+    threshold nu = b * lambda, b = 1 + 2 m^2, with lambda 20% above the
+    noise's gradient norm, as in cutoff_fit_problem; ``low`` adds a fourth
+    true singular value of low * nu."""
+    m = 30
+    rng = np.random.default_rng(seed)
+    design = sample_completion_design(rng, m, m, m * m)
+    noise = generate_observations(design, np.zeros((m, m)), 0.5, rng)
+    lam = 1.2 * np.linalg.norm(loss_gradient(noise, np.zeros((m, m))), 2)
+    spec = PenaltySpec(family, lam, 1.0 + 2.0 * m * m)
+    gammas = [2.5, 2.0, 1.6] + ([low] if low is not None else [])
+    theta_star, _, _ = random_low_rank(rng, m, m, spec.nu * np.array(gammas))
+    return ObservationSet(design, apply_forward(design, theta_star) + noise.y), spec
+
+
+def decline_finisher(monkeypatch):
+    """Make the finisher return no point, so fit runs its plain loop."""
+    monkeypatch.setattr(solver_module, "_als_finish", lambda *args: (None, None, 0))
+
+
+def finished(result):
+    """Whether the finisher's point was accepted (its objective ends the trace)."""
+    return result.finish_sweeps > 0 and result.objective_trace.size == result.iterations + 2
+
+
+@pytest.mark.parametrize("family", [SCAD, MCP])
+def test_finished_fit_lands_closer_to_the_fixed_point(family, monkeypatch):
+    # against a tol = 1e-13 run of the plain loop, the finished fit is closer
+    # than the plain loop at the same tol, its residual is smaller, and its
+    # objective no higher
+    obs, spec = flat_completion_problem(family)
+    config = SolverConfig(warm_start="nuclear")
+    result = fit(obs, spec, config)
+    assert finished(result) and result.converged and result.rank_hat == 3
+    assert np.all(np.diff(result.objective_trace) <= 1e-12)
+
+    decline_finisher(monkeypatch)
+    loop = fit(obs, spec, config)
+    reference = fit(obs, spec, SolverConfig(warm_start="nuclear", tol=1e-13, max_iter=20000))
+    assert loop.finish_sweeps == reference.finish_sweeps == 0 and reference.converged
+    assert loop.iterations > result.iterations
+
+    def distance(fit_result):
+        return np.linalg.norm(fit_result.theta_hat - reference.theta_hat) / np.linalg.norm(
+            reference.theta_hat
+        )
+
+    assert distance(result) < distance(loop)
+    assert result.fixed_point_residual < loop.fixed_point_residual
+    assert result.fixed_point_residual <= config.tol * np.linalg.norm(result.theta_hat)
+    assert result.objective_trace[-1] <= loop.objective_trace[-1] + 1e-12
+    s = np.linalg.svd(result.theta_hat, compute_uv=False)
+    assert np.abs(result.spectrum - s).max() <= 1e-12 * s[0]
+
+
+def sensing_flat_problem():
+    rng = np.random.default_rng(42)
+    m, r, n = 8, 2, 300
+    lam = lambda_sensing(0.1, 1.0, m, m, n)
+    spec = PenaltySpec(SCAD, lam, 3.7)
+    theta_star, _, _ = random_low_rank(rng, m, m, spec.nu * np.array([4.0, 2.5]))
+    design = sample_sensing_design(rng, m, m, n)
+    return generate_observations(design, theta_star, 0.1, rng), spec
+
+
+def never_finish_case(case):
+    """(observations, penalty, config) that meet every gate of the finisher
+    but the one named."""
+    config = SolverConfig(warm_start="nuclear")
+    if case == "sensing":
+        return (*sensing_flat_problem(), config)
+    if case == "nuclear":
+        obs, spec = flat_completion_problem()
+        return obs, PenaltySpec(NUCLEAR, spec.lam), config
+    if case == "alpha_star":
+        obs, spec = flat_completion_problem()
+        return obs, spec, replace(config, alpha_star=1e3)
+    if case == "mixed":
+        return (*flat_completion_problem(low=0.8), config)
+    # the step at the SCAD limit eta = b - 1, with b = 1 + 1/L
+    obs, spec = flat_completion_problem()
+    spec = PenaltySpec(SCAD, spec.lam, 1.0 + 1.0 / estimate_lipschitz(obs.design))
+    return obs, spec, replace(config, eta=spec.b - 1.0)
+
+
+@pytest.mark.parametrize("case", ["sensing", "nuclear", "alpha_star", "mixed", "eta_at_b_minus_1"])
+def test_finisher_is_never_called_outside_its_gate(case, monkeypatch):
+    obs, spec, config = never_finish_case(case)
+
+    def forbidden(*args):
+        raise AssertionError("the finisher ran")
+
+    monkeypatch.setattr(solver_module, "_als_finish", forbidden)
+    result = fit(obs, spec, config)
+    assert result.finish_sweeps == 0
+    assert result.objective_trace.size == result.iterations + 1
+    # the kept rank held long enough for the finisher otherwise
+    assert result.converged and result.iterations > solver_module._FINISH_AFTER + 1
+    smallest = result.spectrum[result.rank_hat - 1]
+    if case == "mixed":
+        assert 0 < smallest < spec.nu <= result.spectrum[0]
+    elif case != "nuclear":
+        assert smallest >= spec.nu
+
+
+def test_a_declined_finish_lets_the_loop_go_on(monkeypatch):
+    # a point 1% off the rank-3 fit fails the certificate: the loop goes on
+    # from the iterate it had, with its momentum reset, to the fixed point
+    # the plain loop reaches, and the sweeps are still counted
+    obs, spec = flat_completion_problem()
+    config = SolverConfig(warm_start="nuclear")
+    decline_finisher(monkeypatch)
+    loop = fit(obs, spec, config)
+    attempts = []
+
+    def off_point(obs, theta, frame, tol):
+        attempts.append(theta)
+        return 1.01 * loop.theta_hat, 1.01 * loop.spectrum, 7
+
+    monkeypatch.setattr(solver_module, "_als_finish", off_point)
+    result = fit(obs, spec, config)
+    assert len(attempts) == 1 and result.finish_sweeps == 7 and not finished(result)
+    assert result.converged and result.rank_hat == loop.rank_hat
+    assert np.all(np.diff(result.objective_trace) <= 1e-12)
+    # up to the attempt, after the kept rank held, the two fits took the same steps
+    n = min(result.objective_trace.size, loop.objective_trace.size)
+    differ = np.flatnonzero(result.objective_trace[:n] != loop.objective_trace[:n])
+    assert differ.size and differ[0] > solver_module._FINISH_AFTER
+    rel = np.linalg.norm(result.theta_hat - loop.theta_hat) / np.linalg.norm(loop.theta_hat)
+    assert rel <= 1e-5
