@@ -19,8 +19,8 @@ per-cell observation count / n -- the diagonal of H -- for completion.  The
 loss gradient, the curvature ||X(Delta)||^2 / n of the theory diagnostics, the
 solver's step size, the rank-restricted least-squares solve and the solver's
 alternating least-squares finisher (both through :func:`row_grams` for
-completion) all read these statistics instead of sweeping the n observations.  :func:`apply_forward` and
-:func:`apply_adjoint` remain the direct maps.
+completion) all read these statistics instead of sweeping the n observations.
+:func:`apply_forward` and :func:`apply_adjoint` remain the direct maps.
 """
 
 from __future__ import annotations

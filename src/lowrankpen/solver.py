@@ -18,9 +18,10 @@ step.  Once a SCAD/MCP completion fit's kept singular values all sit in the
 penalty's flat region, where the fit is the rank-r least-squares fit on its
 own frames (the oracle property), an alternating least-squares finisher
 solves that problem directly, and one full-SVD prox-gradient step from its
-point certifies it as a fixed point.  An optional entrywise box constraint ||Theta||_inf <= alpha* is
-enforced by clipping after the prox; the composite prox of box + spectral
-penalty has no tractable form, so this splitting is a documented heuristic.
+point certifies it as a fixed point.  An optional entrywise box constraint
+||Theta||_inf <= alpha* is enforced by clipping after the prox; the composite
+prox of box + spectral penalty has no tractable form, so this splitting is a
+documented heuristic.
 
 Also provided: the exact smoothness constant of the loss, read from the
 design's cached Hessian and used for the default step size; the
@@ -336,10 +337,8 @@ def _als_finish(obs: ObservationSet, theta: np.ndarray, frame: np.ndarray, tol: 
     if min(np.count_nonzero(w, axis=1).min(), np.count_nonzero(w, axis=0).min()) < r:
         return None, None, 0
     a, b = theta @ frame, frame
-    sweeps = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while sweeps < _FINISH_SWEEPS:
-            sweeps += 1
+        for sweeps in range(1, _FINISH_SWEEPS + 1):
             try:
                 a_new = np.linalg.solve(row_grams(w, b), (g @ b)[..., None])[..., 0]
                 b_new = np.linalg.solve(row_grams(w.T, a_new), (g.T @ a_new)[..., None])[..., 0]
@@ -558,7 +557,9 @@ def fit(
             # completion's loss reads no H T; the one Hessian product at the
             # point lives only as long as its gradient step
             obj_als = _objective(obs, spec, theta_als, None, spectrum_als)
-            fpr_als = residual(theta_als, gradient_step(theta_als, apply_hessian(design, theta_als)))
+            fpr_als = residual(
+                theta_als, gradient_step(theta_als, apply_hessian(design, theta_als))
+            )
             if obj_als <= obj and fpr_als <= config.tol * max(1.0, np.linalg.norm(theta_als)):
                 theta, spectrum, fpr = theta_als, spectrum_als, fpr_als
                 trace.append(obj_als)
