@@ -336,6 +336,7 @@ def cmd_evaluate(args) -> int:
     triplets, m1, m2 = _read_triplet_file(args)
     rng = np.random.default_rng(args.seed)
     train, test = simlab.holdout_split(triplets, args.holdout_fraction, rng)
+    del triplets  # the split copied it; free it before the fit's SVDs
     penalty, result = _fit_file_data(args, m1, m2, train[:, :2], train[:, 2])
     score = simlab.rmse(result.theta_hat, test)
     if not math.isfinite(score):
