@@ -354,7 +354,10 @@ def _add_penalty_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--penalty", choices=[NUCLEAR, SCAD, MCP], default=SCAD)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="regularization level; resolved from --sigma when omitted")
-    p.add_argument("--b", type=float, default=3.7, help="concavity parameter")
+    p.add_argument("--b", type=float, default=3.7,
+                   help="concavity parameter.  The step is eta = n / (largest per-cell "
+                        "count), reported in fit.json; SCAD takes the closed-form prox, the "
+                        "truncated SVD and the finisher only for b > 1 + eta (MCP: b > eta)")
     p.add_argument("--c", type=float, default=theory.DEFAULT_RULE_CONSTANT,
                    help="rule constant used when resolving lambda")
     p.add_argument("--sigma", type=float, default=None, help="noise level")

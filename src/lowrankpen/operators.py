@@ -16,11 +16,10 @@ Theta -> ||X(Theta)||^2 / (2n) and each observation set the linear term
 X*(y)/n.  Both are built once, on first use: the d x d Gram matrix
 H = X^T X / n over row-major vec(X_i) for sensing (d = m1*m2), and the
 per-cell observation count / n -- the diagonal of H -- for completion.  The
-loss gradient, the curvature ||X(Delta)||^2 / n of the theory diagnostics, the
-solver's step size, the rank-restricted least-squares solve and the solver's
-alternating least-squares finisher (both through :func:`row_grams` for
-completion) all read these statistics instead of sweeping the n observations.
-:func:`apply_forward` and :func:`apply_adjoint` remain the direct maps.
+loss, its gradient, the curvature diagnostics of :mod:`lowrankpen.theory` and
+the solver (see :mod:`lowrankpen.solver`) read these statistics instead of
+sweeping the n observations.  :func:`apply_forward` and :func:`apply_adjoint`
+are the direct maps; X*(y)/n is :func:`apply_adjoint` of y, divided by n.
 """
 
 from __future__ import annotations
@@ -131,14 +130,8 @@ class ObservationSet:
 
     @cached_property
     def xty(self) -> np.ndarray:
-        """X*(y) / n as an m1 x m2 matrix (per-cell sum of y / n for completion)."""
-        design = self.design
-        if isinstance(design, CompletionDesign):
-            sums = np.bincount(_cell_index(design), weights=self.y,
-                               minlength=design.m1 * design.m2)
-            return _freeze((sums / self.n).reshape(design.m1, design.m2))
-        mats = design.matrices.reshape(self.n, design.m1 * design.m2)
-        return _freeze((self.y @ mats / self.n).reshape(design.m1, design.m2))
+        """X*(y) / n as an m1 x m2 matrix (:func:`apply_adjoint`)."""
+        return _freeze(apply_adjoint(self.design, self.y) / self.n)
 
     @cached_property
     def loss_at_zero(self) -> float:
@@ -208,15 +201,14 @@ def apply_forward(design: Design, theta: np.ndarray) -> np.ndarray:
 
 
 def apply_adjoint(design: Design, v: np.ndarray) -> np.ndarray:
-    """Adjoint map: sum_i v_i X_i (scatter-add for completion)."""
+    """Adjoint map: sum_i v_i X_i (per-cell sums of v for completion)."""
     v = np.asarray(v, dtype=float)
     if v.shape != (design.n,):
         raise ValueError(f"expected a length-{design.n} vector, got shape {v.shape}")
     if isinstance(design, CompletionDesign):
-        out = np.zeros((design.m1, design.m2))
-        np.add.at(out, (design.entries[:, 0], design.entries[:, 1]), v)
-        return out
-    return np.einsum("i,ijk->jk", v, design.matrices)
+        sums = np.bincount(_cell_index(design), weights=v, minlength=design.m1 * design.m2)
+        return sums.reshape(design.m1, design.m2)
+    return (v @ design.matrices.reshape(design.n, -1)).reshape(design.m1, design.m2)
 
 
 def hessian_product(design: Design, cols: np.ndarray) -> np.ndarray:

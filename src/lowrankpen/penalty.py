@@ -176,20 +176,18 @@ def concave_part_derivative(spec: PenaltySpec, t):
 
 def convex_prox(spec: PenaltySpec, s: np.ndarray, eta: float) -> np.ndarray:
     """Closed-form prox of a nonnegative array ``s`` for a finite positive
-    ``eta`` at which ``spec.convex_at(eta)``.
+    ``eta`` at which :meth:`PenaltySpec.convex_at` holds (the solver checks).
 
-    The objective (x - s)^2 / 2 + eta * p(x) is then convex, and its
-    minimizer is a thresholding rule (Fan & Li, JASA 2001): the soft
-    threshold max(s - eta*lambda, 0) for the nuclear norm; for SCAD the soft
-    threshold up to (1 + eta)*lambda, the stationary point of the quadratic
-    branch ((b-1)s - eta*b*lambda) / (b-1-eta) up to b*lambda, and s beyond;
-    for MCP firm thresholding, max(b(s - eta*lambda) / (b - eta), 0) up to
-    b*lambda and s beyond.  The stationary point grows faster than s and
-    the soft threshold and meets them at the knots, so each rule is a min of
-    maxes with no branch test.  Each piece is the expression
-    :func:`scalar_prox` evaluates for the same candidate, so the two agree
-    bitwise away from the knots.  The caller checks the gate and the
-    arguments; values at or below eta*lambda map to exactly zero.
+    A thresholding rule (Fan & Li, JASA 2001): the soft threshold
+    max(s - eta*lambda, 0) for the nuclear norm; for SCAD the soft threshold
+    up to (1 + eta)*lambda, the stationary point of the quadratic branch
+    ((b-1)s - eta*b*lambda) / (b-1-eta) up to b*lambda, and s beyond; for MCP
+    firm thresholding, max(b(s - eta*lambda) / (b - eta), 0) up to b*lambda
+    and s beyond.  The stationary point grows faster than s and the soft
+    threshold and meets them at the knots, so each rule is a min of maxes
+    with no branch test.  Each piece is the expression :func:`scalar_prox`
+    evaluates for the same candidate, so the two agree bitwise away from the
+    knots.  Values at or below eta*lambda map to exactly zero.
     """
     lam, b = spec.lam, spec.b
     shrunk = s - eta * lam
@@ -207,14 +205,11 @@ def scalar_prox(spec: PenaltySpec, z, eta: float):
     A scalar z gives a float, an array gives an array of the same shape.
     The minimizer is found by enumerating every point that can be a local
     minimum: the spline knots {0, lambda, b*lambda}, the identity point |z|,
-    and the stationary point of each quadratic branch.  Enumerating and
-    comparing objective values sidesteps the case analysis a closed form
-    would need when eta * zeta_minus >= 1, where f need not be convex; below
-    that (:meth:`PenaltySpec.convex_at`), :func:`convex_prox` gives the
-    minimizer in closed form and is the map the solver uses.  Each entry's
-    candidates are sorted and the first minimum is taken, so exact ties go
-    to the candidate with the smaller magnitude, which keeps the map odd and
-    deterministic.
+    and the stationary point of each quadratic branch, so it holds at any
+    step, f convex or not; where :meth:`PenaltySpec.convex_at` holds the
+    solver takes :func:`convex_prox` instead.  Each entry's candidates are
+    sorted and the first minimum is taken, so exact ties go to the candidate
+    with the smaller magnitude, which keeps the map odd and deterministic.
     """
     if not (math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be positive and finite, got {eta}")

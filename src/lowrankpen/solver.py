@@ -1,32 +1,21 @@
 """Accelerated proximal-gradient solver for spectrally penalized least squares.
 
-The estimator minimizes ||y - X(Theta)||^2 / (2n) + sum_i p(gamma_i(Theta))
-by iterating a gradient step followed by the proximal map of the spectral
-penalty (the scalar prox applied to the spectrum of the stepped iterate; on
-large matrices only the singular triplets that survive the threshold are
-computed, warm-started from the previous step, as in Soft-Impute, Mazumder,
-Hastie & Tibshirani 2010, and a block that converges too slowly is used once
-its error is small against the step's progress, an inexact prox step as in
-Schmidt, Le Roux & Bach 2011).  Each step is taken from a FISTA extrapolation of
-the last two iterates; when the objective rises, the step is discarded, the
-momentum is reset and the plain step is taken instead (function-value
-adaptive restart, O'Donoghue & Candes 2015), so the accepted objective
-sequence stays monotone as in monotone APG for nonconvex penalties (Li &
-Lin 2015).  The nuclear-norm warm start, stopped at sqrt(tol), and the
-SCAD/MCP fit run the same loop, which takes one Hessian product per prox
-step.  Once a SCAD/MCP completion fit's kept singular values all sit in the
-penalty's flat region, where the fit is the rank-r least-squares fit on its
-own frames (the oracle property), an alternating least-squares finisher
-solves that problem directly, and one full-SVD prox-gradient step from its
-point certifies it as a fixed point.  An optional entrywise box constraint
-||Theta||_inf <= alpha* is enforced by clipping after the prox; the composite
-prox of box + spectral penalty has no tractable form, so this splitting is a
-documented heuristic.
+:func:`fit` minimizes ||y - X(Theta)||^2 / (2n) + sum_i p(gamma_i(Theta)), the
+sum running over the singular values of Theta, by monotone accelerated
+proximal gradient.  Each mechanism is described once, where it is
+implemented:
 
-Also provided: the exact smoothness constant of the loss, read from the
-design's cached Hessian and used for the default step size; the
-rank-restricted least-squares reference estimator; and the numeric rank rule
-shared by all experiments.
+* momentum, restart, monotonicity, the stopping rule, the certificate, the box
+  clip and the finisher's gate: :func:`fit`;
+* the nuclear-norm warm start: :class:`SolverConfig`;
+* the spectral prox and its closed-form/enumeration gate: :func:`_prox_svd`
+  and :meth:`~lowrankpen.penalty.PenaltySpec.convex_at`;
+* the truncated prox and its inexact allowance: :func:`_truncated_svd`;
+* the alternating least-squares finisher: :func:`_als_finish`.
+
+Also provided: the exact smoothness constant of the loss, the rank-restricted
+least-squares reference estimator and the numeric rank rule shared by all
+experiments.
 """
 
 from __future__ import annotations
@@ -77,15 +66,17 @@ class UnderdeterminedSystemWarning(RuntimeWarning):
 class SolverConfig:
     """Iteration controls for :func:`fit`.
 
-    ``eta=None`` sets the step to the reciprocal of the exact smoothness
-    constant (:func:`estimate_lipschitz`); a positive ``eta`` is used as a
-    fixed step instead.
-    ``warm_start="nuclear"`` first solves the convex nuclear-norm problem at
-    the same lambda, with the same step, to the tolerance sqrt(tol), and
-    starts the nonconvex iteration there: a folded-concave fit needs its
-    convex start only to statistical accuracy (Fan, Xue & Zou, Ann. Statist.
-    2014), not to the final tolerance.  The warm start is a nested
-    :func:`fit` call, so its result carries its own iteration count.
+    ``tol`` is the relative iterate change at which :func:`fit` stops and
+    reports ``converged``; it does not bound the distance to the fixed point
+    (see :class:`FitResult`).  ``eta=None`` sets the step to 1/L, L the exact smoothness
+    constant (:func:`estimate_lipschitz`); a positive ``eta`` is a fixed step
+    instead.  ``alpha_star`` is the box bound of :func:`fit`.
+
+    ``warm_start="nuclear"`` makes a SCAD/MCP fit first run a nested
+    :func:`fit` of the nuclear-norm problem at the same lambda and step, to
+    the tolerance sqrt(tol), and start from its iterate, spectrum and
+    ``block``: a folded-concave fit needs its convex start only to
+    statistical accuracy (Fan, Xue & Zou, Ann. Statist. 2014).
     """
 
     max_iter: int = 2000
@@ -112,18 +103,21 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Solution of one penalized fit plus its convergence trace.
+    """Solution of one penalized fit plus its convergence record.
 
-    ``objective_trace`` holds the starting objective, one value per
-    accepted step and, when the finisher's point is accepted, its objective
-    last; ``eta`` is the step size used and ``restarts`` the number
-    of momentum resets.  ``finish_sweeps`` counts the sweeps of the
-    alternating least-squares finisher (see :func:`fit`), whether or not its
-    point was accepted; it is 0 when the finisher did not run, and the
-    sweeps are not in ``iterations``.  ``block`` holds the right singular
-    vectors the last prox step passes on (see :func:`_prox_svd`); a fit
-    warm-started from this one starts its truncated prox from them.  It is
-    not serialized.
+    ``converged`` means that the relative iterate change reached ``tol`` or
+    that the finisher's certificate passed (:func:`fit`).  It does not bound
+    the distance to the fixed point: a fit the finisher does not take can
+    stop several ``tol`` from it (9.1e-7, relative, at tol 1e-7 on a
+    100 x 100 completion SCAD fit with the finisher switched off).  ``fixed_point_residual`` is the
+    certificate, ||T - prox(T - eta grad L(T))||_F at the returned iterate
+    by the full SVD.  ``objective_trace`` holds the starting objective, one
+    value per accepted step and, when the finisher's point is accepted, its
+    objective last.  ``eta`` is the step used and ``restarts`` counts the
+    momentum resets.  ``finish_sweeps`` counts the finisher's sweeps, apart
+    from ``iterations`` and whether or not its point was accepted; it is 0
+    when the finisher did not run.  ``block`` holds the right singular vectors the last prox passes on
+    (:func:`_prox_svd`); it is not serialized.
     """
 
     theta_hat: np.ndarray
@@ -162,26 +156,17 @@ def numeric_rank(spectrum, rel_tol: float) -> int:
 
 
 def estimate_lipschitz(design: Design) -> float:
-    """Largest eigenvalue of Theta -> X*(X(Theta))/n, the loss's smoothness constant.
-
-    Exact, from the design's cached Hessian: max(count)/n for completion and
-    the top eigenvalue of X^T X / n for sensing (the eigendecomposition is
-    shared with the refined curvature probe).
-    """
+    """Largest eigenvalue of Theta -> X*(X(Theta))/n, the loss's smoothness
+    constant, read exactly from the design's cached Hessian: max(count)/n for
+    completion, the top eigenvalue of X^T X / n for sensing."""
     if isinstance(design, CompletionDesign):
         return float(design.weights.max())
     return float(design.gram_eigh[0][-1])
 
 
-# Truncated prox (see _prox_svd): the smallest min(m1, m2) that takes it (the
-# measured crossover with the full SVD on completion fits), the oversampling
-# columns carried past the kept rank, the block steps before the full SVD
-# takes over, the residual tolerance, relative to the top Ritz value, that
-# every kept Ritz triplet must meet, and the fraction of the last accepted
-# step ||T_k - T_{k-1}||_F, over the momentum weight t_k, that the kept
-# residual block may reach when that tolerance is out of reach.
-_TRUNCATE_MIN_DIM = 100
-_OVERSAMPLE = 5
+# Truncated prox (see _prox_svd and _truncated_svd)
+_TRUNCATE_MIN_DIM = 100  # smallest min(m1, m2) that takes it: the measured crossover
+_OVERSAMPLE = 5  # columns carried past the kept rank
 _BLOCK_STEPS = 8
 _RITZ_TOL = 1e-12
 _PROGRESS_FRACTION = 0.2
@@ -190,27 +175,28 @@ _PROGRESS_FRACTION = 0.2
 def _truncated_svd(z: np.ndarray, block: np.ndarray, threshold: float, allowance: float = 0.0):
     """Leading singular triplets of z by block subspace iteration, or None.
 
-    Starts from the columns of ``block`` (approximate right singular
-    vectors) and repeats Y = z V, Q = qr(Y), (U_b, s, V^T) = svd(Q^T z),
-    U = Q U_b; z^T u_i = s_i v_i then holds by construction.  Accepts once
-    the last Ritz value is at most ``threshold`` and every Ritz triplet
-    above it has converged, ||z v_i - s_i u_i|| <= _RITZ_TOL * s_1.
+    Starts from the columns of ``block`` (approximate right singular vectors,
+    as in Soft-Impute, Mazumder, Hastie & Tibshirani 2010) and repeats
+    Y = z V, Q = qr(Y), (U_b, s, V^T) = svd(Q^T z), U = Q U_b, for at most
+    _BLOCK_STEPS steps.  Exact once the last Ritz value is at most
+    ``threshold`` and every kept triplet has ||z v_i - s_i u_i|| <=
+    _RITZ_TOL * s_1.  The residuals shrink by about (s_k / s_r)^2 a step
+    (s_r the smallest kept Ritz value, s_k the last); once that tolerance is
+    out of reach, the block is accepted inexact as soon as the kept residual
+    block R = z V_r - U_r S_r has ||R||_F <= ``allowance``, and given up
+    once that is out of reach too.  The kept triplets are exact for
+    z - R V_r^T, so the prox built from them lies within
+    ``allowance`` / (1 - eta * zeta_minus) of prox(z) in the Frobenius norm
+    as long as the untracked spectrum stays at or below the threshold.
 
-    The residuals shrink by about (s_k / s_r)^2 a step (s_r the smallest
-    kept Ritz value, s_k the last one).  Once they cannot reach that
-    tolerance in the _BLOCK_STEPS steps, the block is still accepted as soon
-    as the residuals of the kept triplets, R = z V_r - U_r S_r, have
-    ||R||_F <= ``allowance``; the iteration goes on while ||R||_F can still
-    reach the allowance in the steps left and gives up otherwise.  The
-    kept triplets are exact singular triplets of z - R V_r^T, a matrix within
-    ||R||_F of z, so the prox built from them is the exact prox of that
-    matrix whenever the spectrum the block does not track stays at or below
-    the threshold.
+    :func:`fit` passes ``allowance`` = _PROGRESS_FRACTION times the last
+    accepted step ||T_k - T_{k-1}||_F over the momentum weight t_k (zero on a
+    fit's first step): an accelerated method weighs the error of step k by
+    about k = 2 t_k (an inexact prox step, Schmidt, Le Roux & Bach 2011).
 
-    Returns (U, s, V^T, exact), ``exact`` False for a block accepted on the
-    allowance, or None: when the block exceeds half of min(m1, m2), when
-    every Ritz value is above the threshold (the block cannot hold the kept
-    part), or when the block cannot reach the allowance.
+    Returns (U, s, V^T, exact), or None when the block exceeds half of
+    min(m1, m2), when every Ritz value is above the threshold, or when the
+    allowance is out of reach.
     """
     if block.shape[1] > min(z.shape) // 2:
         return None
@@ -235,43 +221,26 @@ def _truncated_svd(z: np.ndarray, block: np.ndarray, threshold: float, allowance
                 return u, s, vt, False
             if kept * rate > allowance:
                 return None
-    return (u, s, vt, False) if np.linalg.norm(resid) <= allowance else None
+    return None
 
 
 def _prox_svd(spec: PenaltySpec, z: np.ndarray, eta: float, block=None, allowance: float = 0.0):
     """SVD of z, scalar prox of its spectrum, rebuild from the nonzero part.
 
-    The scalar prox is the closed form :func:`~lowrankpen.penalty.convex_prox`
-    when eta is finite and positive and eta * zeta_minus < 1
-    (:meth:`~lowrankpen.penalty.PenaltySpec.convex_at`), the same gate as the
-    truncated prox below, and the enumeration
-    :func:`~lowrankpen.penalty.scalar_prox` otherwise (which rejects an
-    ``eta`` that is not finite and positive).  The iteration and
-    :func:`prox_spectral` both come here, so the residual certifies the map
-    the iteration applies.
+    The gate: when eta is finite and positive and
+    :meth:`~lowrankpen.penalty.PenaltySpec.convex_at` holds (eta * zeta_minus
+    < 1), the scalar prox is convex and is the closed form
+    :func:`~lowrankpen.penalty.convex_prox`, which zeroes every value at or
+    below eta * lambda.  Then, given a ``block`` and min(m1, m2) >=
+    _TRUNCATE_MIN_DIM, only the triplets above eta * lambda are computed
+    (:func:`_truncated_svd`) and the rest of the spectrum is zero.  Otherwise
+    the scalar prox is the enumeration :func:`~lowrankpen.penalty.scalar_prox`
+    (which rejects an ``eta`` that is not finite and positive), and the SVD
+    is the full one, as it is when the block iteration gives up.
 
-    Returns the prox, its min(m1, m2) singular values, ``block`` for the
-    next call (the right singular vectors of the kept part plus
-    _OVERSAMPLE more) and whether the SVD was exact.  The prox is monotone,
-    so the new values stay sorted and the zeros trail.
-
-    Given a ``block`` from the previous step, only the triplets above
-    eta * lambda are computed (:func:`_truncated_svd`, warm-started from
-    the block) and the rest of the spectrum is zero.  That needs the scalar
-    prox to zero every value at or below eta * lambda, which holds when its
-    objective (x - z)^2 / 2 + eta * p(x) is convex, eta * zeta_minus < 1
-    (always for the nuclear norm, eta < b - 1 for SCAD, eta < b for MCP),
-    and min(m1, m2) of at least _TRUNCATE_MIN_DIM; otherwise, without a
-    block, or when the block iteration gives up, the SVD is the full one.  A
-    block that cannot reach the exact tolerance but whose kept residual
-    block R reaches ||R||_F <= ``allowance`` is used and reported inexact:
-    the prox is then the exact prox of a matrix within ``allowance`` of z, so it lies
-    within ``allowance`` / (1 - eta * zeta_minus) of prox(z) in the
-    Frobenius norm, that factor being the Lipschitz constant of the scalar
-    prox, as long as the spectrum the block does not track stays at or
-    below eta * lambda.  Ritz values are lower bounds,
-    so the truncated prox serves the iteration only: :func:`prox_spectral`
-    takes the full SVD and certifies the result.
+    Returns the prox, its min(m1, m2) singular values (sorted, zeros
+    trailing), ``block`` for the next call (the right singular vectors of the
+    kept part plus _OVERSAMPLE more) and whether the SVD was exact.
     """
     svd = None
     convex = 0.0 < eta < math.inf and spec.convex_at(eta)
@@ -287,50 +256,44 @@ def _prox_svd(spec: PenaltySpec, z: np.ndarray, eta: float, block=None, allowanc
 
 
 def prox_spectral(spec: PenaltySpec, z: np.ndarray, eta: float) -> np.ndarray:
-    """Proximal map of the spectral penalty: scalar prox on each singular value
-    (see :func:`_prox_svd`; an ``eta`` that is not finite and positive is
-    rejected).  A non-finite ``z`` raises ``ValueError`` before the SVD,
-    which may not return on it."""
+    """Proximal map of the spectral penalty by the full SVD (:func:`_prox_svd`).
+    A non-finite ``z`` or ``eta`` raises ``ValueError`` before the SVD, which
+    may not return on it."""
     z = np.asarray(z, dtype=float)
     if not np.isfinite(z).all():
         raise ValueError("z must be finite")
     return _prox_svd(spec, z, eta)[0]
 
 
-# Finisher (see fit): the accepted steps the kept rank must hold before it
-# runs, and the most alternating least-squares sweeps it takes.
+# Finisher (see fit and _als_finish)
 _FINISH_AFTER = 3
 _FINISH_SWEEPS = 100
 
 
 def _r_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """R_x R_y^T for x = Q_x R_x and y = Q_y R_y: a small matrix with the
-    Frobenius norm and the nonzero singular values of x y^T, which is never
-    formed.  Backward stable, so a difference of two products written as
-    [x1, -x0] [y1, y0]^T keeps its accuracy."""
+    Frobenius norm and nonzero singular values of x y^T, backward stable, so
+    [x1, -x0] [y1, y0]^T measures x1 y1^T - x0 y0^T accurately."""
     return np.linalg.qr(x, mode="r") @ np.linalg.qr(y, mode="r").T
 
 
 def _als_finish(obs: ObservationSet, theta: np.ndarray, frame: np.ndarray, tol: float):
     """Rank-r least-squares completion fit by alternating least squares.
 
-    Starts from B = ``frame``, the r right singular vectors of ``theta``,
-    and A = theta B, so that A B^T = theta, and alternately minimizes
-    ||y - X(A B^T)||^2 / (2n) exactly over A and over B.  The Hessian is
-    diagonal, so the rows of A are independent: row j solves
-    (B^T diag(w_j) B) a_j = B^T g_j, with w_j and g_j the j-th rows of the
-    weights and of X*(y)/n.  A half-sweep is one product for the r x r Grams
-    (:func:`~lowrankpen.operators.row_grams`) and one batched solve
-    (softImpute-ALS, Hastie, Mazumder, Lee & Zadeh, JMLR 2015).  Stops once
-    the product moves by ||A B^T - previous||_F <= ``tol`` *
-    max(1, ||previous||_F), or after _FINISH_SWEEPS sweeps.  The sweeps keep
-    to the factors (:func:`_r_product` measures the move), so no m1 x m2
-    matrix is made before the result.
+    Starts from B = ``frame``, the r right singular vectors of ``theta``, and
+    A = theta B, and alternately minimizes ||y - X(A B^T)||^2 / (2n) exactly
+    over A and over B (softImpute-ALS, Hastie, Mazumder, Lee & Zadeh, JMLR
+    2015).  The Hessian is diagonal, so row j of A solves
+    (B^T diag(w_j) B) a_j = B^T g_j, w_j and g_j the j-th rows of the weights
+    and of X*(y)/n: a half-sweep is one product for the r x r Grams
+    (:func:`~lowrankpen.operators.row_grams`) and one batched solve.  Stops
+    once ||A B^T - previous||_F <= ``tol`` * max(1, ||previous||_F), measured
+    on the factors (:func:`_r_product`), or after _FINISH_SWEEPS sweeps.
 
     Returns (A B^T, its min(m1, m2) singular values, sweeps taken).  The
     matrix and spectrum are None when a row or column has fewer than r
-    observed cells (its Gram is singular, and no sweep is taken), when a
-    Gram is singular, or when a sweep is not finite.
+    observed cells (no sweep is taken), when a Gram is singular, or when a
+    sweep is not finite.
     """
     w, g = obs.design.weights, obs.xty
     r = frame.shape[1]
@@ -375,76 +338,39 @@ def fit(
 ) -> FitResult:
     """Run the accelerated proximal-gradient iteration to a fixed point.
 
-    Each step extrapolates y = T_k + ((t_k - 1)/t_{k+1})(T_k - T_{k-1}) with
-    t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2 and takes the prox-gradient step at
-    y.  When the objective at the result rises above the one at T_k, that
-    step is discarded, the momentum is reset (t = 1) and the plain step from
-    T_k is taken instead; ``restarts`` counts these resets.  A plain step
-    whose prox was inexact (below) and that raises the objective is redone
-    with the full SVD.  The accepted objective sequence is therefore
-    monotone whenever the exact plain step is, which holds for the step 1/L
-    without the box clip.
+    Each step extrapolates y = T_k + ((t_k - 1)/t_{k+1})(T_k - T_{k-1}), with
+    t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2, and takes the prox-gradient step at
+    y (FISTA).  When the objective there rises above the one at T_k, the step
+    is discarded, the momentum is reset (t = 1, counted in ``restarts``) and
+    the plain step from T_k is taken (O'Donoghue & Candes 2015); a plain
+    step whose prox was inexact and that still rises is redone with the full
+    SVD.  The accepted objective sequence is therefore monotone (Li & Lin
+    2015) whenever the exact plain step is: for a step of at most 1/L (the
+    default ``eta``) and no box clip.  Each step takes one Hessian product,
+    H T of its new iterate, which gives T's loss and, H being linear, the
+    gradient at the next extrapolated point.
 
-    Each prox step takes one Hessian product, H T of its new iterate T (see
-    :func:`~lowrankpen.operators.apply_hessian`), plus one for the starting
-    point.  It gives the loss of T (expanded for sensing; completion keeps
-    its residual sum) and, since H is linear, the gradient at the next
-    extrapolated point, H y - X*(y)/n with H y = H T_k + m (H T_k - H T_{k-1}),
-    at a restart's plain point and in the final residual.  The scalar prox
-    of every step and of the residual is the closed form when
-    eta * zeta_minus < 1 and the enumeration otherwise (:func:`_prox_svd`).
-    With ``warm_start="nuclear"`` the nested nuclear fit runs first, to the
-    tolerance sqrt(``config.tol``) (see :class:`SolverConfig`).
+    ``alpha_star`` clips each prox to the box ||T||_inf <= alpha_star: the
+    composite prox has no tractable form, so this splitting is a heuristic.
 
-    ``iterations`` counts accepted steps.  Stops when the relative iterate
-    change ||T+ - T||_F / max(1, ||T||_F) drops below ``config.tol`` or after
-    ``config.max_iter`` accepted steps.  The reported
-    ``fixed_point_residual`` is ||T - prox(T - eta grad L(T))||_F at the
-    final iterate, computed without the box clip.  :class:`DivergenceError`
-    is raised when an iterate or objective becomes non-finite, or when the
-    final residual or spectrum is, so a returned fit is finite throughout.
+    The stopping rule: ``iterations`` counts accepted steps, and the loop
+    stops, ``converged``, once ||T+ - T||_F / max(1, ||T||_F) <= ``tol``, or
+    after ``max_iter`` steps.  The certificate ``fixed_point_residual`` is
+    ||T - prox(T - eta grad L(T))||_F at the returned iterate, by the full
+    SVD and without the clip.  :class:`DivergenceError` is raised when an
+    iterate, the objective, the certificate or the spectrum is not finite.
 
-    The loop carries the previous step's right singular vectors (the kept
-    ones plus a few more) from step to step; the plain step after a reset
-    starts from the same vectors as the discarded one, and the SCAD/MCP loop
-    after a nuclear warm start starts from the warm fit's last ones
-    (``FitResult.block``).  With them each prox computes only the triplets
-    above eta * lambda (see :func:`_prox_svd`), so on a matrix with
-    min(m1, m2) >= _TRUNCATE_MIN_DIM a step costs a few products with a
-    thin block instead of a full SVD.  A block whose iteration cannot reach
-    _RITZ_TOL is still used, as an inexact prox, when its kept residuals
-    have a Frobenius norm of at most _PROGRESS_FRACTION times the last
-    accepted step ||T_k - T_{k-1}||_F, divided by the momentum weight t_k
-    (so never on a fit's first step).  An accelerated method weighs the
-    error of step k by about k = 2 t_k against a plain one (Schmidt, Le Roux
-    & Bach 2011), so its allowance shrinks with t_k; a restart resets it.
-    The first step of a fit without a warm block, any step whose block is
-    too small to hold every value above eta * lambda, and any step whose
-    block misses that allowance take the full SVD.
-    ``fixed_point_residual`` always uses the full SVD, so it is an exact
-    certificate of the returned iterate.
-
-    A SCAD/MCP fit on a :class:`~lowrankpen.operators.CompletionDesign`,
-    without ``alpha_star`` and at a step with eta * zeta_minus < 1, tries an
-    alternating least-squares finisher once: as soon as the kept rank r
-    (the nonzero values of the last prox) has held for _FINISH_AFTER
-    accepted steps and every kept value is at least nu = b * lambda.  There
-    the penalty is flat, so a fixed point is a stationary point of rank-r
-    least squares whose gradient has spectral norm at most lambda off its
-    frames.  The finisher (:func:`_als_finish`) starts from A = T B, with B
-    the first r columns of the carried block (T's right singular vectors),
-    and sweeps to the same relative-change tolerance.  Its point is
-    accepted only when its objective is no higher than the last accepted
-    one and one full-SVD prox-gradient step from it moves it by at most
-    ``config.tol`` * max(1, ||T||_F); that step's movement is the returned
-    ``fixed_point_residual``, so the certificate stays exact, and its
-    objective ends ``objective_trace``.  Otherwise (a row or column with
-    fewer than r observed cells, a singular or non-finite Gram, a higher
-    objective or a larger step) the loop goes on from where it was; after a
-    rejected point, with its momentum reset.
-    ``finish_sweeps`` counts the sweeps, which are not ``iterations``.  The
-    finisher adds one Hessian product, at its point; when accepted, its
-    certificate is the fit's last prox.
+    The finisher's gate: a SCAD/MCP fit on a
+    :class:`~lowrankpen.operators.CompletionDesign`, without ``alpha_star``
+    and with eta * zeta_minus < 1, runs :func:`_als_finish` once, as soon as
+    the kept rank r has held for _FINISH_AFTER accepted steps and every kept
+    value is at least nu = b * lambda.  There the penalty is flat, and a
+    fixed point is the rank-r least-squares fit on its own frames (the
+    oracle property).  It starts from the first r columns of the carried
+    block.  Its point is accepted, ``converged``, only when its objective is
+    no higher and one full-SVD prox-gradient step from it moves it by at most
+    ``tol`` * max(1, ||T||_F); that movement is the certificate.  Otherwise
+    the loop goes on, with its momentum reset if a point was rejected.
     """
     design = obs.design
     eta = 1.0 / estimate_lipschitz(design) if config.eta is None else float(config.eta)
@@ -453,7 +379,7 @@ def fit(
         # a convex start needs only statistical accuracy, not the final tol
         warm_config = replace(config, warm_start=WARM_ZERO, eta=eta, tol=math.sqrt(config.tol))
         warm = fit(obs, PenaltySpec(NUCLEAR, spec.lam), warm_config)
-        theta, spectrum, block = np.array(warm.theta_hat), warm.spectrum, warm.block
+        theta, spectrum, block = warm.theta_hat, warm.spectrum, warm.block
     else:
         theta = np.zeros((design.m1, design.m2))
         spectrum = np.zeros(min(design.m1, design.m2))
@@ -467,9 +393,8 @@ def fit(
         return z
 
     def step(point: np.ndarray, h_point: np.ndarray, k: int, block, allowance=0.0):
-        """Prox-gradient step from ``point``, given H ``point``: the new
-        iterate, H times it, its objective, its singular values, the next
-        block and whether the prox was exact."""
+        """Prox-gradient step from ``point``, given H ``point``: the new iterate,
+        H times it, its objective, spectrum and block, and whether it was exact."""
         z = gradient_step(point, h_point)
         if not np.all(np.isfinite(z)):
             raise DivergenceError(f"iterate became non-finite at iteration {k}")
@@ -484,9 +409,8 @@ def fit(
         return theta_new, h_new, obj, spectrum, block, exact
 
     def residual(point: np.ndarray, arg: np.ndarray) -> float:
-        """||T - prox(arg)||_F by the full SVD for the gradient step
-        arg = T - eta grad L(T), or inf unless arg is finite: an SVD of
-        infinities may not return."""
+        """||T - prox(arg)||_F by the full SVD for arg = T - eta grad L(T), or
+        inf unless arg is finite: an SVD of infinities may not return."""
         if not np.isfinite(arg).all():
             return math.inf
         moved = prox_spectral(spec, arg, eta)
@@ -588,22 +512,18 @@ def fit(
 def solve_oracle(obs: ObservationSet, sub: Subspace) -> np.ndarray:
     """Least-squares fit restricted to the given rank-r subspace.
 
-    Minimizes ||y - X(U C V^T)||^2 / (2n) over the r x r coefficient matrix
-    C.  With K = U kron V, the d = r^2 normal equations K^T H K c = K^T
-    X*(y)/n are formed from the design's cached Hessian
-    (:func:`~lowrankpen.operators.subspace_hessian`) and solved by one
-    eigendecomposition of the normal matrix.  The matrix has rank at most n,
-    so only its top min(n, d) eigenpairs are kept, and of those the ones
-    above d * eps times the largest; the solution is the minimum-norm one on
-    the kept eigenvectors.  With fewer observations than coefficients a
-    warning is issued; otherwise a dropped eigenvalue means the system is
-    numerically singular and :class:`RankDeficiencyError` is raised.
+    Minimizes ||y - X(U C V^T)||^2 / (2n) over the r x r coefficients C by
+    one eigendecomposition of the d = r^2 normal matrix
+    (:func:`~lowrankpen.operators.subspace_hessian`).  The matrix has rank at
+    most n, so only its top min(n, d) eigenpairs are kept, and of those the
+    ones above d * eps times the largest; the solution is the minimum-norm
+    one on them.  With fewer observations than coefficients a warning is
+    issued; otherwise a dropped eigenvalue raises
+    :class:`RankDeficiencyError`.
     """
     r = sub.r
     if r == 0:
         return np.zeros((obs.design.m1, obs.design.m2))
-    if r > min(obs.design.m1, obs.design.m2):
-        raise ValueError("subspace rank exceeds matrix dimensions")
     gram = subspace_hessian(obs.design, sub)
     rhs = (sub.U.T @ obs.xty @ sub.V).ravel()
     d = r * r

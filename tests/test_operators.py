@@ -133,6 +133,8 @@ def test_quadratic_model_matches_reference_maps():
             assert len(np.unique(design.entries, axis=0)) < design.n
         theta_star, theta, delta = (rng.standard_normal((m1, m2)) for _ in range(3))
         obs = generate_observations(design, theta_star, 0.5, rng)
+        # the model's X*(y)/n is the adjoint itself, bit for bit
+        assert np.array_equal(obs.xty, apply_adjoint(design, obs.y) / design.n)
 
         resid = reference_forward(design, theta) - obs.y
         grad_ref = reference_adjoint(design, resid) / design.n

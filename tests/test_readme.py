@@ -1,8 +1,12 @@
-"""The README's library example runs as written, so a renamed or removed
-public name fails here rather than in the docs."""
+"""The README's library example runs as written, and every package name the
+README quotes exists, so a renamed or removed public name fails here rather
+than in the docs."""
 
+import importlib
 import re
 from pathlib import Path
+
+import lowrankpen
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,3 +17,30 @@ def test_readme_library_example_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {})
     rank_hat, err = capsys.readouterr().out.split()
     assert int(rank_hat) == 3 and float(err) < 0.5
+
+
+def _resolve(path: str):
+    """Import the longest module prefix of a dotted path, then getattr the rest."""
+    parts = path.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(path)
+
+
+def test_readme_names_resolve():
+    quoted = set(re.findall(r"`([^`\n]+)`", README.read_text()))
+    paths = sorted(q for q in quoted if re.fullmatch(r"lowrankpen(\.\w+)+", q))
+    camel = sorted(q for q in quoted if re.fullmatch(r"[A-Z][a-z0-9]+[A-Z]\w*(\.\w+)*", q))
+    assert "lowrankpen.solver" in paths and "SolverConfig" in camel
+    for path in paths:
+        _resolve(path)
+    missing = [name for name in camel if name.split(".")[0] not in lowrankpen.__all__]
+    assert not missing, f"README names not exported by lowrankpen: {missing}"
+    for name in camel:
+        _resolve("lowrankpen." + name)
