@@ -390,7 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit one model from a dense or triplet CSV")
     p_fit.add_argument("input", help="dense matrix CSV or j,k,value triplet CSV")
     p_fit.add_argument("out_prefix", help="writes <prefix>.theta.csv and <prefix>.fit.json")
-    p_fit.add_argument("--format", choices=["auto", "dense", "triplets"], default="auto")
+    p_fit.add_argument("--format", choices=["auto", "dense", "triplets"], default="auto",
+                       help="auto reads a file as triplets when it has the j,k,value header "
+                            "or its first row reads as two integers and a number, so a "
+                            "headerless dense matrix of such rows needs --format dense")
     _add_penalty_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 

@@ -5,8 +5,8 @@ sum running over the singular values of Theta, by monotone accelerated
 proximal gradient.  Each mechanism is described once, where it is
 implemented:
 
-* momentum, restart, monotonicity, the stopping rule, the certificate, the box
-  clip and the finisher's gate: :func:`fit`;
+* the step, momentum, restart, monotonicity, the stopping rule, the
+  certificate, the box clip and the finisher's gate: :func:`fit`;
 * the nuclear-norm warm start: :class:`SolverConfig`;
 * the spectral prox and its closed-form/enumeration gate: :func:`_prox_svd`
   and :meth:`~lowrankpen.penalty.PenaltySpec.convex_at`;
@@ -68,20 +68,17 @@ class SolverConfig:
 
     ``tol`` is the relative iterate change at which :func:`fit` stops and
     reports ``converged``; it does not bound the distance to the fixed point
-    (see :class:`FitResult`).  ``eta=None`` sets the step to 1/L, L the exact smoothness
-    constant (:func:`estimate_lipschitz`); a positive ``eta`` is a fixed step
-    instead.  ``alpha_star`` is the box bound of :func:`fit`.
+    (see :class:`FitResult`).  ``alpha_star`` is the box bound of :func:`fit`.
 
     ``warm_start="nuclear"`` makes a SCAD/MCP fit first run a nested
-    :func:`fit` of the nuclear-norm problem at the same lambda and step, to
-    the tolerance sqrt(tol), and start from its iterate, spectrum and
-    ``block``: a folded-concave fit needs its convex start only to
-    statistical accuracy (Fan, Xue & Zou, Ann. Statist. 2014).
+    :func:`fit` of the nuclear-norm problem at the same lambda, to the
+    tolerance sqrt(tol), and start from its iterate, spectrum, ``block`` and
+    ``eta``: a folded-concave fit needs its convex start only to statistical
+    accuracy (Fan, Xue & Zou, Ann. Statist. 2014).
     """
 
     max_iter: int = 2000
     tol: float = 1e-7
-    eta: float | None = None
     alpha_star: float | None = None
     warm_start: str = WARM_ZERO
     rank_tol_rel: float = 1e-4
@@ -89,9 +86,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be positive, got {self.max_iter!r}")
-        for name in ("tol", "eta", "alpha_star", "rank_tol_rel"):
+        for name in ("tol", "alpha_star", "rank_tol_rel"):
             value = getattr(self, name)
-            if value is None and name in ("eta", "alpha_star"):
+            if value is None and name == "alpha_star":
                 continue
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
@@ -113,8 +110,8 @@ class FitResult:
     certificate, ||T - prox(T - eta grad L(T))||_F at the returned iterate
     by the full SVD.  ``objective_trace`` holds the starting objective, one
     value per accepted step and, when the finisher's point is accepted, its
-    objective last.  ``eta`` is the step used and ``restarts`` counts the
-    momentum resets.  ``finish_sweeps`` counts the finisher's sweeps, apart
+    objective last.  ``eta`` is the step (:func:`fit`) and ``restarts`` counts
+    the momentum resets.  ``finish_sweeps`` counts the finisher's sweeps, apart
     from ``iterations`` and whether or not its point was accepted; it is 0
     when the finisher did not run.  ``block`` holds the right singular vectors the last prox passes on
     (:func:`_prox_svd`); it is not serialized.
@@ -190,11 +187,13 @@ def _truncated_svd(z: np.ndarray, block: np.ndarray, threshold: float, allowance
     as long as the untracked spectrum stays at or below the threshold.
 
     :func:`fit` passes ``allowance`` = _PROGRESS_FRACTION times the last
-    accepted step ||T_k - T_{k-1}||_F over the momentum weight t_k (zero on a
-    fit's first step): an accelerated method weighs the error of step k by
-    about k = 2 t_k (an inexact prox step, Schmidt, Le Roux & Bach 2011).
+    accepted step ||T_k - T_{k-1}||_F over the momentum weight t_k to a
+    momentum step only: an accelerated method weighs the error of step k by
+    about k = 2 t_k (an inexact prox step, Schmidt, Le Roux & Bach 2011).  A
+    plain step (the first, a restart's, the one after a declined finish)
+    gets none, so it is exact or takes the full SVD.
 
-    Returns (U, s, V^T, exact), or None when the block exceeds half of
+    Returns (U, s, V^T), or None when the block exceeds half of
     min(m1, m2), when every Ritz value is above the threshold, or when the
     allowance is out of reach.
     """
@@ -213,12 +212,12 @@ def _truncated_svd(z: np.ndarray, block: np.ndarray, threshold: float, allowance
         worst = np.linalg.norm(resid, axis=0).max(initial=0.0)
         tol = _RITZ_TOL * s[0]
         if worst <= tol:
-            return u, s, vt, True
+            return u, s, vt
         rate = (s[-1] / s[r - 1]) ** (2 * steps_left)
         if worst * rate > tol:
             kept = np.linalg.norm(resid)
             if kept <= allowance:
-                return u, s, vt, False
+                return u, s, vt
             if kept * rate > allowance:
                 return None
     return None
@@ -239,20 +238,20 @@ def _prox_svd(spec: PenaltySpec, z: np.ndarray, eta: float, block=None, allowanc
     is the full one, as it is when the block iteration gives up.
 
     Returns the prox, its min(m1, m2) singular values (sorted, zeros
-    trailing), ``block`` for the next call (the right singular vectors of the
-    kept part plus _OVERSAMPLE more) and whether the SVD was exact.
+    trailing) and ``block`` for the next call (the right singular vectors of
+    the kept part plus _OVERSAMPLE more).
     """
     svd = None
     convex = 0.0 < eta < math.inf and spec.convex_at(eta)
     if block is not None and min(z.shape) >= _TRUNCATE_MIN_DIM and convex:
         svd = _truncated_svd(z, block, eta * spec.lam, allowance)
-    p, s, qt, exact = (*np.linalg.svd(z, full_matrices=False), True) if svd is None else svd
+    p, s, qt = np.linalg.svd(z, full_matrices=False) if svd is None else svd
     s_new = convex_prox(spec, s, eta) if convex else scalar_prox(spec, s, eta)
     r = int(np.count_nonzero(s_new))
     theta = (p[:, :r] * s_new[:r]) @ qt[:r]
     if svd is not None:  # the untracked rest of the spectrum is zero
         s_new = np.concatenate([s_new, np.zeros(min(z.shape) - s_new.size)])
-    return theta, s_new, qt[: r + _OVERSAMPLE].T, exact
+    return theta, s_new, qt[: r + _OVERSAMPLE].T
 
 
 def prox_spectral(spec: PenaltySpec, z: np.ndarray, eta: float) -> np.ndarray:
@@ -338,17 +337,18 @@ def fit(
 ) -> FitResult:
     """Run the accelerated proximal-gradient iteration to a fixed point.
 
+    The step is eta = 1/L, L the exact smoothness constant
+    (:func:`estimate_lipschitz`); a warm-started fit takes its nested fit's.
     Each step extrapolates y = T_k + ((t_k - 1)/t_{k+1})(T_k - T_{k-1}), with
     t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2, and takes the prox-gradient step at
-    y (FISTA).  When the objective there rises above the one at T_k, the step
-    is discarded, the momentum is reset (t = 1, counted in ``restarts``) and
-    the plain step from T_k is taken (O'Donoghue & Candes 2015); a plain
-    step whose prox was inexact and that still rises is redone with the full
-    SVD.  The accepted objective sequence is therefore monotone (Li & Lin
-    2015) whenever the exact plain step is: for a step of at most 1/L (the
-    default ``eta``) and no box clip.  Each step takes one Hessian product,
-    H T of its new iterate, which gives T's loss and, H being linear, the
-    gradient at the next extrapolated point.
+    y (FISTA; Beck & Teboulle 2009).  When the objective there rises above
+    the one at T_k, the step is discarded, the momentum is reset (t = 1,
+    counted in ``restarts``) and the plain step from T_k is taken
+    (O'Donoghue & Candes 2015).  A plain step is exact (:func:`_truncated_svd`)
+    and at 1/L does not raise the objective, so the accepted objective
+    sequence is monotone (Li & Lin 2015) unless ``alpha_star`` clips it.  Each
+    step takes one Hessian product, H T of its new iterate, which gives T's
+    loss and, H being linear, the gradient at the next extrapolated point.
 
     ``alpha_star`` clips each prox to the box ||T||_inf <= alpha_star: the
     composite prox has no tractable form, so this splitting is a heuristic.
@@ -373,14 +373,14 @@ def fit(
     the loop goes on, with its momentum reset if a point was rejected.
     """
     design = obs.design
-    eta = 1.0 / estimate_lipschitz(design) if config.eta is None else float(config.eta)
-
     if config.warm_start == WARM_NUCLEAR and spec.family != NUCLEAR:
         # a convex start needs only statistical accuracy, not the final tol
-        warm_config = replace(config, warm_start=WARM_ZERO, eta=eta, tol=math.sqrt(config.tol))
+        warm_config = replace(config, warm_start=WARM_ZERO, tol=math.sqrt(config.tol))
         warm = fit(obs, PenaltySpec(NUCLEAR, spec.lam), warm_config)
-        theta, spectrum, block = warm.theta_hat, warm.spectrum, warm.block
+        theta, spectrum, block, eta = warm.theta_hat, warm.spectrum, warm.block, warm.eta
+        del warm  # its iterate is not held through the loop's SVDs
     else:
+        eta = 1.0 / estimate_lipschitz(design)
         theta = np.zeros((design.m1, design.m2))
         spectrum = np.zeros(min(design.m1, design.m2))
         block = None
@@ -394,11 +394,11 @@ def fit(
 
     def step(point: np.ndarray, h_point: np.ndarray, k: int, block, allowance=0.0):
         """Prox-gradient step from ``point``, given H ``point``: the new iterate,
-        H times it, its objective, spectrum and block, and whether it was exact."""
+        H times it, its objective, spectrum and block."""
         z = gradient_step(point, h_point)
         if not np.all(np.isfinite(z)):
             raise DivergenceError(f"iterate became non-finite at iteration {k}")
-        theta_new, spectrum, block, exact = _prox_svd(spec, z, eta, block, allowance)
+        theta_new, spectrum, block = _prox_svd(spec, z, eta, block, allowance)
         if config.alpha_star is not None:
             theta_new = np.clip(theta_new, -config.alpha_star, config.alpha_star)
             spectrum = np.linalg.svd(theta_new, compute_uv=False)
@@ -406,7 +406,7 @@ def fit(
         obj = _objective(obs, spec, theta_new, h_new, spectrum)
         if not math.isfinite(obj):
             raise DivergenceError(f"objective became non-finite at iteration {k}")
-        return theta_new, h_new, obj, spectrum, block, exact
+        return theta_new, h_new, obj, spectrum, block
 
     def residual(point: np.ndarray, arg: np.ndarray) -> float:
         """||T - prox(arg)||_F by the full SVD for arg = T - eta grad L(T), or
@@ -440,22 +440,20 @@ def fit(
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         momentum = (t - 1.0) / t_next
         extrapolate = momentum > 0.0
-        allowance = _PROGRESS_FRACTION * progress / t
         # H is linear: H y = H T_k + momentum (H T_k - H T_{k-1}); the
         # extrapolated pair lives only as long as its step
-        theta_new, h_new, obj_new, spectrum, block_new, exact = step(
+        theta_new, h_new, obj_new, spectrum, block_new = step(
             theta + momentum * (theta - theta_prev) if extrapolate else theta,
             h + momentum * (h - h_prev) if extrapolate else h,
-            k, block, allowance,
+            k, block, _PROGRESS_FRACTION * progress / t if extrapolate else 0.0,
         )
         if extrapolate and obj_new > obj:
             restarts += 1
             t_next = _T_AFTER_RESTART
-            theta_new, h_new, obj_new, spectrum, block_new, exact = step(
-                theta, h, k, block, allowance
-            )
-        if not exact and obj_new > obj:  # an inexact plain step rose: take the full SVD
-            theta_new, h_new, obj_new, spectrum, block_new, _ = step(theta, h, k, None)
+            # the plain step reads neither the discarded step nor T_{k-1};
+            # they are not held through its prox, which may take the full SVD
+            del theta_new, h_new, theta_prev, h_prev
+            theta_new, h_new, obj_new, spectrum, block_new = step(theta, h, k, block)
         trace.append(obj_new)
         progress = float(np.linalg.norm(theta_new - theta))
         rel = progress / max(1.0, np.linalg.norm(theta))

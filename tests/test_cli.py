@@ -158,8 +158,7 @@ def test_simulate_rejects_fractional_max_iter_before_running(tmp_path, capsys):
         ("spectrum_rule", {"spectrum_rule": {"kind": "mixed", "r1": 1, "r2": 1,
                                              "low_value": 0.95}}),
         ("tol", {"solver": {"tol": -1e-7}}),
-        ("eta", {"solver": {"eta": 0}}),
-        ("eta", {"solver": {"eta": math.inf}}),
+        ("eta", {"solver": {"eta": 1.0}}),  # the step is always 1/L
         ("alpha_star", {"solver": {"alpha_star": math.nan}}),
         ("rank_tol_rel", {"solver": {"rank_tol_rel": math.nan}}),
         ("max_iter", {"solver": {"max_iter": 0}}),
@@ -172,7 +171,7 @@ def test_simulate_rejects_fractional_max_iter_before_running(tmp_path, capsys):
          "low_value-zero", "n_grid-float", "n_grid-bool", "n_grid-string", "n_grid-zero",
          "c-underflow", "N_grid-bool", "lambda_rule-unknown", "model-unknown",
          "penalties-empty", "penalties-zero-b", "spectrum_rule-rank-sum", "N_grid-below-one",
-         "low_value-above-nu", "low_value-just-above-nu", "tol-negative", "eta-zero", "eta-inf",
+         "low_value-above-nu", "low_value-just-above-nu", "tol-negative", "eta-unknown",
          "alpha_star-nan", "rank_tol_rel-nan", "max_iter-zero", "warm_start-unknown",
          "warm_start-null", "m2-zero"],
 )
@@ -198,11 +197,11 @@ def test_simulate_overflowing_truth_scale_is_invalid_input(tmp_path, capsys, ove
 
 
 def test_simulate_accepts_null_for_the_optional_solver_fields(tmp_path):
-    config = minimal_config(tmp_path, solver={"max_iter": 1200, "eta": None, "alpha_star": None})
+    config = minimal_config(tmp_path, solver={"max_iter": 1200, "alpha_star": None})
     out = tmp_path / "out"
     assert run_cli("simulate", config, "--out-dir", out, "--jobs", 1) == 0
     solver = json.loads((out / "meta.json").read_text())["spec"]["solver"]
-    assert solver["eta"] is None and solver["alpha_star"] is None
+    assert solver["alpha_star"] is None
 
 
 def test_simulate_mixed_spectrum_echoes_its_rule(tmp_path):
@@ -425,6 +424,17 @@ def test_fit_dense_noiseless_recovers_input(tmp_path):
     doc = json.loads((tmp_path / "fit.fit.json").read_text())
     assert doc["converged"] is True
     assert doc["lambda"] == pytest.approx(1e-8)
+
+
+def test_fit_auto_reads_an_integer_matrix_as_triplets(tmp_path):
+    # a headerless first row that reads as two integers and a number makes
+    # the file triplets, so such a dense matrix needs --format dense
+    src = tmp_path / "m.csv"
+    src.write_text("1,2,3\n4,5,6\n7,8,9\n")
+    assert run_cli("fit", src, tmp_path / "auto", "--lambda", 0.01) == 0
+    assert read_dense_matrix(tmp_path / "auto.theta.csv").shape == (8, 9)
+    assert run_cli("fit", src, tmp_path / "dense", "--lambda", 0.01, "--format", "dense") == 0
+    assert read_dense_matrix(tmp_path / "dense.theta.csv").shape == (3, 3)
 
 
 def test_fit_json_echoes_b_and_reports_the_step(tmp_path):

@@ -43,7 +43,7 @@ TINY_CONFIG = {
     "lambda_rule": "standard",
     "probe_directions": 3,
     "solver": {
-        "max_iter": 30, "tol": 1e-6, "eta": None, "alpha_star": None,
+        "max_iter": 30, "tol": 1e-6, "alpha_star": None,
         "warm_start": "nuclear", "rank_tol_rel": 1e-4,
     },
     "out_dir": "unused",
@@ -105,6 +105,15 @@ def simulate_mutated(base, path, value) -> None:
         code = exit_code(["simulate", config, "--out-dir", out, "--jobs", 1])
         assert code == 0 or not out.exists(), f"{path} = {value!r} left {out} behind"
     assert code in ALLOWED_EXITS, f"{path} = {value!r} exited {code}"
+
+
+@pytest.mark.parametrize("base", [TINY_CONFIG, MIXED_CONFIG], ids=["tiny", "mixed"])
+def test_unmutated_config_runs(base, tmp_path):
+    # a base config the reader rejects would make every mutation exit 2 at
+    # that rejection, so the fuzzer would pass while testing nothing
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(base))
+    assert exit_code(["simulate", config, "--out-dir", tmp_path / "out", "--jobs", 1]) == 0
 
 
 @pytest.mark.parametrize("path", CONFIG_PATHS, ids=lambda p: ".".join(map(str, p)))

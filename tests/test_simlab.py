@@ -22,7 +22,7 @@ from lowrankpen.simlab import (
 )
 from lowrankpen import simlab
 from lowrankpen.simlab import CSV_COLUMNS
-from lowrankpen.solver import RankDeficiencyError, SolverConfig
+from lowrankpen.solver import DivergenceError, RankDeficiencyError, SolverConfig
 
 
 def small_spec(**overrides):
@@ -177,10 +177,14 @@ def test_run_trial_without_identifiable_oracle_records_no_match(monkeypatch):
     assert outcome.oracle_match is None
 
 
-def test_diverged_trial_record(tmp_path):
-    # a fixed step of 100 overshoots 1/L by far: both fits blow up
+def test_diverged_trial_record(tmp_path, monkeypatch):
+    # both fits blow up
+    def diverging(*args):
+        raise DivergenceError("objective became non-finite at iteration 1")
+
+    monkeypatch.setattr(simlab, "fit", diverging)
     spec = small_spec(
-        n_grid=(150,), base_seed=3, repeats=1, solver=SolverConfig(eta=100.0),
+        n_grid=(150,), base_seed=3, repeats=1,
         penalties=(PenaltyTemplate("scad", 129.0), PenaltyTemplate("nuclear", 129.0)),
     )
     grid = run_grid(spec)

@@ -181,8 +181,7 @@ def test_fit_objective_trace_monotone():
     assert np.all(np.diff(result.objective_trace) <= 1e-9)
 
 
-@pytest.mark.parametrize("step_scale", [1.0, 0.5])
-def test_fit_full_observation_nuclear_matches_soft_threshold(step_scale):
+def test_fit_full_observation_nuclear_matches_soft_threshold():
     # every cell seen once: the loss is ||Y - T||_F^2 / (2n), whose nuclear-
     # penalized minimizer soft-thresholds the singular values of Y at n*lambda
     rng = np.random.default_rng(20)
@@ -191,23 +190,13 @@ def test_fit_full_observation_nuclear_matches_soft_threshold(step_scale):
     data = rng.standard_normal((m1, m2))
     obs = ObservationSet(full_observation_design(m1, m2), data.ravel())
     lam = 0.05
-    config = SolverConfig(eta=step_scale * n)  # 1/L = n
-    result = fit(obs, PenaltySpec(NUCLEAR, lam), config)
+    result = fit(obs, PenaltySpec(NUCLEAR, lam), SolverConfig())
+    assert result.eta == n  # 1/L with L = 1/n
     u, s, vt = np.linalg.svd(data, full_matrices=False)
     assert 0 < np.count_nonzero(s > n * lam) < s.size
     reference = (u * np.maximum(s - n * lam, 0.0)) @ vt
     assert result.converged
     assert np.linalg.norm(result.theta_hat - reference) <= 1e-6 * np.linalg.norm(reference)
-
-
-def test_fit_uses_the_given_eta_as_its_step():
-    rng = np.random.default_rng(21)
-    theta_star, _, _ = random_low_rank(rng, 6, 6, [2.0, 1.0])
-    design = sample_completion_design(rng, 6, 6, 80)
-    obs = generate_observations(design, theta_star, 0.1, rng)
-    assert fit(obs, PenaltySpec(SCAD, 0.05, 3.7), SolverConfig(eta=0.5)).eta == 0.5
-    with pytest.raises(ValueError, match="eta"):
-        SolverConfig(eta=0.0)
 
 
 @pytest.mark.parametrize(
@@ -253,13 +242,15 @@ def test_fit_takes_one_hessian_product_per_prox_step(model, monkeypatch):
 
 def test_warm_start_runs_to_the_square_root_of_tol(monkeypatch):
     # the convex start needs only statistical accuracy: the nested nuclear
-    # fit gets tol = sqrt(tol) and the outer fit's step, and nothing else
-    configs = []
+    # fit gets tol = sqrt(tol) and nothing else, and its step is the outer one
+    configs, steps = [], []
     outer = solver_module.fit
 
     def logged(obs, spec, config=SolverConfig()):
         configs.append((spec.family, config))
-        return outer(obs, spec, config)
+        result = outer(obs, spec, config)
+        steps.append(result.eta)
+        return result
 
     monkeypatch.setattr(solver_module, "fit", logged)
     rng = np.random.default_rng(9)
@@ -269,8 +260,8 @@ def test_warm_start_runs_to_the_square_root_of_tol(monkeypatch):
     result = solver_module.fit(obs, PenaltySpec(SCAD, 0.05, 3.7), config)
     assert [family for family, _ in configs] == [SCAD, NUCLEAR]
     warm = configs[1][1]
-    assert warm.tol == math.sqrt(config.tol)
-    assert warm == SolverConfig(max_iter=500, tol=warm.tol, eta=result.eta)
+    assert warm == SolverConfig(max_iter=500, tol=math.sqrt(config.tol))
+    assert steps == [result.eta, result.eta]  # the nested fit's, then the outer one
 
 
 def test_fit_fixed_point_residual_small_after_convergence():
@@ -300,10 +291,10 @@ def test_fit_divergence_raises_named_iteration():
     design = sample_sensing_design(rng, 4, 4, 20)
     theta_star = rng.standard_normal((4, 4))
     obs = generate_observations(design, theta_star, 0.1, rng)
-    # a fixed step far above 2/L makes the gradient iteration blow up
-    config = SolverConfig(eta=1e6, max_iter=200)
-    with pytest.raises(DivergenceError, match="iteration"):
-        fit(obs, PenaltySpec(SCAD, 1e-6, 3.7), config)
+    # observations of order 1e200: the squares in the first step's loss overflow
+    huge = ObservationSet(design, 1e200 * obs.y)
+    with pytest.raises(DivergenceError, match="objective became non-finite at iteration 1$"):
+        fit(huge, PenaltySpec(SCAD, 1e-6, 3.7), SolverConfig(max_iter=200))
 
 
 def test_fit_rejects_a_non_finite_final_residual():
@@ -524,12 +515,10 @@ def test_truncated_prox_matches_full_svd(spec, shape, case, monkeypatch):
     block = solver_module._prox_svd(spec, nearby, eta)[2]
     outcomes = count_truncated(monkeypatch)
 
-    theta, spectrum, next_block, exact = solver_module._prox_svd(spec, z, eta, block)
-    # the truncated path ran, and was accepted unless it had to fall back;
-    # with no allowance an accepted block is an exact one
+    theta, spectrum, next_block = solver_module._prox_svd(spec, z, eta, block)
+    # the truncated path ran, and was accepted unless it had to fall back
     assert outcomes == [case == "near-threshold"]
-    assert exact
-    theta_ref, spectrum_ref, _, _ = solver_module._prox_svd(spec, z, eta)
+    theta_ref, spectrum_ref, _ = solver_module._prox_svd(spec, z, eta)
     rank = int(np.count_nonzero(spectrum_ref))
     assert spectrum.shape == spectrum_ref.shape == (m,)
     assert np.count_nonzero(spectrum) == rank == (5 if case == "near-threshold" else 14)
@@ -550,9 +539,9 @@ def test_truncated_prox_falls_back_when_eta_breaks_zeroing(spec, monkeypatch):
     eta = spec.b
     block = solver_module._prox_svd(spec, z + 1e-6, eta)[2]
     outcomes = count_truncated(monkeypatch)
-    theta, spectrum, _, _ = solver_module._prox_svd(spec, z, eta, block)
+    theta, spectrum, _ = solver_module._prox_svd(spec, z, eta, block)
     assert outcomes == []
-    theta_ref, spectrum_ref, _, _ = solver_module._prox_svd(spec, z, eta)
+    theta_ref, spectrum_ref, _ = solver_module._prox_svd(spec, z, eta)
     assert np.array_equal(theta, theta_ref) and np.array_equal(spectrum, spectrum_ref)
 
 
@@ -619,17 +608,17 @@ def test_truncated_prox_within_allowance_of_full_svd(spec, monkeypatch):
     )
     z = spectrum_matrix(rng, 100, 110, np.sort(values)[::-1])
     block = solver_module._prox_svd(spec, z + 1e-3 * tau * rng.standard_normal(z.shape), eta)[2]
-    theta_ref, spectrum_ref, _, _ = solver_module._prox_svd(spec, z, eta)
+    theta_ref, spectrum_ref, _ = solver_module._prox_svd(spec, z, eta)
     outcomes = count_truncated(monkeypatch)
 
     # no allowance: the full SVD takes over, as without one
-    theta, spectrum, _, exact = solver_module._prox_svd(spec, z, eta, block)
-    assert outcomes == [False] and exact
+    theta, spectrum, _ = solver_module._prox_svd(spec, z, eta, block)
+    assert outcomes == [False]
     assert np.array_equal(theta, theta_ref) and np.array_equal(spectrum, spectrum_ref)
 
     allowance = 1e-2 * tau
-    theta, spectrum, _, exact = solver_module._prox_svd(spec, z, eta, block, allowance)
-    assert outcomes == [False, True] and not exact
+    theta, spectrum, _ = solver_module._prox_svd(spec, z, eta, block, allowance)
+    assert outcomes == [False, True]
     assert np.count_nonzero(spectrum) == np.count_nonzero(spectrum_ref) == 4
     assert 0.0 < np.linalg.norm(theta - theta_ref) <= prox_lipschitz(spec, eta) * allowance
 
@@ -687,13 +676,14 @@ def test_fit_main_loop_starts_from_the_warm_block(monkeypatch):
     assert main[-1] is True  # fixed_point_residual takes the full SVD
 
 
-def test_fit_redoes_a_rising_inexact_step(monkeypatch):
+def test_fit_takes_every_plain_step_exactly(monkeypatch):
     # the nuclear fit that warm-starts the cutoff problem; a huge fraction
-    # accepts every block the exact iteration gives up on, and dropping the
-    # leading triplet of each such block makes those steps raise the
-    # objective: each plain one must be redone with the full SVD, so the
-    # trace stays monotone.  The problem is convex, so at a tight tol the
-    # fit also reaches the minimizer of the full-SVD reference
+    # lets a momentum step accept every block the exact iteration gives up
+    # on, and dropping the leading triplet of each such block makes those
+    # steps raise the objective.  The restart's plain step gets no
+    # allowance, so it is exact and the trace stays monotone.  The problem
+    # is convex, so at a tight tol the fit also reaches the minimizer of the
+    # full-SVD reference
     obs, spec = cutoff_fit_problem()
     spec = PenaltySpec(NUCLEAR, spec.lam)
     config = SolverConfig(tol=1e-10)
@@ -703,20 +693,27 @@ def test_fit_redoes_a_rising_inexact_step(monkeypatch):
 
     monkeypatch.setattr(solver_module, "_PROGRESS_FRACTION", 1e12)
     truncated = solver_module._truncated_svd
+    calls, degraded = [], []  # (block, allowance) of each attempt; blocks degraded
 
-    def degraded(*args, **kwargs):
-        out = truncated(*args, **kwargs)
-        if out is None or out[3]:
-            return out
-        u, s, vt, _ = out
-        return u[:, 1:], s[1:], vt[1:], False
+    def degrading(z, block, threshold, allowance=0.0):
+        calls.append((block, allowance))
+        exact = truncated(z, block, threshold)
+        if exact is not None or allowance == 0.0:
+            return exact
+        out = truncated(z, block, threshold, allowance)
+        if out is None:
+            return None
+        degraded.append(True)
+        u, s, vt = out
+        return u[:, 1:], s[1:], vt[1:]
 
-    monkeypatch.setattr(solver_module, "_truncated_svd", degraded)
-    steps = record_prox_steps(monkeypatch)
+    monkeypatch.setattr(solver_module, "_truncated_svd", degrading)
     result = fit(obs, spec, config)
-    # besides the redone steps, only the first step and the certificate
-    # take the full SVD
-    assert sum(full for _, full in steps) > 2
+    assert degraded
+    # a restart's plain step starts from the block of the step it replaces
+    plain = [allowance for (prev, _), (block, allowance) in zip(calls, calls[1:]) if block is prev]
+    assert len(plain) == result.restarts > 0
+    assert all(allowance == 0.0 for allowance in plain)
     assert np.all(np.diff(result.objective_trace) <= 1e-12)
     assert result.converged and reference.converged
     assert result.rank_hat == reference.rank_hat
@@ -804,10 +801,10 @@ def never_finish_case(case):
         return obs, spec, replace(config, alpha_star=1e3)
     if case == "mixed":
         return (*flat_completion_problem(low=0.8), config)
-    # the step at the SCAD limit eta = b - 1, with b = 1 + 1/L
+    # the step 1/L at the SCAD limit b - 1
     obs, spec = flat_completion_problem()
-    spec = PenaltySpec(SCAD, spec.lam, 1.0 + 1.0 / estimate_lipschitz(obs.design))
-    return obs, spec, replace(config, eta=spec.b - 1.0)
+    eta = 1.0 / estimate_lipschitz(obs.design)
+    return obs, PenaltySpec(SCAD, spec.lam, 1.0 + eta), config
 
 
 @pytest.mark.parametrize("case", ["sensing", "nuclear", "alpha_star", "mixed", "eta_at_b_minus_1"])
@@ -819,6 +816,8 @@ def test_finisher_is_never_called_outside_its_gate(case, monkeypatch):
 
     monkeypatch.setattr(solver_module, "_als_finish", forbidden)
     result = fit(obs, spec, config)
+    if case == "eta_at_b_minus_1":
+        assert result.eta == spec.b - 1.0  # bit for bit
     assert result.finish_sweeps == 0
     assert result.objective_trace.size == result.iterations + 1
     # the kept rank held long enough for the finisher otherwise
