@@ -4,9 +4,12 @@ JSON writer of the result documents.
 Dense files carry one matrix row per line, comma separated, no header.
 Triplet files carry lines ``j,k,value`` with 0-based integer indices and an
 optional ``j,k,value`` header.  Blank lines are skipped, and every value
-must be finite.  Floats are written with ``repr`` so files round-trip
-exactly and repeated runs are byte identical.  JSON documents are written
-indented by two, with sorted keys and a final newline.
+must be finite.  :func:`read_triplets` parses a plain file in one vectorised
+pass and any other file with the row parser; the file contract, the values
+read and every error message and line number are the row parser's.  Floats
+are written with ``repr`` so files round-trip exactly and repeated runs are
+byte identical.  JSON documents are written indented by two, with sorted
+keys and a final newline.
 """
 
 from __future__ import annotations
@@ -100,8 +103,61 @@ def _triplet(record: list[str], lineno: int) -> tuple[float, float, float]:
         raise InputFormatError(f"bad triplet ({exc})", lineno) from None
 
 
+_TRIPLET_DTYPE = np.dtype([("j", np.int64), ("k", np.int64), ("value", np.float64)])
+# bytes of a plain file: printable ASCII except the quote, plus tab and line
+# feed (np.loadtxt strips \x1c-\x1f as blanks, int and float reject them)
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n"
+
+
+def _read_plain_triplets(path):
+    """(triplets, line numbers) of a plain ``j,k,value`` file by one
+    ``np.loadtxt`` pass, or None unless the row parser would read the same.
+
+    Plain means made of _PLAIN_BYTES, with no blank line, and every row
+    parsed: then each line is one CSV record, ``np.loadtxt`` accepts a
+    subset of what ``int`` and ``float`` accept and converts it to the same
+    numbers, and the row count confirms that it skipped no line.
+    A negative index or a non-finite value is left to the row parser, which
+    names its line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data or data.translate(None, _PLAIN_BYTES) or data.startswith(b"\n") or b"\n\n" in data:
+        return None
+    lines = data.count(b"\n") + (not data.endswith(b"\n"))
+    first = data[: data.find(b"\n")] if b"\n" in data else data
+    skip = int(_is_header(first.decode().split(",")))
+    # np.loadtxt reads a path in C but an open file line by line in Python
+    del data
+    if lines == skip:
+        return None
+    try:
+        rows = np.loadtxt(
+            path, dtype=_TRIPLET_DTYPE, delimiter=",", comments=None, skiprows=skip, ndmin=1
+        )
+    except ValueError:
+        return None
+    if (
+        rows.size != lines - skip
+        or (rows["j"] < 0).any()
+        or (rows["k"] < 0).any()
+        or not np.isfinite(rows["value"]).all()
+    ):
+        return None
+    out = np.empty((rows.size, 3))
+    for col, name in enumerate(_TRIPLET_DTYPE.names):
+        out[:, col] = rows[name]
+    return out, np.arange(1 + skip, 1 + lines, dtype=np.int64)
+
+
 def read_triplets(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse ``j,k,value`` rows; returns (triplets, 1-based line numbers)."""
+    """Parse ``j,k,value`` rows; returns (triplets, 1-based line numbers).
+
+    A plain file takes one vectorised pass (:func:`_read_plain_triplets`);
+    any other, or one that pass declines, is parsed row by row."""
+    plain = _read_plain_triplets(path)
+    if plain is not None:
+        return plain
     rows: list[tuple[int, int, float]] = []
     lines: list[int] = []
     for lineno, record in _records(path):

@@ -74,7 +74,13 @@ class SolverConfig:
     :func:`fit` of the nuclear-norm problem at the same lambda, to the
     tolerance sqrt(tol), and start from its iterate, spectrum, ``block`` and
     ``eta``: a folded-concave fit needs its convex start only to statistical
-    accuracy (Fan, Xue & Zou, Ann. Statist. 2014).
+    accuracy (Fan, Xue & Zou, Ann. Statist. 2014).  When the outer fit is one
+    the finisher can take (the finisher's gate at :func:`fit`), the nested
+    fit also stops, not ``converged``, as soon as the count of its singular
+    values at or above the outer nu = b * lambda has been nonzero and
+    unchanged for _FINISH_AFTER accepted steps: the values above nu have
+    settled, and the finisher reaches the rank-r fit on their frames
+    directly.  The warm fit computes no certificate.
     """
 
     max_iter: int = 2000
@@ -103,17 +109,24 @@ class FitResult:
     """Solution of one penalized fit plus its convergence record.
 
     ``converged`` means that the relative iterate change reached ``tol`` or
-    that the finisher's certificate passed (:func:`fit`).  It does not bound
-    the distance to the fixed point: a fit the finisher does not take can
-    stop several ``tol`` from it (9.1e-7, relative, at tol 1e-7 on a
-    100 x 100 completion SCAD fit with the finisher switched off).  ``fixed_point_residual`` is the
-    certificate, ||T - prox(T - eta grad L(T))||_F at the returned iterate
-    by the full SVD.  ``objective_trace`` holds the starting objective, one
-    value per accepted step and, when the finisher's point is accepted, its
-    objective last.  ``eta`` is the step (:func:`fit`) and ``restarts`` counts
-    the momentum resets.  ``finish_sweeps`` counts the finisher's sweeps, apart
-    from ``iterations`` and whether or not its point was accepted; it is 0
-    when the finisher did not run.  ``block`` holds the right singular vectors the last prox passes on
+    that the finisher's certificate passed (:func:`fit`).  A warm fit that
+    stops at its gate (:class:`SolverConfig`) has reached neither, so it
+    reports False, and a converged share taken over every fit, warm fits
+    included, falls with each such stop.  ``converged`` does not bound the
+    distance to the fixed point: a fit the finisher does not take can stop
+    several ``tol`` from it (9.1e-7, relative, at tol 1e-7 on a 100 x 100
+    completion SCAD fit with the finisher switched off).
+    ``fixed_point_residual`` is the certificate, ||T - prox(T - eta grad
+    L(T))||_F at the returned iterate by the full SVD; a warm fit carries
+    none (NaN), since the outer fit reads only its iterate, spectrum,
+    ``block`` and ``eta``.  ``objective_trace`` holds the starting objective,
+    one value per accepted step and, when the finisher's point is accepted,
+    its objective last.  ``eta`` is the step (:func:`fit`) and ``restarts``
+    counts the momentum resets.  ``finish_sweeps`` counts the finisher's
+    sweeps, apart from ``iterations`` and whether or not its point was
+    accepted; it is 0 when the finisher did not run.  ``warm_iterations`` is
+    the nested warm fit's ``iterations``, 0 without a warm start.  ``block``
+    holds the right singular vectors the last prox passes on
     (:func:`_prox_svd`); it is not serialized.
     """
 
@@ -127,6 +140,7 @@ class FitResult:
     eta: float
     restarts: int
     finish_sweeps: int = 0
+    warm_iterations: int = 0
     block: np.ndarray | None = None
 
     def to_dict(self) -> dict:
@@ -138,6 +152,7 @@ class FitResult:
             "eta": self.eta,
             "restarts": self.restarts,
             "finish_sweeps": self.finish_sweeps,
+            "warm_iterations": self.warm_iterations,
             "spectrum": [float(s) for s in self.spectrum],
         }
 
@@ -330,10 +345,22 @@ def _objective(obs: ObservationSet, spec: PenaltySpec, theta, h_theta, spectrum)
 _T_AFTER_RESTART = 0.5 * (1.0 + math.sqrt(5.0))
 
 
+def _finisher_takes(design: Design, spec: PenaltySpec, config: SolverConfig, eta: float) -> bool:
+    """The finisher's gate (:func:`fit`) short of the kept-rank condition."""
+    return (
+        isinstance(design, CompletionDesign)
+        and math.isfinite(spec.nu)
+        and config.alpha_star is None
+        and spec.convex_at(eta)
+    )
+
+
 def fit(
     obs: ObservationSet,
     spec: PenaltySpec,
     config: SolverConfig = SolverConfig(),
+    *,
+    _warm_for: PenaltySpec | None = None,
 ) -> FitResult:
     """Run the accelerated proximal-gradient iteration to a fixed point.
 
@@ -371,13 +398,18 @@ def fit(
     no higher and one full-SVD prox-gradient step from it moves it by at most
     ``tol`` * max(1, ||T||_F); that movement is the certificate.  Otherwise
     the loop goes on, with its momentum reset if a point was rejected.
+
+    ``_warm_for`` is the outer penalty when this fit is its nuclear warm
+    start (:class:`SolverConfig`).
     """
     design = obs.design
+    warm_iterations = 0
     if config.warm_start == WARM_NUCLEAR and spec.family != NUCLEAR:
         # a convex start needs only statistical accuracy, not the final tol
         warm_config = replace(config, warm_start=WARM_ZERO, tol=math.sqrt(config.tol))
-        warm = fit(obs, PenaltySpec(NUCLEAR, spec.lam), warm_config)
+        warm = fit(obs, PenaltySpec(NUCLEAR, spec.lam), warm_config, _warm_for=spec)
         theta, spectrum, block, eta = warm.theta_hat, warm.spectrum, warm.block, warm.eta
+        warm_iterations = warm.iterations
         del warm  # its iterate is not held through the loop's SVDs
     else:
         eta = 1.0 / estimate_lipschitz(design)
@@ -427,15 +459,17 @@ def fit(
     iterations = 0
     progress = 0.0  # ||T_k - T_{k-1}||_F of the last accepted step
     fpr = None
-    may_finish = (
-        isinstance(design, CompletionDesign)
-        and math.isfinite(spec.nu)
-        and config.alpha_star is None
-        and spec.convex_at(eta)
+    may_finish = _finisher_takes(design, spec, config, eta)
+    # a warm start for a fit the finisher can take watches the values at or
+    # above the outer nu instead of the kept rank (a nuclear fit never finishes)
+    settle_nu = (
+        _warm_for.nu
+        if _warm_for is not None and _finisher_takes(design, _warm_for, config, eta)
+        else None
     )
     finish_sweeps = 0
     rank = int(np.count_nonzero(spectrum))
-    steady = 0  # accepted steps since the kept rank last changed
+    steady = 0  # accepted steps since the watched count last changed
     for k in range(1, config.max_iter + 1):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         momentum = (t - 1.0) / t_next
@@ -463,9 +497,11 @@ def fit(
         if rel <= config.tol:
             converged = True
             break
-        kept = int(np.count_nonzero(spectrum))
+        kept = int(np.count_nonzero(spectrum if settle_nu is None else spectrum >= settle_nu))
         steady = steady + 1 if kept == rank else 0
         rank = kept
+        if settle_nu is not None and kept and steady >= _FINISH_AFTER:
+            break
         if may_finish and steady >= _FINISH_AFTER and kept and spectrum[kept - 1] >= spec.nu:
             may_finish = False  # once per fit
             theta_als, spectrum_als, finish_sweeps = _als_finish(
@@ -488,9 +524,11 @@ def fit(
                 converged = True
                 break
 
-    if fpr is None:
+    if _warm_for is not None:  # the outer fit reads no certificate
+        fpr = math.nan
+    elif fpr is None:
         fpr = residual(theta, gradient_step(theta, h))
-    if not (math.isfinite(fpr) and np.isfinite(spectrum).all()):
+    if not ((_warm_for is not None or math.isfinite(fpr)) and np.isfinite(spectrum).all()):
         raise DivergenceError(f"non-finite residual or spectrum after {iterations} iterations")
     return FitResult(
         theta_hat=theta,
@@ -503,6 +541,7 @@ def fit(
         eta=eta,
         restarts=restarts,
         finish_sweeps=finish_sweeps,
+        warm_iterations=warm_iterations,
         block=block,
     )
 

@@ -8,7 +8,8 @@ config takes its sample sizes from ``N_grid`` and its spectrum from the
 ``mixed`` rule, whose keys and entries are fuzzed too.  A ``simulate`` that
 exits nonzero must leave no output directory behind.  The input files of
 ``fit`` (triplet and dense) and ``evaluate`` are fuzzed by replacing one
-value cell with a token from a fixed set; a run that exits 0 must write
+cell (a dense entry, or a triplet's index or value) with a token from a
+fixed set; a run that exits 0 must write
 JSON that parses with NaN and the infinities rejected.  Integer draws stay
 small: a large ``repeats``, ``probe_directions``, ``max_iter`` or grid size
 is a long run, not a crash, so the fuzzer never asks for one.
@@ -173,7 +174,11 @@ def test_command_flag_exit_code(command, flag, value):
     assert code in ALLOWED_EXITS, f"{command} {flag}={value!r} exited {code}"
 
 
-VALUE_TOKENS = ["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "", "x", "0"]
+VALUE_TOKENS = [
+    "nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "", "x", "0",
+    # spellings that int() or float() accept and a vectorised parser may not
+    "+1", " 1 ", "1_0", "\u0661", "9223372036854775808", "1.0", "-1", "#1", "1e400",
+]
 
 
 def reject_constant(name):
@@ -184,8 +189,8 @@ def reject_constant(name):
                                             ("evaluate", "triplets")])
 @pytest.mark.parametrize("token", VALUE_TOKENS)
 @settings(max_examples=8)
-@given(cell=st.integers(0, len(TINY_TRIPLETS) - 1))
-def test_file_value_exit_code(command, layout, token, cell):
+@given(cell=st.integers(0, len(TINY_TRIPLETS) - 1), field=st.integers(0, 2))
+def test_file_value_exit_code(command, layout, token, cell, field):
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         src = work / "in.csv"
@@ -194,12 +199,12 @@ def test_file_value_exit_code(command, layout, token, cell):
             row, col = divmod(cell, 4)
         else:
             write_triplets(src, TINY_TRIPLETS)
-            row, col = cell + 1, 2  # past the header, the value field
+            row, col = cell + 1, field  # past the header
         lines = src.read_text().splitlines()
         fields = lines[row].split(",")
         fields[col] = token
         lines[row] = ",".join(fields)
-        src.write_text("\n".join(lines) + "\n")
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
         out = work / "out"
         code = exit_code([command, src, out, "--sigma=0.2", "--max-iter=30"])
         assert code in ALLOWED_EXITS, f"{command} {layout} cell {cell} = {token!r} exited {code}"

@@ -242,14 +242,16 @@ def test_fit_takes_one_hessian_product_per_prox_step(model, monkeypatch):
 
 def test_warm_start_runs_to_the_square_root_of_tol(monkeypatch):
     # the convex start needs only statistical accuracy: the nested nuclear
-    # fit gets tol = sqrt(tol) and nothing else, and its step is the outer one
-    configs, steps = [], []
+    # fit gets tol = sqrt(tol) and nothing else, and its step is the outer
+    # one; the outer fit reports its length
+    configs, steps, iterations = [], [], []
     outer = solver_module.fit
 
-    def logged(obs, spec, config=SolverConfig()):
+    def logged(obs, spec, config=SolverConfig(), **kwargs):
         configs.append((spec.family, config))
-        result = outer(obs, spec, config)
+        result = outer(obs, spec, config, **kwargs)
         steps.append(result.eta)
+        iterations.append(result.iterations)
         return result
 
     monkeypatch.setattr(solver_module, "fit", logged)
@@ -262,6 +264,8 @@ def test_warm_start_runs_to_the_square_root_of_tol(monkeypatch):
     warm = configs[1][1]
     assert warm == SolverConfig(max_iter=500, tol=math.sqrt(config.tol))
     assert steps == [result.eta, result.eta]  # the nested fit's, then the outer one
+    assert result.warm_iterations == iterations[0] > 0
+    assert result.to_dict()["warm_iterations"] == iterations[0]
 
 
 def test_fit_fixed_point_residual_small_after_convergence():
@@ -449,12 +453,13 @@ def test_fit_result_serialization():
     doc = result.to_dict()
     assert set(doc) == {
         "rank_hat", "iterations", "converged", "fixed_point_residual", "spectrum",
-        "eta", "restarts", "finish_sweeps",
+        "eta", "restarts", "finish_sweeps", "warm_iterations",
     }
     assert doc["rank_hat"] == result.rank_hat
     assert doc["eta"] == result.eta == 16.0  # 1/L with L = max(count)/n = 1/16
     assert doc["restarts"] == result.restarts >= 0
     assert doc["finish_sweeps"] == result.finish_sweeps == 0  # the nuclear norm never finishes
+    assert doc["warm_iterations"] == result.warm_iterations == 0  # no warm start
     assert len(doc["spectrum"]) == 4
 
 
@@ -636,9 +641,10 @@ def cutoff_fit_problem():
 
 
 def record_prox_steps(monkeypatch):
-    """Log every prox of fit as (fit depth, whether it took the full SVD); the
-    warm start runs at depth 1, nested through the module-level name."""
-    steps, depth = [], [0]
+    """Log every prox of fit as [fit depth, whether it took the full SVD, the
+    block it was given], and every nested fit's result; the warm start runs
+    at depth 1, nested through the module-level name."""
+    steps, nested, depth = [], [], [0]
     prox = solver_module._prox_svd
     truncated = solver_module._truncated_svd
     outer = solver_module.fit
@@ -648,32 +654,89 @@ def record_prox_steps(monkeypatch):
         steps[-1][1] = out is None
         return out
 
-    def logged_prox(*args, **kwargs):
-        steps.append([depth[0], True])
-        return prox(*args, **kwargs)
+    def logged_prox(spec, z, eta, block=None, *args):
+        steps.append([depth[0], True, block])
+        return prox(spec, z, eta, block, *args)
 
     def nested_fit(*args, **kwargs):
         depth[0] += 1
         try:
-            return outer(*args, **kwargs)
+            result = outer(*args, **kwargs)
         finally:
             depth[0] -= 1
+        nested.append(result)
+        return result
 
     monkeypatch.setattr(solver_module, "_truncated_svd", logged_truncated)
     monkeypatch.setattr(solver_module, "_prox_svd", logged_prox)
     monkeypatch.setattr(solver_module, "fit", nested_fit)
-    return steps
+    return steps, nested
 
 
 def test_fit_main_loop_starts_from_the_warm_block(monkeypatch):
     obs, spec = cutoff_fit_problem()
-    steps = record_prox_steps(monkeypatch)
+    steps, nested = record_prox_steps(monkeypatch)
     result = fit(obs, spec, SolverConfig(warm_start="nuclear"))
-    main = [full for depth, full in steps if depth == 0]
-    # one prox per step and one more per restart, then the certificate
+    (warm,) = nested
+    main = [(full, block) for depth, full, block in steps if depth == 0]
+    warm_steps = [step for step in steps if step[0] == 1]
+    # one prox per step and one more per restart, then the certificate; the
+    # warm fit computes no certificate
     assert len(main) == result.iterations + result.restarts + 1
-    assert main[0] is False  # the first step reuses the warm start's block
-    assert main[-1] is True  # fixed_point_residual takes the full SVD
+    assert len(warm_steps) == warm.iterations + warm.restarts
+    assert math.isnan(warm.fixed_point_residual)
+    assert main[0][1] is warm.block is not None  # the first step gets the warm fit's block
+    assert main[-1][0] is True  # fixed_point_residual takes the full SVD
+
+
+def test_warm_start_stops_once_the_flat_part_settles(monkeypatch):
+    # the nested nuclear fit of a fit the finisher can take stops at its
+    # gate, well before the same nuclear fit run directly to sqrt(tol), and
+    # the outer fit still lands on the fixed point
+    obs, spec = cutoff_fit_problem()
+    config = SolverConfig(warm_start="nuclear")
+    direct = fit(obs, PenaltySpec(NUCLEAR, spec.lam), SolverConfig(tol=math.sqrt(config.tol)))
+    _, nested = record_prox_steps(monkeypatch)
+    result = fit(obs, spec, config)
+    (warm,) = nested
+    assert warm.iterations == result.warm_iterations < direct.iterations
+    assert not warm.converged and direct.converged
+    monkeypatch.undo()
+    assert 0 < np.count_nonzero(warm.spectrum >= spec.nu) <= result.rank_hat == 4
+
+    cold = fit(obs, spec, SolverConfig())
+    reference = fit(obs, spec, SolverConfig(tol=1e-13, max_iter=20000))
+    assert result.converged and cold.converged and reference.converged
+    for other in (cold, reference):
+        distance = np.linalg.norm(result.theta_hat - other.theta_hat)
+        assert distance <= 1e-6 * np.linalg.norm(other.theta_hat)
+
+
+@pytest.mark.parametrize(
+    "case", ["sensing", "nuclear", "alpha_star", "eta_at_b_minus_1", "b_3_7"]
+)
+def test_warm_start_gate_leaves_other_fits_alone(case, monkeypatch):
+    # outside the finisher's gate the warm start runs to sqrt(tol) as before:
+    # the same nested steps and the same estimate, bit for bit, as a nested
+    # fit told nothing of the outer penalty
+    if case == "b_3_7":  # the CLI default, eta * zeta_minus >= 1
+        obs, spec = flat_completion_problem()
+        spec, config = PenaltySpec(SCAD, spec.lam, 3.7), SolverConfig(warm_start="nuclear")
+    else:
+        obs, spec, config = never_finish_case(case)
+    gated = fit(obs, spec, config)
+    outer = solver_module.fit
+
+    def ungated(obs, spec, config=SolverConfig(), **kwargs):
+        return outer(obs, spec, config)
+
+    monkeypatch.setattr(solver_module, "fit", ungated)
+    plain = outer(obs, spec, config)
+    assert gated.warm_iterations == plain.warm_iterations
+    assert (gated.warm_iterations > 0) == (case != "nuclear")
+    assert gated.iterations == plain.iterations
+    assert np.array_equal(gated.theta_hat, plain.theta_hat)
+    assert np.array_equal(gated.objective_trace, plain.objective_trace)
 
 
 def test_fit_takes_every_plain_step_exactly(monkeypatch):
