@@ -52,15 +52,13 @@ class ResourceGuardError(RuntimeError):
 
 def _require(cfg: dict, key: str, kind, where: str = "config", default=dataclasses.MISSING):
     """``cfg[key]`` checked to be of JSON kind ``kind``, or ``default`` when
-    the key is absent and a default is given; ``null`` is accepted where the
-    default is None.  The value itself is checked by the class it builds."""
+    the key is absent and a default is given.  The value itself is checked by
+    the class it builds."""
     if key not in cfg:
         if default is dataclasses.MISSING:
             raise ConfigError(key, f"missing from {where}")
         return default
     value = cfg[key]
-    if value is None and default is None:
-        return None
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
@@ -75,7 +73,7 @@ def _field_error(exc: ValueError, keys, fallback: str) -> ConfigError:
     return ConfigError(field if field in keys else fallback, str(exc))
 
 
-_JSON_KINDS = {"int": int, "float": float, "float | None": float, "str": str}
+_JSON_KINDS = {"int": int, "float": float, "str": str}
 
 
 def _read_fields(cls, doc: dict, where: str) -> dict:
@@ -238,7 +236,6 @@ def _fit_file_data(args, m1: int, m2: int, entries: np.ndarray, y: np.ndarray):
     config = SolverConfig(
         max_iter=args.max_iter,
         tol=args.tol,
-        alpha_star=args.alpha_star,
         warm_start=args.warm_start,
         rank_tol_rel=args.rank_tol,
     )
@@ -361,8 +358,6 @@ def _add_penalty_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c", type=float, default=theory.DEFAULT_RULE_CONSTANT,
                    help="rule constant used when resolving lambda")
     p.add_argument("--sigma", type=float, default=None, help="noise level")
-    p.add_argument("--alpha-star", dest="alpha_star", type=float, default=None,
-                   help="entrywise box bound")
     p.add_argument("--max-iter", dest="max_iter", type=int, default=SolverConfig.max_iter)
     p.add_argument("--tol", type=float, default=SolverConfig.tol)
     p.add_argument("--rank-tol", dest="rank_tol", type=float, default=SolverConfig.rank_tol_rel)

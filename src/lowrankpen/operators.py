@@ -4,9 +4,8 @@ Two designs realize the observation model y_i = <X_i, Theta> + eps_i:
 
 * :class:`CompletionDesign` -- each X_i is a one-hot indicator e_j e_k^T, so
   the forward map reads matrix entries (sampled uniformly with replacement).
-* :class:`SensingDesign` -- dense Gaussian measurement matrices; either i.i.d.
-  standard normal entries or a correlated ensemble given by a Cholesky factor
-  applied to vec(X_i) (row-major vectorization).
+* :class:`SensingDesign` -- dense Gaussian measurement matrices with i.i.d.
+  standard normal entries.
 
 Designs and observation sets are immutable after construction; their arrays
 are marked read-only so they can be shared across concurrent workers.
@@ -29,9 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-IDENTITY = "identity"
-CHOLESKY = "cholesky"
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -343,38 +339,11 @@ def sample_completion_design(
     return CompletionDesign(m1=m1, m2=m2, entries=np.column_stack([jj, kk]))
 
 
-def sample_sensing_design(
-    rng: np.random.Generator,
-    m1: int,
-    m2: int,
-    n: int,
-    ensemble: str = IDENTITY,
-    cholesky: np.ndarray | None = None,
-) -> SensingDesign:
-    """Draw n dense Gaussian measurement matrices.
-
-    With ``ensemble="identity"`` the entries are i.i.d. N(0, 1).  With
-    ``ensemble="cholesky"`` each vec(X_i) (row-major) equals L g for the
-    supplied lower-triangular factor L with positive diagonal.
-    """
+def sample_sensing_design(rng: np.random.Generator, m1: int, m2: int, n: int) -> SensingDesign:
+    """Draw n measurement matrices with i.i.d. N(0, 1) entries."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    d = m1 * m2
-    if ensemble == IDENTITY:
-        mats = rng.standard_normal((n, m1, m2))
-        return SensingDesign(m1=m1, m2=m2, matrices=mats)
-    if ensemble != CHOLESKY:
-        raise ValueError(f"unknown ensemble {ensemble!r}")
-    L = np.asarray(cholesky, dtype=float)
-    if L.shape != (d, d):
-        raise ValueError(f"Cholesky factor must be {d} x {d}, got {L.shape}")
-    if np.any(np.triu(L, 1) != 0):
-        raise ValueError("Cholesky factor must be lower triangular")
-    if np.any(np.diag(L) <= 0):
-        raise ValueError("Cholesky factor must have a positive diagonal")
-    g = rng.standard_normal((n, d))
-    mats = (g @ L.T).reshape(n, m1, m2)
-    return SensingDesign(m1=m1, m2=m2, matrices=mats)
+    return SensingDesign(m1=m1, m2=m2, matrices=rng.standard_normal((n, m1, m2)))
 
 
 def generate_observations(

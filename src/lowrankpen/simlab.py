@@ -270,7 +270,7 @@ def standard_lambda(model: str, sigma: float, m1: int, m2: int, n: int, c: float
     if model == COMPLETION:
         return theory.lambda_completion(sigma_eff, m1, m2, n, c)
     if model == SENSING:
-        return theory.lambda_sensing(sigma_eff, 1.0, m1, m2, n, c)
+        return theory.lambda_sensing(sigma_eff, m1, m2, n, c)
     raise ValueError(f"unknown model {model!r}")
 
 

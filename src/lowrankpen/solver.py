@@ -6,7 +6,7 @@ proximal gradient.  Each mechanism is described once, where it is
 implemented:
 
 * the step, momentum, restart, monotonicity, the stopping rule, the
-  certificate, the box clip and the finisher's gate: :func:`fit`;
+  certificate and the finisher's gate: :func:`fit`;
 * the nuclear-norm warm start: :class:`SolverConfig`;
 * the spectral prox and its closed-form/enumeration gate: :func:`_prox_svd`
   and :meth:`~lowrankpen.penalty.PenaltySpec.convex_at`;
@@ -68,7 +68,7 @@ class SolverConfig:
 
     ``tol`` is the relative iterate change at which :func:`fit` stops and
     reports ``converged``; it does not bound the distance to the fixed point
-    (see :class:`FitResult`).  ``alpha_star`` is the box bound of :func:`fit`.
+    (see :class:`FitResult`).
 
     ``warm_start="nuclear"`` makes a SCAD/MCP fit first run a nested
     :func:`fit` of the nuclear-norm problem at the same lambda, to the
@@ -85,17 +85,14 @@ class SolverConfig:
 
     max_iter: int = 2000
     tol: float = 1e-7
-    alpha_star: float | None = None
     warm_start: str = WARM_ZERO
     rank_tol_rel: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be positive, got {self.max_iter!r}")
-        for name in ("tol", "alpha_star", "rank_tol_rel"):
+        for name in ("tol", "rank_tol_rel"):
             value = getattr(self, name)
-            if value is None and name == "alpha_star":
-                continue
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.warm_start not in (WARM_ZERO, WARM_NUCLEAR):
@@ -345,14 +342,9 @@ def _objective(obs: ObservationSet, spec: PenaltySpec, theta, h_theta, spectrum)
 _T_AFTER_RESTART = 0.5 * (1.0 + math.sqrt(5.0))
 
 
-def _finisher_takes(design: Design, spec: PenaltySpec, config: SolverConfig, eta: float) -> bool:
+def _finisher_takes(design: Design, spec: PenaltySpec, eta: float) -> bool:
     """The finisher's gate (:func:`fit`) short of the kept-rank condition."""
-    return (
-        isinstance(design, CompletionDesign)
-        and math.isfinite(spec.nu)
-        and config.alpha_star is None
-        and spec.convex_at(eta)
-    )
+    return isinstance(design, CompletionDesign) and math.isfinite(spec.nu) and spec.convex_at(eta)
 
 
 def fit(
@@ -373,29 +365,26 @@ def fit(
     counted in ``restarts``) and the plain step from T_k is taken
     (O'Donoghue & Candes 2015).  A plain step is exact (:func:`_truncated_svd`)
     and at 1/L does not raise the objective, so the accepted objective
-    sequence is monotone (Li & Lin 2015) unless ``alpha_star`` clips it.  Each
-    step takes one Hessian product, H T of its new iterate, which gives T's
-    loss and, H being linear, the gradient at the next extrapolated point.
-
-    ``alpha_star`` clips each prox to the box ||T||_inf <= alpha_star: the
-    composite prox has no tractable form, so this splitting is a heuristic.
+    sequence is monotone (Li & Lin 2015).  Each step takes one Hessian
+    product, H T of its new iterate, which gives T's loss and, H being
+    linear, the gradient at the next extrapolated point.
 
     The stopping rule: ``iterations`` counts accepted steps, and the loop
     stops, ``converged``, once ||T+ - T||_F / max(1, ||T||_F) <= ``tol``, or
     after ``max_iter`` steps.  The certificate ``fixed_point_residual`` is
     ||T - prox(T - eta grad L(T))||_F at the returned iterate, by the full
-    SVD and without the clip.  :class:`DivergenceError` is raised when an
-    iterate, the objective, the certificate or the spectrum is not finite.
+    SVD.  :class:`DivergenceError` is raised when an iterate, the objective,
+    the certificate or the spectrum is not finite.
 
     The finisher's gate: a SCAD/MCP fit on a
-    :class:`~lowrankpen.operators.CompletionDesign`, without ``alpha_star``
-    and with eta * zeta_minus < 1, runs :func:`_als_finish` once, as soon as
-    the kept rank r has held for _FINISH_AFTER accepted steps and every kept
-    value is at least nu = b * lambda.  There the penalty is flat, and a
-    fixed point is the rank-r least-squares fit on its own frames (the
-    oracle property).  It starts from the first r columns of the carried
-    block.  Its point is accepted, ``converged``, only when its objective is
-    no higher and one full-SVD prox-gradient step from it moves it by at most
+    :class:`~lowrankpen.operators.CompletionDesign` with eta * zeta_minus < 1
+    runs :func:`_als_finish` once, as soon as the kept rank r has held for
+    _FINISH_AFTER accepted steps and every kept value is at least
+    nu = b * lambda.  There the penalty is flat, and a fixed point is the
+    rank-r least-squares fit on its own frames (the oracle property).  It
+    starts from the first r columns of the carried block.  Its point is
+    accepted, ``converged``, only when its objective is no higher and one
+    full-SVD prox-gradient step from it moves it by at most
     ``tol`` * max(1, ||T||_F); that movement is the certificate.  Otherwise
     the loop goes on, with its momentum reset if a point was rejected.
 
@@ -431,9 +420,6 @@ def fit(
         if not np.all(np.isfinite(z)):
             raise DivergenceError(f"iterate became non-finite at iteration {k}")
         theta_new, spectrum, block = _prox_svd(spec, z, eta, block, allowance)
-        if config.alpha_star is not None:
-            theta_new = np.clip(theta_new, -config.alpha_star, config.alpha_star)
-            spectrum = np.linalg.svd(theta_new, compute_uv=False)
         h_new = apply_hessian(design, theta_new)
         obj = _objective(obs, spec, theta_new, h_new, spectrum)
         if not math.isfinite(obj):
@@ -459,13 +445,11 @@ def fit(
     iterations = 0
     progress = 0.0  # ||T_k - T_{k-1}||_F of the last accepted step
     fpr = None
-    may_finish = _finisher_takes(design, spec, config, eta)
+    may_finish = _finisher_takes(design, spec, eta)
     # a warm start for a fit the finisher can take watches the values at or
     # above the outer nu instead of the kept rank (a nuclear fit never finishes)
     settle_nu = (
-        _warm_for.nu
-        if _warm_for is not None and _finisher_takes(design, _warm_for, config, eta)
-        else None
+        _warm_for.nu if _warm_for is not None and _finisher_takes(design, _warm_for, eta) else None
     )
     finish_sweeps = 0
     rank = int(np.count_nonzero(spectrum))

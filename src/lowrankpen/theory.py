@@ -138,15 +138,11 @@ def lambda_completion(
 
 
 def lambda_sensing(
-    sigma: float,
-    pi_sigma: float,
-    m1: int,
-    m2: int,
-    n: int,
-    c: float = DEFAULT_RULE_CONSTANT,
+    sigma: float, m1: int, m2: int, n: int, c: float = DEFAULT_RULE_CONSTANT
 ) -> float:
-    """Regularization rule for sensing: c*sigma*pi(Sigma)*(sqrt(m1/n)+sqrt(m2/n))."""
-    return c * sigma * pi_sigma * (math.sqrt(m1 / n) + math.sqrt(m2 / n))
+    """Regularization rule for sensing with an isotropic design (pi(Sigma) = 1):
+    c*sigma*(sqrt(m1/n)+sqrt(m2/n))."""
+    return c * sigma * (math.sqrt(m1 / n) + math.sqrt(m2 / n))
 
 
 def lambda_oracle_rule(

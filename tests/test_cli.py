@@ -159,7 +159,7 @@ def test_simulate_rejects_fractional_max_iter_before_running(tmp_path, capsys):
                                              "low_value": 0.95}}),
         ("tol", {"solver": {"tol": -1e-7}}),
         ("eta", {"solver": {"eta": 1.0}}),  # the step is always 1/L
-        ("alpha_star", {"solver": {"alpha_star": math.nan}}),
+        ("alpha_star", {"solver": {"alpha_star": 1.0}}),  # the fit takes no box bound
         ("rank_tol_rel", {"solver": {"rank_tol_rel": math.nan}}),
         ("max_iter", {"solver": {"max_iter": 0}}),
         ("warm_start", {"solver": {"warm_start": "x"}}),
@@ -172,7 +172,7 @@ def test_simulate_rejects_fractional_max_iter_before_running(tmp_path, capsys):
          "c-underflow", "N_grid-bool", "lambda_rule-unknown", "model-unknown",
          "penalties-empty", "penalties-zero-b", "spectrum_rule-rank-sum", "N_grid-below-one",
          "low_value-above-nu", "low_value-just-above-nu", "tol-negative", "eta-unknown",
-         "alpha_star-nan", "rank_tol_rel-nan", "max_iter-zero", "warm_start-unknown",
+         "alpha_star-unknown", "rank_tol_rel-nan", "max_iter-zero", "warm_start-unknown",
          "warm_start-null", "m2-zero"],
 )
 def test_simulate_rejects_invalid_value_naming_its_key(tmp_path, capsys, key, overrides):
@@ -194,14 +194,6 @@ def test_simulate_overflowing_truth_scale_is_invalid_input(tmp_path, capsys, ove
     config = minimal_config(tmp_path, **overrides)
     assert run_cli("simulate", config, "--out-dir", tmp_path / "x", "--jobs", 1) == 2
     assert "overflow" in capsys.readouterr().err
-
-
-def test_simulate_accepts_null_for_the_optional_solver_fields(tmp_path):
-    config = minimal_config(tmp_path, solver={"max_iter": 1200, "alpha_star": None})
-    out = tmp_path / "out"
-    assert run_cli("simulate", config, "--out-dir", out, "--jobs", 1) == 0
-    solver = json.loads((out / "meta.json").read_text())["spec"]["solver"]
-    assert solver["alpha_star"] is None
 
 
 def test_simulate_mixed_spectrum_echoes_its_rule(tmp_path):
@@ -259,6 +251,16 @@ def test_fit_takes_no_seed_flag(tmp_path, capsys):
         run_cli("fit", src, tmp_path / "out", "--lambda", 0.1, "--seed", 3)
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_alpha_star_flag_is_a_usage_error(tmp_path, capsys, command):
+    src = write_small_triplets(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, src, tmp_path / "out", "--lambda", 0.1, "--alpha-star", 1)
+    assert exc.value.code == 2
+    assert "--alpha-star" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [src]
 
 
 @pytest.mark.parametrize("sigma,sigma_eff", [(0.3, 0.3), (0.0, simlab.SIGMA_FLOOR)])

@@ -148,7 +148,7 @@ def test_fit_sensing_exact_recovery():
     m, r = 20, 3
     n = 5 * r * m
     rng = np.random.default_rng(6)
-    lam = lambda_sensing(0.01, 1.0, m, m, n)
+    lam = lambda_sensing(0.01, m, m, n)
     nu = 3.7 * lam
     gammas = np.linspace(3 * nu, 6 * nu, r)
     theta_star, _, _ = random_low_rank(rng, m, m, gammas)
@@ -199,20 +199,33 @@ def test_fit_full_observation_nuclear_matches_soft_threshold():
     assert np.linalg.norm(result.theta_hat - reference) <= 1e-6 * np.linalg.norm(reference)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [PenaltySpec(NUCLEAR, 0.05), PenaltySpec(SCAD, 0.05, 3.7), PenaltySpec(MCP, 0.05, 2.5)],
-    ids=["nuclear", "scad", "mcp"],
-)
-def test_fit_accelerated_trace_monotone_through_restarts(spec):
-    rng = np.random.default_rng(1)
-    theta_star, _, _ = random_low_rank(rng, 8, 8, [3.0, 1.5])
-    design = sample_completion_design(rng, 8, 8, 200)
-    obs = generate_observations(design, theta_star, 0.2, rng)
-    result = fit(obs, spec, SolverConfig())
+MONOTONE_SPECS = {
+    "nuclear": PenaltySpec(NUCLEAR, 0.05),
+    "scad": PenaltySpec(SCAD, 0.05, 3.7),
+    "mcp": PenaltySpec(MCP, 0.05, 2.5),
+    "sensing": PenaltySpec(SCAD, 0.05, 3.7),
+}
+
+
+@pytest.mark.parametrize("case", [*MONOTONE_SPECS, "finished"])
+def test_fit_accelerated_trace_monotone_through_restarts(case):
+    # the accepted objectives never rise: through momentum resets and, on a
+    # nuclear-warm-started fit the finisher takes, through its point
+    if case == "finished":
+        obs, spec = flat_completion_problem()
+        result = fit(obs, spec, SolverConfig(warm_start="nuclear"))
+        assert finished(result)
+        accepted = result.iterations + 2  # the finisher's objective last
+    else:
+        rng = np.random.default_rng(1)
+        theta_star, _, _ = random_low_rank(rng, 8, 8, [3.0, 1.5])
+        sample = sample_sensing_design if case == "sensing" else sample_completion_design
+        obs = generate_observations(sample(rng, 8, 8, 200), theta_star, 0.2, rng)
+        result = fit(obs, MONOTONE_SPECS[case], SolverConfig())
+        assert result.restarts > 0  # the momentum overshot and was reset
+        accepted = result.iterations + 1  # accepted steps only
     assert result.converged
-    assert result.restarts > 0  # the momentum overshot and was reset
-    assert result.objective_trace.size == result.iterations + 1  # accepted steps only
+    assert result.objective_trace.size == accepted
     assert np.all(np.diff(result.objective_trace) <= 1e-12)
 
 
@@ -313,29 +326,11 @@ def test_fit_rejects_a_non_finite_final_residual():
         fit(obs, PenaltySpec(SCAD, lam, 3.7), SolverConfig(max_iter=30))
 
 
-def test_fit_box_constraint_clips():
-    rng = np.random.default_rng(13)
-    theta_star, _, _ = random_low_rank(rng, 6, 6, [4.0, 2.0])
-    design = full_observation_design(6, 6)
-    obs = generate_observations(design, theta_star, 0.0, rng)
-    alpha = 0.5 * np.abs(theta_star).max()
-    result = fit(obs, PenaltySpec(SCAD, 1e-6, 3.7), SolverConfig(alpha_star=alpha))
-    assert np.abs(result.theta_hat).max() <= alpha + 1e-12
-
-
-@pytest.mark.parametrize(
-    "model,warm_start,box",
-    [
-        ("completion", "zero", False),
-        ("completion", "nuclear", False),
-        ("completion", "nuclear", True),
-        ("sensing", "nuclear", False),
-        ("sensing", "zero", True),
-    ],
-)
-def test_fit_spectrum_matches_svd_of_estimate(model, warm_start, box):
-    # the reported spectrum comes from the last prox step (an SVD only after
-    # the box clip); it must be the spectrum of theta_hat and give its rank
+@pytest.mark.parametrize("warm_start", ["zero", "nuclear"])
+@pytest.mark.parametrize("model", ["completion", "sensing"])
+def test_fit_spectrum_matches_svd_of_estimate(model, warm_start):
+    # the reported spectrum comes from the last prox step; it must be the
+    # spectrum of theta_hat and give its rank
     rng = np.random.default_rng(15)
     theta_star, _, _ = random_low_rank(rng, 8, 7, [3.0, 1.5])
     if model == "completion":
@@ -343,8 +338,7 @@ def test_fit_spectrum_matches_svd_of_estimate(model, warm_start, box):
     else:
         design = sample_sensing_design(rng, 8, 7, 120)
     obs = generate_observations(design, theta_star, 0.2, rng)
-    alpha = 0.8 * np.abs(theta_star).max() if box else None
-    config = SolverConfig(warm_start=warm_start, alpha_star=alpha)
+    config = SolverConfig(warm_start=warm_start)
     result = fit(obs, PenaltySpec(SCAD, 0.05, 3.7), config)
     s = np.linalg.svd(result.theta_hat, compute_uv=False)
     assert result.spectrum.shape == s.shape
@@ -562,6 +556,36 @@ def test_truncated_prox_skipped_below_cutoff(monkeypatch):
     assert np.array_equal(theta, prox_spectral(spec, z, 1.0))
 
 
+@pytest.mark.parametrize("case", ["gap", "cluster"])
+def test_truncated_svd_without_allowance(case, monkeypatch):
+    # an 8-column block from a matrix 1e-3 away and no allowance: behind a
+    # clear gap (6 against at most 1) the block iterates past its first step
+    # to the exact triplets; with a cluster just below the smallest kept
+    # value (2.02 against 2.0 - 0.002 i) the rate test gives up at once
+    rng = np.random.default_rng(36)
+    if case == "gap":
+        top, threshold = [10.0, 8.0, 6.0], 2.0
+    else:
+        top, threshold = [10.0, 8.0, 2.02, *(2.0 - 0.002 * np.arange(1, 12))], 2.01
+    values = np.concatenate([top, rng.uniform(0.0, 1.0, 100 - len(top))])
+    z = spectrum_matrix(rng, 100, 110, np.sort(values)[::-1])
+    block = np.linalg.svd(z + 1e-3 * rng.standard_normal(z.shape))[2][:8].T
+    steps = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda y: steps.append(y) or qr(y))
+    out = solver_module._truncated_svd(z, block, threshold)
+    if case == "cluster":
+        assert out is None and len(steps) == 1
+        return
+    assert 1 < len(steps) <= solver_module._BLOCK_STEPS
+    u, s, vt = out
+    u_ref, s_ref, vt_ref = np.linalg.svd(z)
+    tol = solver_module._RITZ_TOL * s_ref[0]
+    assert np.abs(s[:3] - s_ref[:3]).max() <= tol
+    kept, kept_ref = (u[:, :3] * s[:3]) @ vt[:3], (u_ref[:, :3] * s_ref[:3]) @ vt_ref[:3]
+    assert np.abs(kept - kept_ref).max() <= tol
+
+
 def test_fit_at_cutoff_matches_full_svd_reference(monkeypatch):
     # a completion fit of side _TRUNCATE_MIN_DIM against the same fit with
     # the truncated prox switched off; neither may draw random numbers
@@ -713,7 +737,7 @@ def test_warm_start_stops_once_the_flat_part_settles(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "case", ["sensing", "nuclear", "alpha_star", "eta_at_b_minus_1", "b_3_7"]
+    "case", ["sensing", "nuclear", "eta_at_b_minus_1", "b_3_7"]
 )
 def test_warm_start_gate_leaves_other_fits_alone(case, monkeypatch):
     # outside the finisher's gate the warm start runs to sqrt(tol) as before:
@@ -843,7 +867,7 @@ def test_finished_fit_lands_closer_to_the_fixed_point(family, monkeypatch):
 def sensing_flat_problem():
     rng = np.random.default_rng(42)
     m, r, n = 8, 2, 300
-    lam = lambda_sensing(0.1, 1.0, m, m, n)
+    lam = lambda_sensing(0.1, m, m, n)
     spec = PenaltySpec(SCAD, lam, 3.7)
     theta_star, _, _ = random_low_rank(rng, m, m, spec.nu * np.array([4.0, 2.5]))
     design = sample_sensing_design(rng, m, m, n)
@@ -859,9 +883,6 @@ def never_finish_case(case):
     if case == "nuclear":
         obs, spec = flat_completion_problem()
         return obs, PenaltySpec(NUCLEAR, spec.lam), config
-    if case == "alpha_star":
-        obs, spec = flat_completion_problem()
-        return obs, spec, replace(config, alpha_star=1e3)
     if case == "mixed":
         return (*flat_completion_problem(low=0.8), config)
     # the step 1/L at the SCAD limit b - 1
@@ -870,7 +891,7 @@ def never_finish_case(case):
     return obs, PenaltySpec(SCAD, spec.lam, 1.0 + eta), config
 
 
-@pytest.mark.parametrize("case", ["sensing", "nuclear", "alpha_star", "mixed", "eta_at_b_minus_1"])
+@pytest.mark.parametrize("case", ["sensing", "nuclear", "mixed", "eta_at_b_minus_1"])
 def test_finisher_is_never_called_outside_its_gate(case, monkeypatch):
     obs, spec, config = never_finish_case(case)
 

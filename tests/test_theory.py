@@ -96,9 +96,10 @@ def test_oracle_condition_gap_recomputable_from_noise():
 
 def test_lambda_rules_arithmetic():
     assert lambda_completion(0.5, 40, 40, 1000, 2.0) == pytest.approx(9.603e-3, rel=1e-3)
-    assert lambda_sensing(1.0, 1.0, 20, 20, 400, 1.0) == pytest.approx(2 * math.sqrt(0.05))
+    lam = lambda_sensing(sigma=0.5, m1=20, m2=45, n=400, c=2.0)
+    assert lam == pytest.approx(2.0 * 0.5 * (math.sqrt(20 / 400) + math.sqrt(45 / 400)))
     assert lambda_completion(0.0, 40, 40, 1000) == 0.0
-    assert lambda_sensing(0.0, 1.0, 20, 20, 400) == 0.0
+    assert lambda_sensing(0.0, 20, 20, 400) == 0.0
 
 
 def test_lambda_oracle_rules():
