@@ -109,10 +109,12 @@ class FitResult:
     that the finisher's certificate passed (:func:`fit`).  A warm fit that
     stops at its gate (:class:`SolverConfig`) has reached neither, so it
     reports False, and a converged share taken over every fit, warm fits
-    included, falls with each such stop.  ``converged`` does not bound the
-    distance to the fixed point: a fit the finisher does not take can stop
-    several ``tol`` from it (9.1e-7, relative, at tol 1e-7 on a 100 x 100
-    completion SCAD fit with the finisher switched off).
+    included, falls with each such stop.  Only a fit that ends at the
+    finisher's accepted point has its distance to the fixed point bounded by
+    the certificate; any other fit (every sensing fit, a completion fit
+    outside the finisher's gate or whose finisher gave up or was rejected)
+    can stop several ``tol`` from it (9.1e-7, relative, at tol 1e-7 on a
+    100 x 100 completion SCAD fit with the finisher switched off).
     ``fixed_point_residual`` is the certificate, ||T - prox(T - eta grad
     L(T))||_F at the returned iterate by the full SVD; a warm fit carries
     none (NaN), since the outer fit reads only its iterate, spectrum,
@@ -278,7 +280,7 @@ def prox_spectral(spec: PenaltySpec, z: np.ndarray, eta: float) -> np.ndarray:
 
 # Finisher (see fit and _als_finish)
 _FINISH_AFTER = 3
-_FINISH_SWEEPS = 100
+_FINISH_SWEEPS = 70
 
 
 def _r_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -288,34 +290,57 @@ def _r_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.qr(x, mode="r") @ np.linalg.qr(y, mode="r").T
 
 
-def _als_finish(obs: ObservationSet, theta: np.ndarray, frame: np.ndarray, tol: float):
-    """Rank-r least-squares completion fit by alternating least squares.
+def _als_finish(
+    obs: ObservationSet, theta: np.ndarray, frame: np.ndarray, tol: float, ridge: float
+):
+    """Rank-r completion fit by alternating ridge least squares.
 
-    Starts from B = ``frame``, the r right singular vectors of ``theta``, and
-    A = theta B, and alternately minimizes ||y - X(A B^T)||^2 / (2n) exactly
-    over A and over B (softImpute-ALS, Hastie, Mazumder, Lee & Zadeh, JMLR
-    2015).  The Hessian is diagonal, so row j of A solves
-    (B^T diag(w_j) B) a_j = B^T g_j, w_j and g_j the j-th rows of the weights
-    and of X*(y)/n: a half-sweep is one product for the r x r Grams
-    (:func:`~lowrankpen.operators.row_grams`) and one batched solve.  Stops
-    once ||A B^T - previous||_F <= ``tol`` * max(1, ||previous||_F), measured
-    on the factors (:func:`_r_product`), or after _FINISH_SWEEPS sweeps.
+    Alternately minimizes ||y - X(A B^T)||^2 / (2n) + ``ridge`` (||A||_F^2 +
+    ||B||_F^2) / 2 exactly over A and over B (softImpute-ALS, Hastie,
+    Mazumder, Lee & Zadeh, JMLR 2015).  With ridge 0 this is the rank-r
+    least-squares fit, started from B = ``frame``, the r right singular
+    vectors of ``theta``, and A = theta B.  With ridge lambda it is the
+    nuclear-norm fit restricted to rank r, since ||T||_* is the least
+    (||A||_F^2 + ||B||_F^2) / 2 over A B^T = T (Mazumder, Hastie &
+    Tibshirani, JMLR 2010), started balanced: A = U sqrt(S), B = V sqrt(S)
+    for theta = U S V^T.  The Hessian is diagonal, so row j of A solves
+    (B^T diag(w_j) B + ridge I) a_j = B^T g_j, w_j and g_j the j-th rows of
+    the weights and of X*(y)/n: a half-sweep is one product for the r x r
+    Grams (:func:`~lowrankpen.operators.row_grams`) and one batched solve.
+    Stops once ||A B^T - previous||_F <= ``tol`` * max(1, ||previous||_F),
+    measured on the factors (:func:`_r_product`).  From the third sweep on
+    (the first moves still carry the start), a move that shrank by q from
+    the last one is extrapolated as move * q^k over the k sweeps left to
+    _FINISH_SWEEPS; when that misses the tolerance, the finisher gives up,
+    as :func:`_truncated_svd` does.  A contraction that slow would also stop
+    about q / (1 - q) moves from the fixed point, where the certificate
+    fails.
 
     Returns (A B^T, its min(m1, m2) singular values, sweeps taken).  The
     matrix and spectrum are None when a row or column has fewer than r
-    observed cells (no sweep is taken), when a Gram is singular, or when a
-    sweep is not finite.
+    observed cells (no sweep is taken), when a Gram is singular, when a
+    sweep is not finite, or when the finisher gives up.
     """
     w, g = obs.design.weights, obs.xty
     r = frame.shape[1]
     if min(np.count_nonzero(w, axis=1).min(), np.count_nonzero(w, axis=0).min()) < r:
         return None, None, 0
     a, b = theta @ frame, frame
+    if ridge:
+        root = np.sqrt(np.linalg.norm(a, axis=0))  # sqrt(S): theta V = U S
+        a, b = a / root, b * root
+    shift = ridge * np.eye(r)
+
+    def solve_rows(weights, frame, rhs):
+        grams = row_grams(weights, frame)
+        grams += shift
+        return np.linalg.solve(grams, rhs[..., None])[..., 0]
+
     with np.errstate(over="ignore", invalid="ignore"):
         for sweeps in range(1, _FINISH_SWEEPS + 1):
             try:
-                a_new = np.linalg.solve(row_grams(w, b), (g @ b)[..., None])[..., 0]
-                b_new = np.linalg.solve(row_grams(w.T, a_new), (g.T @ a_new)[..., None])[..., 0]
+                a_new = solve_rows(w, b, g @ b)
+                b_new = solve_rows(w.T, a_new, g.T @ a_new)
             except np.linalg.LinAlgError:
                 return None, None, sweeps
             if not (np.isfinite(a_new).all() and np.isfinite(b_new).all()):
@@ -325,6 +350,10 @@ def _als_finish(obs: ObservationSet, theta: np.ndarray, frame: np.ndarray, tol: 
             a, b = a_new, b_new
             if move <= tol * scale:
                 break
+            rate = move / last if sweeps > 2 else 1.0
+            if rate < 1.0 and move * rate ** (_FINISH_SWEEPS - sweeps) > tol * scale:
+                return None, None, sweeps
+            last = move
         core = _r_product(a, b)
         if not np.isfinite(core).all():
             return None, None, sweeps
@@ -344,7 +373,7 @@ _T_AFTER_RESTART = 0.5 * (1.0 + math.sqrt(5.0))
 
 def _finisher_takes(design: Design, spec: PenaltySpec, eta: float) -> bool:
     """The finisher's gate (:func:`fit`) short of the kept-rank condition."""
-    return isinstance(design, CompletionDesign) and math.isfinite(spec.nu) and spec.convex_at(eta)
+    return isinstance(design, CompletionDesign) and spec.convex_at(eta)
 
 
 def fit(
@@ -376,17 +405,20 @@ def fit(
     SVD.  :class:`DivergenceError` is raised when an iterate, the objective,
     the certificate or the spectrum is not finite.
 
-    The finisher's gate: a SCAD/MCP fit on a
+    The finisher's gate: an outer fit (never a nuclear warm start) on a
     :class:`~lowrankpen.operators.CompletionDesign` with eta * zeta_minus < 1
     runs :func:`_als_finish` once, as soon as the kept rank r has held for
-    _FINISH_AFTER accepted steps and every kept value is at least
-    nu = b * lambda.  There the penalty is flat, and a fixed point is the
-    rank-r least-squares fit on its own frames (the oracle property).  It
-    starts from the first r columns of the carried block.  Its point is
-    accepted, ``converged``, only when its objective is no higher and one
-    full-SVD prox-gradient step from it moves it by at most
-    ``tol`` * max(1, ||T||_F); that movement is the certificate.  Otherwise
-    the loop goes on, with its momentum reset if a point was rejected.
+    _FINISH_AFTER accepted steps and, for SCAD/MCP, every kept value is at
+    least nu = b * lambda.  There the SCAD/MCP penalty is flat, and a fixed
+    point is the rank-r least-squares fit on its own frames (the oracle
+    property): the finisher runs with ridge 0.  A nuclear-norm fixed point of
+    rank r is the rank-r fit with ridge lambda.  It starts from the first r
+    columns of the carried block.  Its point is accepted, ``converged``, only
+    when its objective is no higher and one full-SVD prox-gradient step from
+    it moves it by at most ``tol`` * max(1, ||T||_F); that movement is the
+    certificate, so a point that is not the fixed point is rejected.
+    Otherwise the loop goes on, with its momentum reset if a point was
+    rejected.
 
     ``_warm_for`` is the outer penalty when this fit is its nuclear warm
     start (:class:`SolverConfig`).
@@ -445,9 +477,10 @@ def fit(
     iterations = 0
     progress = 0.0  # ||T_k - T_{k-1}||_F of the last accepted step
     fpr = None
-    may_finish = _finisher_takes(design, spec, eta)
+    may_finish = _warm_for is None and _finisher_takes(design, spec, eta)
+    ridge, finish_nu = (spec.lam, 0.0) if spec.family == NUCLEAR else (0.0, spec.nu)
     # a warm start for a fit the finisher can take watches the values at or
-    # above the outer nu instead of the kept rank (a nuclear fit never finishes)
+    # above the outer nu instead of the kept rank
     settle_nu = (
         _warm_for.nu if _warm_for is not None and _finisher_takes(design, _warm_for, eta) else None
     )
@@ -486,10 +519,10 @@ def fit(
         rank = kept
         if settle_nu is not None and kept and steady >= _FINISH_AFTER:
             break
-        if may_finish and steady >= _FINISH_AFTER and kept and spectrum[kept - 1] >= spec.nu:
+        if may_finish and steady >= _FINISH_AFTER and kept and spectrum[kept - 1] >= finish_nu:
             may_finish = False  # once per fit
             theta_als, spectrum_als, finish_sweeps = _als_finish(
-                obs, theta, block[:, :kept], config.tol
+                obs, theta, block[:, :kept], config.tol, ridge
             )
             if theta_als is None:
                 continue

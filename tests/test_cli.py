@@ -623,3 +623,22 @@ def test_row_observed_fewer_times_than_the_rank_exits_0(tmp_path, command):
         assert doc["rank_hat"] == 3 and doc["converged"] and doc["finish_sweeps"] == 0
     else:
         assert json.loads(out.read_text())["rank_hat"] == 3
+
+
+def test_fit_nuclear_is_finished_and_certified(tmp_path):
+    # a nuclear-norm completion fit ends with the finisher: fit.json counts
+    # its sweeps and reports a certificate within tol * max(1, ||Theta||_F)
+    rng = np.random.default_rng(8)
+    m = 30
+    theta, _, _ = random_low_rank(rng, m, m, [3.0, 2.0, 1.5])
+    cells = np.array([(j, k) for j in range(m) for k in range(m)])
+    cells = cells[rng.random(len(cells)) < 0.7]
+    values = theta[cells[:, 0], cells[:, 1]] + 0.01 * rng.standard_normal(len(cells))
+    src = tmp_path / "ratings.csv"
+    write_triplets(src, np.column_stack([cells, values]))
+    assert run_cli("fit", src, tmp_path / "nuc", "--penalty", "nuclear", "--lambda", 1e-3) == 0
+    doc = json.loads((tmp_path / "nuc.fit.json").read_text())
+    theta_hat = read_dense_matrix(tmp_path / "nuc.theta.csv")
+    assert doc["finish_sweeps"] > 0 and doc["converged"] and doc["rank_hat"] == 3
+    bound = 1e-7 * max(1.0, np.linalg.norm(theta_hat))  # the default --tol
+    assert doc["fixed_point_residual"] <= bound

@@ -208,9 +208,13 @@ MONOTONE_SPECS = {
 
 
 @pytest.mark.parametrize("case", [*MONOTONE_SPECS, "finished"])
-def test_fit_accelerated_trace_monotone_through_restarts(case):
+def test_fit_accelerated_trace_monotone_through_restarts(case, monkeypatch):
     # the accepted objectives never rise: through momentum resets and, on a
-    # nuclear-warm-started fit the finisher takes, through its point
+    # nuclear-warm-started fit the finisher takes, through its point.  The
+    # finisher would end the nuclear fit before its first restart, so it
+    # declines there
+    if case == "nuclear":
+        decline_finisher(monkeypatch)
     if case == "finished":
         obs, spec = flat_completion_problem()
         result = fit(obs, spec, SolverConfig(warm_start="nuclear"))
@@ -452,7 +456,8 @@ def test_fit_result_serialization():
     assert doc["rank_hat"] == result.rank_hat
     assert doc["eta"] == result.eta == 16.0  # 1/L with L = max(count)/n = 1/16
     assert doc["restarts"] == result.restarts >= 0
-    assert doc["finish_sweeps"] == result.finish_sweeps == 0  # the nuclear norm never finishes
+    # converged before its kept rank held for the finisher's gate
+    assert doc["finish_sweeps"] == result.finish_sweeps == 0
     assert doc["warm_iterations"] == result.warm_iterations == 0  # no warm start
     assert len(doc["spectrum"]) == 4
 
@@ -743,16 +748,20 @@ def test_warm_start_gate_leaves_other_fits_alone(case, monkeypatch):
     # outside the finisher's gate the warm start runs to sqrt(tol) as before:
     # the same nested steps and the same estimate, bit for bit, as a nested
     # fit told nothing of the outer penalty
-    if case == "b_3_7":  # the CLI default, eta * zeta_minus >= 1
+    if case == "nuclear":
         obs, spec = flat_completion_problem()
-        spec, config = PenaltySpec(SCAD, spec.lam, 3.7), SolverConfig(warm_start="nuclear")
+        spec, config = PenaltySpec(NUCLEAR, spec.lam), SolverConfig(warm_start="nuclear")
     else:
         obs, spec, config = never_finish_case(case)
     gated = fit(obs, spec, config)
     outer = solver_module.fit
 
     def ungated(obs, spec, config=SolverConfig(), **kwargs):
-        return outer(obs, spec, config)
+        # told nothing, the nested nuclear fit is an outer one the finisher
+        # would take; declining leaves its steps as they are
+        with pytest.MonkeyPatch.context() as patch:
+            decline_finisher(patch)
+            return outer(obs, spec, config)
 
     monkeypatch.setattr(solver_module, "fit", ungated)
     plain = outer(obs, spec, config)
@@ -812,15 +821,17 @@ def flat_completion_problem(family=SCAD, low=None, seed=41):
     """A 30 x 30 completion problem whose rank-3 truth clears the flat
     threshold nu = b * lambda, b = 1 + 2 m^2, with lambda 20% above the
     noise's gradient norm, as in cutoff_fit_problem; ``low`` adds a fourth
-    true singular value of low * nu."""
+    true singular value of low * nu.  For the nuclear norm (nu = inf) the
+    truth is the SCAD one."""
     m = 30
     rng = np.random.default_rng(seed)
     design = sample_completion_design(rng, m, m, m * m)
     noise = generate_observations(design, np.zeros((m, m)), 0.5, rng)
     lam = 1.2 * np.linalg.norm(loss_gradient(noise, np.zeros((m, m))), 2)
-    spec = PenaltySpec(family, lam, 1.0 + 2.0 * m * m)
+    b = 1.0 + 2.0 * m * m
+    spec = PenaltySpec(family, lam, b)
     gammas = [2.5, 2.0, 1.6] + ([low] if low is not None else [])
-    theta_star, _, _ = random_low_rank(rng, m, m, spec.nu * np.array(gammas))
+    theta_star, _, _ = random_low_rank(rng, m, m, b * lam * np.array(gammas))
     return ObservationSet(design, apply_forward(design, theta_star) + noise.y), spec
 
 
@@ -829,19 +840,39 @@ def decline_finisher(monkeypatch):
     monkeypatch.setattr(solver_module, "_als_finish", lambda *args: (None, None, 0))
 
 
+def finisher_calls(monkeypatch):
+    """Record the ridge of each finisher call and the sweeps it took."""
+    calls = []
+    als = solver_module._als_finish
+
+    def recorded(obs, theta, frame, tol, ridge):
+        out = als(obs, theta, frame, tol, ridge)
+        calls.append((ridge, out[2]))
+        return out
+
+    monkeypatch.setattr(solver_module, "_als_finish", recorded)
+    return calls
+
+
 def finished(result):
     """Whether the finisher's point was accepted (its objective ends the trace)."""
     return result.finish_sweeps > 0 and result.objective_trace.size == result.iterations + 2
 
 
-@pytest.mark.parametrize("family", [SCAD, MCP])
+@pytest.mark.parametrize("family", [SCAD, MCP, NUCLEAR])
 def test_finished_fit_lands_closer_to_the_fixed_point(family, monkeypatch):
-    # against a tol = 1e-13 run of the plain loop, the finished fit is closer
-    # than the plain loop at the same tol, its residual is smaller, and its
-    # objective no higher
+    # the outer fit is finished once, with ridge lambda for the nuclear norm
+    # and 0 in the SCAD/MCP flat region (the nested nuclear warm start of a
+    # SCAD/MCP fit never is), and its point is certified.  Against a
+    # tol = 1e-13 run of the plain loop, the finished fit is closer than the
+    # plain loop at the same tol, its residual is smaller, and its objective
+    # no higher
     obs, spec = flat_completion_problem(family)
     config = SolverConfig(warm_start="nuclear")
+    calls = finisher_calls(monkeypatch)
     result = fit(obs, spec, config)
+    assert calls == [(spec.lam if family == NUCLEAR else 0.0, result.finish_sweeps)]
+    assert (result.warm_iterations > 0) == (family != NUCLEAR)
     assert finished(result) and result.converged and result.rank_hat == 3
     assert np.all(np.diff(result.objective_trace) <= 1e-12)
 
@@ -880,18 +911,23 @@ def never_finish_case(case):
     config = SolverConfig(warm_start="nuclear")
     if case == "sensing":
         return (*sensing_flat_problem(), config)
-    if case == "nuclear":
-        obs, spec = flat_completion_problem()
+    if case == "sensing_nuclear":
+        obs, spec = sensing_flat_problem()
         return obs, PenaltySpec(NUCLEAR, spec.lam), config
     if case == "mixed":
         return (*flat_completion_problem(low=0.8), config)
+    if case == "b_3_7":  # the CLI default, eta * zeta_minus >= 1; its warm fit is no outer fit
+        obs, spec = flat_completion_problem()
+        return obs, PenaltySpec(SCAD, spec.lam, 3.7), config
     # the step 1/L at the SCAD limit b - 1
     obs, spec = flat_completion_problem()
     eta = 1.0 / estimate_lipschitz(obs.design)
     return obs, PenaltySpec(SCAD, spec.lam, 1.0 + eta), config
 
 
-@pytest.mark.parametrize("case", ["sensing", "nuclear", "mixed", "eta_at_b_minus_1"])
+@pytest.mark.parametrize(
+    "case", ["sensing", "sensing_nuclear", "mixed", "eta_at_b_minus_1", "b_3_7"]
+)
 def test_finisher_is_never_called_outside_its_gate(case, monkeypatch):
     obs, spec, config = never_finish_case(case)
 
@@ -902,6 +938,8 @@ def test_finisher_is_never_called_outside_its_gate(case, monkeypatch):
     result = fit(obs, spec, config)
     if case == "eta_at_b_minus_1":
         assert result.eta == spec.b - 1.0  # bit for bit
+    if case == "b_3_7":  # the nested nuclear fit held its kept rank long enough too
+        assert result.warm_iterations > solver_module._FINISH_AFTER + 1
     assert result.finish_sweeps == 0
     assert result.objective_trace.size == result.iterations + 1
     # the kept rank held long enough for the finisher otherwise
@@ -909,7 +947,7 @@ def test_finisher_is_never_called_outside_its_gate(case, monkeypatch):
     smallest = result.spectrum[result.rank_hat - 1]
     if case == "mixed":
         assert 0 < smallest < spec.nu <= result.spectrum[0]
-    elif case != "nuclear":
+    elif spec.family != NUCLEAR:
         assert smallest >= spec.nu
 
 
@@ -923,7 +961,7 @@ def test_a_declined_finish_lets_the_loop_go_on(monkeypatch):
     loop = fit(obs, spec, config)
     attempts = []
 
-    def off_point(obs, theta, frame, tol):
+    def off_point(obs, theta, frame, tol, ridge):
         attempts.append(theta)
         return 1.01 * loop.theta_hat, 1.01 * loop.spectrum, 7
 
@@ -938,3 +976,35 @@ def test_a_declined_finish_lets_the_loop_go_on(monkeypatch):
     assert differ.size and differ[0] > solver_module._FINISH_AFTER
     rel = np.linalg.norm(result.theta_hat - loop.theta_hat) / np.linalg.norm(loop.theta_hat)
     assert rel <= 1e-5
+
+
+def ratings_problem(seed=5):
+    """A 200 x 200 rank-5 completion problem: 16000 distinct cells of a
+    truth with singular values evenly spaced in [60, 120], noise 0.5."""
+    m, cells = 200, 16000
+    rng = np.random.default_rng([0x52415447, seed])
+    u, _ = np.linalg.qr(rng.standard_normal((m, 5)))
+    v, _ = np.linalg.qr(rng.standard_normal((m, 5)))
+    theta = (u * np.linspace(120.0, 60.0, 5)) @ v.T
+    jj, kk = np.divmod(np.sort(rng.choice(m * m, size=cells, replace=False)), m)
+    y = theta[jj, kk] + 0.5 * rng.standard_normal(cells)
+    return ObservationSet(CompletionDesign(m1=m, m2=m, entries=np.column_stack([jj, kk])), y)
+
+
+def test_the_finisher_gives_up_on_a_slow_contraction(monkeypatch):
+    # at lambda = 3e-3 the nuclear fit keeps one value, and its finisher
+    # contracts at about 0.89 a sweep: the rate test gives up within a few
+    # sweeps, and the loop then takes exactly the steps it takes when the
+    # finisher declines
+    obs = ratings_problem()
+    spec = PenaltySpec(NUCLEAR, 3e-3)
+    calls = finisher_calls(monkeypatch)
+    result = fit(obs, spec, SolverConfig())
+    assert calls == [(spec.lam, result.finish_sweeps)]
+    assert 2 < result.finish_sweeps <= 10 and not finished(result)
+    monkeypatch.undo()
+    decline_finisher(monkeypatch)
+    loop = fit(obs, spec, SolverConfig())
+    assert result.converged and loop.converged
+    assert np.array_equal(result.objective_trace, loop.objective_trace)
+    assert np.array_equal(result.theta_hat, loop.theta_hat)
