@@ -232,13 +232,11 @@ def _fit_file_data(args, m1: int, m2: int, entries: np.ndarray, y: np.ndarray):
                 "--c",
                 f"must give a finite positive lambda, got lambda = {lam!r} at n = {design.n}",
             )
-    penalty = PenaltySpec(args.penalty, lam, args.b)
-    config = SolverConfig(
-        max_iter=args.max_iter,
-        tol=args.tol,
-        warm_start=args.warm_start,
-        rank_tol_rel=args.rank_tol,
-    )
+    # zeta_minus at half the completion curvature scale 1 / (m1 m2), as in
+    # criterion 4; eta <= m1 m2 keeps the SCAD/MCP prox convex
+    b = 1.0 + 2.0 * m1 * m2 if args.b is None else args.b
+    penalty = PenaltySpec(args.penalty, lam, b)
+    config = SolverConfig(max_iter=args.max_iter, tol=args.tol, warm_start=args.warm_start)
     try:
         result = fit(obs, penalty, config)
     except DivergenceError as exc:
@@ -351,16 +349,16 @@ def _add_penalty_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--penalty", choices=[NUCLEAR, SCAD, MCP], default=SCAD)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="regularization level; resolved from --sigma when omitted")
-    p.add_argument("--b", type=float, default=3.7,
-                   help="concavity parameter.  The step is eta = n / (largest per-cell "
-                        "count), reported in fit.json; SCAD takes the closed-form prox, the "
-                        "truncated SVD and the finisher only for b > 1 + eta (MCP: b > eta)")
+    p.add_argument("--b", type=float, default=None,
+                   help="concavity parameter; default 1 + 2 * m1 * m2.  The step is eta = n / "
+                        "(largest per-cell count) <= m1 * m2, reported in fit.json; SCAD takes "
+                        "the closed-form prox, the truncated SVD and the finisher only for "
+                        "b > 1 + eta (MCP: b > eta)")
     p.add_argument("--c", type=float, default=theory.DEFAULT_RULE_CONSTANT,
                    help="rule constant used when resolving lambda")
     p.add_argument("--sigma", type=float, default=None, help="noise level")
     p.add_argument("--max-iter", dest="max_iter", type=int, default=SolverConfig.max_iter)
     p.add_argument("--tol", type=float, default=SolverConfig.tol)
-    p.add_argument("--rank-tol", dest="rank_tol", type=float, default=SolverConfig.rank_tol_rel)
     p.add_argument("--warm-start", dest="warm_start", choices=["zero", "nuclear"],
                    default=SolverConfig.warm_start)
     p.add_argument("--m1", type=int, default=None, help="rows (triplet input only)")

@@ -174,11 +174,10 @@ def read_triplets(path) -> tuple[np.ndarray, np.ndarray]:
     return out, np.array(lines, dtype=np.int64)
 
 
-def write_triplets(path, triplets: np.ndarray, header: bool = True) -> None:
+def write_triplets(path, triplets: np.ndarray) -> None:
     triplets = np.asarray(triplets, dtype=float)
     with open(path, "w", newline="") as fh:
-        if header:
-            fh.write("j,k,value\n")
+        fh.write("j,k,value\n")
         for j, k, value in triplets:
             fh.write(f"{int(j)},{int(k)},{_fmt(value)}\n")
 

@@ -112,23 +112,17 @@ def penalty_value(spec: PenaltySpec, t):
     arr = np.asarray(t, dtype=float)
     a = np.abs(arr)
     lam, b = spec.lam, spec.b
-    # each branch is evaluated on its own mask only, starting from the flat
-    # value (where a NaN lands too); a huge |t| can overflow lam * |t| to inf
-    with np.errstate(over="ignore"):
+    # np.where evaluates every branch; a huge |t| overflows, and an infinite
+    # one gives inf - inf, only in branches it does not select
+    with np.errstate(over="ignore", invalid="ignore"):
         if spec.family == NUCLEAR:
             out = lam * a
         elif spec.family == SCAD:
-            out = np.full_like(a, (b + 1.0) * lam * lam / 2.0)
-            low = a <= lam
-            mid = ~low & (a <= b * lam)
-            out[low] = lam * a[low]
-            am = a[mid]
-            out[mid] = -(am * am - 2.0 * b * lam * am + lam * lam) / (2.0 * (b - 1.0))
+            quadratic = -(a * a - 2.0 * b * lam * a + lam * lam) / (2.0 * (b - 1.0))
+            flat = (b + 1.0) * lam * lam / 2.0
+            out = np.where(a <= lam, lam * a, np.where(a <= b * lam, quadratic, flat))
         else:
-            out = np.full_like(a, b * lam * lam / 2.0)
-            low = a <= b * lam
-            al = a[low]
-            out[low] = lam * al - al * al / (2.0 * b)
+            out = np.where(a <= b * lam, lam * a - a * a / (2.0 * b), b * lam * lam / 2.0)
     if np.ndim(t) == 0:
         return float(out)
     return out

@@ -86,15 +86,12 @@ class SolverConfig:
     max_iter: int = 2000
     tol: float = 1e-7
     warm_start: str = WARM_ZERO
-    rank_tol_rel: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be positive, got {self.max_iter!r}")
-        for name in ("tol", "rank_tol_rel"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if self.warm_start not in (WARM_ZERO, WARM_NUCLEAR):
             raise ValueError(
                 f"warm_start must be {WARM_ZERO!r} or {WARM_NUCLEAR!r}, got {self.warm_start!r}"
@@ -156,8 +153,12 @@ class FitResult:
         }
 
 
+_RANK_TOL_REL = 1e-4
+
+
 def numeric_rank(spectrum, rel_tol: float) -> int:
-    """Count singular values strictly above rel_tol times the largest one."""
+    """Count singular values strictly above rel_tol times the largest one;
+    :func:`fit` reports its rank at the fixed rel_tol 1e-4 (_RANK_TOL_REL)."""
     s = np.asarray(spectrum, dtype=float)
     if s.size and s.min() < 0:
         raise ValueError("spectrum entries must be nonnegative")
@@ -367,10 +368,6 @@ def _objective(obs: ObservationSet, spec: PenaltySpec, theta, h_theta, spectrum)
         return loss_value(obs, theta, h_theta) + float(np.sum(penalty_value(spec, spectrum)))
 
 
-# t after the plain step that follows a momentum reset to t = 1
-_T_AFTER_RESTART = 0.5 * (1.0 + math.sqrt(5.0))
-
-
 def _finisher_takes(design: Design, spec: PenaltySpec, eta: float) -> bool:
     """The finisher's gate (:func:`fit`) short of the kept-rank condition."""
     return isinstance(design, CompletionDesign) and spec.convex_at(eta)
@@ -390,9 +387,10 @@ def fit(
     Each step extrapolates y = T_k + ((t_k - 1)/t_{k+1})(T_k - T_{k-1}), with
     t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2, and takes the prox-gradient step at
     y (FISTA; Beck & Teboulle 2009).  When the objective there rises above
-    the one at T_k, the step is discarded, the momentum is reset (t = 1,
-    counted in ``restarts``) and the plain step from T_k is taken
-    (O'Donoghue & Candes 2015).  A plain step is exact (:func:`_truncated_svd`)
+    the one at T_k, the step is discarded and the momentum is reset (t = 1,
+    counted in ``restarts``), so the next pass is the plain step from T_k
+    (O'Donoghue & Candes 2015); a discarded step is not counted against
+    ``max_iter``.  A plain step is exact (:func:`_truncated_svd`)
     and at 1/L does not raise the objective, so the accepted objective
     sequence is monotone (Li & Lin 2015).  Each step takes one Hessian
     product, H T of its new iterate, which gives T's loss and, H being
@@ -487,30 +485,30 @@ def fit(
     finish_sweeps = 0
     rank = int(np.count_nonzero(spectrum))
     steady = 0  # accepted steps since the watched count last changed
-    for k in range(1, config.max_iter + 1):
+    while iterations < config.max_iter:
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         momentum = (t - 1.0) / t_next
         extrapolate = momentum > 0.0
         # H is linear: H y = H T_k + momentum (H T_k - H T_{k-1}); the
         # extrapolated pair lives only as long as its step
-        theta_new, h_new, obj_new, spectrum, block_new = step(
+        theta_new, h_new, obj_new, spectrum_new, block_new = step(
             theta + momentum * (theta - theta_prev) if extrapolate else theta,
             h + momentum * (h - h_prev) if extrapolate else h,
-            k, block, _PROGRESS_FRACTION * progress / t if extrapolate else 0.0,
+            iterations + 1, block, _PROGRESS_FRACTION * progress / t if extrapolate else 0.0,
         )
         if extrapolate and obj_new > obj:
             restarts += 1
-            t_next = _T_AFTER_RESTART
-            # the plain step reads neither the discarded step nor T_{k-1};
-            # they are not held through its prox, which may take the full SVD
-            del theta_new, h_new, theta_prev, h_prev
-            theta_new, h_new, obj_new, spectrum, block_new = step(theta, h, k, block)
+            t, theta_prev, h_prev = 1.0, theta, h
+            # the discarded step is not held through the plain step's prox,
+            # which may take the full SVD
+            del theta_new, h_new
+            continue
         trace.append(obj_new)
         progress = float(np.linalg.norm(theta_new - theta))
         rel = progress / max(1.0, np.linalg.norm(theta))
         theta_prev, h_prev, theta, h = theta, h, theta_new, h_new
-        obj, t, block = obj_new, t_next, block_new
-        iterations = k
+        obj, t, block, spectrum = obj_new, t_next, block_new, spectrum_new
+        iterations += 1
         if rel <= config.tol:
             converged = True
             break
@@ -550,7 +548,7 @@ def fit(
     return FitResult(
         theta_hat=theta,
         spectrum=spectrum,
-        rank_hat=numeric_rank(spectrum, config.rank_tol_rel),
+        rank_hat=numeric_rank(spectrum, _RANK_TOL_REL),
         iterations=iterations,
         objective_trace=np.asarray(trace),
         fixed_point_residual=fpr,

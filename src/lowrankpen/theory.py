@@ -211,7 +211,6 @@ def _feasible_blend(
     return quadratic_form(design, cand / float(np.linalg.norm(cand)))
 
 
-_REFINE_MAX_DIM = 2000
 _REFINE_SUBSPACE = 60
 
 
@@ -226,8 +225,6 @@ def _refined_extrema(design: SensingDesign, sub: Subspace) -> tuple[float, float
     that random sampling cannot find when n is comparable to d.
     """
     d = design.m1 * design.m2
-    if d > _REFINE_MAX_DIM:
-        return None
     eigvals, eigvecs = design.gram_eigh
 
     def block_value(block: slice) -> float | None:

@@ -43,9 +43,7 @@ TINY_CONFIG = {
     "c": 2.0,
     "lambda_rule": "standard",
     "probe_directions": 3,
-    "solver": {
-        "max_iter": 30, "tol": 1e-6, "warm_start": "nuclear", "rank_tol_rel": 1e-4,
-    },
+    "solver": {"max_iter": 30, "tol": 1e-6, "warm_start": "nuclear"},
     "out_dir": "unused",
 }
 
@@ -131,8 +129,8 @@ def test_mixed_rescaled_config_mutation_exit_code(path, value):
 
 
 COMMON_FLAGS = [
-    "--penalty", "--lambda", "--b", "--c", "--sigma", "--max-iter", "--tol", "--rank-tol",
-    "--warm-start", "--m1", "--m2",
+    "--penalty", "--lambda", "--b", "--c", "--sigma", "--max-iter", "--tol", "--warm-start",
+    "--m1", "--m2",
 ]
 FLAGS = [
     ("simulate", "--jobs"),

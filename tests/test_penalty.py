@@ -34,36 +34,49 @@ def test_spec_validation():
         PenaltySpec("ridge", 1.0)
 
 
-def nested_where_penalty(spec, t):
-    """The penalty as one nested np.where over every branch, the form that
-    :func:`penalty_value` replaced by per-branch masks."""
-    a = np.abs(np.asarray(t, dtype=float))
+def branch_penalty(spec, t):
+    """The penalty element by element, each value by the one branch formula
+    its |t| selects: an independent reference for the nested np.where of
+    :func:`penalty_value`, which evaluates every branch everywhere."""
     lam, b = spec.lam, spec.b
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in unselected branches
+
+    def one(x):
+        a = abs(x)
         if spec.family == SCAD:
-            quadratic = -(a * a - 2.0 * b * lam * a + lam * lam) / (2.0 * (b - 1.0))
-            flat = (b + 1.0) * lam * lam / 2.0
-            return np.where(a <= lam, lam * a, np.where(a <= b * lam, quadratic, flat))
-        return np.where(a <= b * lam, lam * a - a * a / (2.0 * b), b * lam * lam / 2.0)
+            if a <= lam:
+                return lam * a
+            if a <= b * lam:
+                return -(a * a - 2.0 * b * lam * a + lam * lam) / (2.0 * (b - 1.0))
+            return (b + 1.0) * lam * lam / 2.0
+        if a <= b * lam:
+            return lam * a - a * a / (2.0 * b)
+        return b * lam * lam / 2.0
+
+    arr = np.asarray(t, dtype=float)
+    return np.array([one(float(x)) for x in arr.ravel()]).reshape(arr.shape)
 
 
 @pytest.mark.parametrize("family,b", [(SCAD, 3.7), (SCAD, 2.01), (MCP, 2.5), (MCP, 1.01)])
 def test_masked_penalty_matches_the_nested_where_bitwise(family, b):
+    # the per-element branch reference against the library's nested where, on
+    # both sides of each knot, at +-1e308 (where the unselected branches
+    # overflow) and at +-inf (inf - inf there); pytest turns a RuntimeWarning
+    # from either into an error
     rng = np.random.default_rng(48)
     spec = PenaltySpec(family, 0.7, b)
     knots = np.array([0.0, spec.lam, b * spec.lam])
     near = np.concatenate([np.nextafter(knots, -np.inf), knots, np.nextafter(knots, np.inf)])
     arrays = [
         rng.uniform(-3.0 * b, 3.0 * b, 10000),
-        np.concatenate([near, -near, knots * (1.0 + 1e-12), [1e308, -1e308, np.inf]]),
+        np.concatenate([near, -near, knots * (1.0 + 1e-12), [1e308, -1e308, np.inf, -np.inf]]),
         rng.uniform(-3.0 * b, 3.0 * b, (7, 11)),
     ]
     for t in arrays:
         got = penalty_value(spec, t)
         assert got.shape == t.shape
-        assert np.array_equal(got, nested_where_penalty(spec, t))
+        assert np.array_equal(got, branch_penalty(spec, t))
     for t in near:
-        assert penalty_value(spec, float(t)) == float(nested_where_penalty(spec, t))
+        assert penalty_value(spec, float(t)) == float(branch_penalty(spec, t))
 
 
 def test_derived_constants():

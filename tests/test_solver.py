@@ -298,6 +298,9 @@ def test_fit_fixed_point_residual_small_after_convergence():
 
 
 def test_fit_stops_at_max_iter_without_convergence():
+    # max_iter counts accepted steps: a discarded step uses none of it.  The
+    # 8 x 8 problem of test_fit_accelerated_trace_monotone_through_restarts
+    # restarts first at step 16 and converges at step 57
     rng = np.random.default_rng(11)
     theta_star, _, _ = random_low_rank(rng, 6, 6, [2.0])
     design = sample_completion_design(rng, 6, 6, 100)
@@ -305,6 +308,14 @@ def test_fit_stops_at_max_iter_without_convergence():
     result = fit(obs, PenaltySpec(SCAD, 0.05, 3.7), SolverConfig(max_iter=3, tol=1e-14))
     assert not result.converged
     assert result.iterations == 3
+    rng = np.random.default_rng(1)
+    theta_star, _, _ = random_low_rank(rng, 8, 8, [3.0, 1.5])
+    obs = generate_observations(sample_completion_design(rng, 8, 8, 200), theta_star, 0.2, rng)
+    result = fit(obs, MONOTONE_SPECS["scad"], SolverConfig(max_iter=20))
+    assert not result.converged
+    assert result.iterations == 20
+    assert result.restarts > 0
+    assert result.objective_trace.size == 20 + 1
 
 
 def test_fit_divergence_raises_named_iteration():
@@ -347,7 +358,7 @@ def test_fit_spectrum_matches_svd_of_estimate(model, warm_start):
     s = np.linalg.svd(result.theta_hat, compute_uv=False)
     assert result.spectrum.shape == s.shape
     assert np.abs(result.spectrum - s).max() <= 1e-12 * s[0]
-    assert result.rank_hat == numeric_rank(s, config.rank_tol_rel)
+    assert result.rank_hat == numeric_rank(s, solver_module._RANK_TOL_REL)
     assert 0 < result.rank_hat < s.size
 
 
