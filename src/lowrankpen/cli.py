@@ -315,7 +315,7 @@ def cmd_fit(args) -> int:
     fileio.write_dense_matrix(args.out_prefix + ".theta.csv", result.theta_hat)
     doc = result.to_dict()
     doc["lambda"] = penalty.lam
-    doc["b"] = penalty.b
+    doc["b"] = None if penalty.family == NUCLEAR else penalty.b  # the nuclear norm has no b
     doc["penalty"] = penalty.family
     fileio.write_json(args.out_prefix + ".fit.json", doc)
     print(

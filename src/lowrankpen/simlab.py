@@ -325,9 +325,7 @@ def run_trial(spec: TrialSpec, n: int, penalty_index: int, repeat_index: int) ->
         design = sample_completion_design(rng, spec.m1, spec.m2, n)
     else:
         design = sample_sensing_design(rng, spec.m1, spec.m2, n)
-    probe = theory.probe_rsc(
-        design, sub, spec.probe_directions, rng, refine=spec.model == SENSING
-    )
+    probe = theory.probe_rsc(design, sub, spec.probe_directions, rng)
 
     lam = _resolve_lambda(spec, n, probe)
     penalty = PenaltySpec(template.family, lam, template.b)

@@ -264,7 +264,6 @@ def probe_rsc(
     sub: Subspace,
     trials: int,
     rng: np.random.Generator,
-    refine: bool = False,
 ) -> CurvatureEstimate:
     """Empirical curvature range of Delta -> ||X(Delta)||^2 / n over the cone.
 
@@ -293,22 +292,20 @@ def probe_rsc(
     and the quadratic form taken on the stack.  The result equals the
     one-direction-at-a-time loop to rounding.
 
-    With ``refine`` set, the sampled range is widened by cone-feasible
+    On a sensing design the sampled range is widened by cone-feasible
     directions built from the exact extreme eigen-subspaces of the quadratic
-    form, driving kappa_hat toward the cone infimum instead of the sampled
-    minimum.  Plain sampling concentrates near the typical curvature and can
-    overstate the infimum badly (for Gaussian sensing with n close to m1*m2
-    the infimum is essentially zero while the sampled minimum stays near
-    one), which turns curvature-gap hypotheses vacuously true.  Refinement
-    is for sensing designs only and raises ``ValueError`` on completion: there
-    the non-spiky random directions match the spikiness-restricted curvature
-    that the completion theory relies on, so sampling without refinement is
-    the faithful estimate.
+    form (:func:`_refined_extrema`), driving kappa_hat toward the cone
+    infimum instead of the sampled minimum.  Plain sampling concentrates near
+    the typical curvature and can overstate the infimum badly (for Gaussian
+    sensing with n close to m1*m2 the infimum is essentially zero while the
+    sampled minimum stays near one), which turns curvature-gap hypotheses
+    vacuously true.  A completion design is sampled only: there the
+    non-spiky random directions match the spikiness-restricted curvature
+    that the completion theory relies on, so sampling is the faithful
+    estimate.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if refine and not isinstance(design, SensingDesign):
-        raise ValueError("refinement needs a sensing design")
     m1, m2 = design.m1, design.m2
     with_complement = 0 < sub.r < min(m1, m2)
     u_perp, v_perp = sub.complement
@@ -340,7 +337,7 @@ def probe_rsc(
         values = quadratic_form(design, directions[keep] / norms[keep, None, None])
         kappa_hat = min(kappa_hat, float(values.min()))
         rho_hat = max(rho_hat, float(values.max()))
-    if refine:
+    if isinstance(design, SensingDesign):
         extrema = _refined_extrema(design, sub)
         if extrema is not None:
             kappa_hat = min(kappa_hat, extrema[0])

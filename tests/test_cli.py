@@ -459,6 +459,17 @@ def test_fit_json_echoes_b_and_reports_the_step(tmp_path):
     assert isinstance(doc["restarts"], int) and doc["restarts"] >= 0
 
 
+@pytest.mark.parametrize("family,b", [("scad", 4.5), ("mcp", 4.5), ("nuclear", None)])
+def test_fit_json_records_b_only_for_the_folded_concave_penalties(tmp_path, family, b):
+    # the nuclear norm reads no b, so fit.json records none for it
+    src = tmp_path / "t.csv"
+    src.write_text("j,k,value\n0,0,1.0\n1,1,2.0\n0,1,0.5\n")
+    assert run_cli("fit", src, tmp_path / "out", "--penalty", family, "--lambda", 0.01,
+                   "--b", 4.5) == 0
+    doc = json.loads((tmp_path / "out.fit.json").read_text())
+    assert (doc["penalty"], doc["b"]) == (family, b)
+
+
 def test_fit_rejects_infinite_b(tmp_path, capsys):
     src = tmp_path / "t.csv"
     src.write_text("j,k,value\n0,0,1.0\n1,1,2.0\n")

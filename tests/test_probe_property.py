@@ -1,7 +1,8 @@
 """The chunked curvature probe against the one-direction-at-a-time loop.
 
 ``reference_probe`` is the per-direction loop the probe replaced: two full
-singular-value decompositions and one quadratic form per direction.  The
+singular-value decompositions and one quadratic form per direction, widened
+on a sensing design by the refined extrema as the probe is.  The
 chunked probe must consume the same random stream and reproduce its
 estimates to rounding; the stacked operators it is built on must reproduce
 their one-matrix calls.
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from lowrankpen.operators import (
+    SensingDesign,
     Subspace,
     project_complement,
     project_onto,
@@ -20,7 +22,7 @@ from lowrankpen.operators import (
     sample_completion_design,
     sample_sensing_design,
 )
-from lowrankpen.theory import CONE_FACTOR, cone_condition, probe_rsc
+from lowrankpen.theory import CONE_FACTOR, _refined_extrema, cone_condition, probe_rsc
 
 from conftest import random_low_rank
 
@@ -51,6 +53,9 @@ def reference_probe(design, sub, trials, rng):
         value = quadratic_form(design, direction / nrm)
         kappa_hat = min(kappa_hat, value)
         rho_hat = max(rho_hat, value)
+    if isinstance(design, SensingDesign):
+        low, high = _refined_extrema(design, sub)
+        kappa_hat, rho_hat = min(kappa_hat, low), max(rho_hat, high)
     return kappa_hat, rho_hat
 
 

@@ -210,14 +210,13 @@ MONOTONE_SPECS = {
 @pytest.mark.parametrize("case", [*MONOTONE_SPECS, "finished"])
 def test_fit_accelerated_trace_monotone_through_restarts(case, monkeypatch):
     # the accepted objectives never rise: through momentum resets and, on a
-    # nuclear-warm-started fit the finisher takes, through its point.  The
-    # finisher would end the nuclear fit before its first restart, so it
-    # declines there
+    # fit the finisher takes, through its point.  The finisher would end the
+    # nuclear fit before its first restart, so it declines there
     if case == "nuclear":
         decline_finisher(monkeypatch)
     if case == "finished":
         obs, spec = flat_completion_problem()
-        result = fit(obs, spec, SolverConfig(warm_start="nuclear"))
+        result = fit(obs, spec, SolverConfig())
         assert finished(result)
         accepted = result.iterations + 2  # the finisher's objective last
     else:
@@ -681,29 +680,24 @@ def cutoff_fit_problem():
 
 
 def record_prox_steps(monkeypatch):
-    """Log every prox of fit as [fit depth, whether it took the full SVD, the
-    block it was given], and every nested fit's result; the warm start runs
-    at depth 1, nested through the module-level name."""
-    steps, nested, depth = [], [], [0]
+    """Log whether each prox of fit took the full SVD, and every nested fit's
+    result; a warm start is a call through the module-level name."""
+    steps, nested = [], []
     prox = solver_module._prox_svd
     truncated = solver_module._truncated_svd
     outer = solver_module.fit
 
     def logged_truncated(*args, **kwargs):
         out = truncated(*args, **kwargs)
-        steps[-1][1] = out is None
+        steps[-1] = out is None
         return out
 
-    def logged_prox(spec, z, eta, block=None, *args):
-        steps.append([depth[0], True, block])
-        return prox(spec, z, eta, block, *args)
+    def logged_prox(*args):
+        steps.append(True)
+        return prox(*args)
 
     def nested_fit(*args, **kwargs):
-        depth[0] += 1
-        try:
-            result = outer(*args, **kwargs)
-        finally:
-            depth[0] -= 1
+        result = outer(*args, **kwargs)
         nested.append(result)
         return result
 
@@ -713,74 +707,57 @@ def record_prox_steps(monkeypatch):
     return steps, nested
 
 
-def test_fit_main_loop_starts_from_the_warm_block(monkeypatch):
-    obs, spec = cutoff_fit_problem()
+@pytest.mark.parametrize("case", ["scad", "mcp", "cutoff"])
+def test_warm_start_is_ignored_inside_the_finishers_gate(case, monkeypatch):
+    # a fit the finisher can take starts from zero whatever warm_start says:
+    # no nested fit runs, and the fit equals the zero-start one bit for bit.
+    # It takes one prox per step and one more per restart, then the
+    # certificate's, by the full SVD where the cutoff problem's steps mostly
+    # take the truncated prox
+    obs, spec = cutoff_fit_problem() if case == "cutoff" else flat_completion_problem(case)
     steps, nested = record_prox_steps(monkeypatch)
     result = fit(obs, spec, SolverConfig(warm_start="nuclear"))
-    (warm,) = nested
-    main = [(full, block) for depth, full, block in steps if depth == 0]
-    warm_steps = [step for step in steps if step[0] == 1]
-    # one prox per step and one more per restart, then the certificate; the
-    # warm fit computes no certificate
-    assert len(main) == result.iterations + result.restarts + 1
-    assert len(warm_steps) == warm.iterations + warm.restarts
-    assert math.isnan(warm.fixed_point_residual)
-    assert main[0][1] is warm.block is not None  # the first step gets the warm fit's block
-    assert main[-1][0] is True  # fixed_point_residual takes the full SVD
-
-
-def test_warm_start_stops_once_the_flat_part_settles(monkeypatch):
-    # the nested nuclear fit of a fit the finisher can take stops at its
-    # gate, well before the same nuclear fit run directly to sqrt(tol), and
-    # the outer fit still lands on the fixed point
-    obs, spec = cutoff_fit_problem()
-    config = SolverConfig(warm_start="nuclear")
-    direct = fit(obs, PenaltySpec(NUCLEAR, spec.lam), SolverConfig(tol=math.sqrt(config.tol)))
-    _, nested = record_prox_steps(monkeypatch)
-    result = fit(obs, spec, config)
-    (warm,) = nested
-    assert warm.iterations == result.warm_iterations < direct.iterations
-    assert not warm.converged and direct.converged
+    assert nested == [] and result.warm_iterations == 0
+    assert len(steps) == result.iterations + result.restarts + 1
+    assert steps[-1] is True
+    if case == "cutoff":
+        assert steps.count(False) > result.iterations // 2
     monkeypatch.undo()
-    assert 0 < np.count_nonzero(warm.spectrum >= spec.nu) <= result.rank_hat == 4
-
-    cold = fit(obs, spec, SolverConfig())
-    reference = fit(obs, spec, SolverConfig(tol=1e-13, max_iter=20000))
-    assert result.converged and cold.converged and reference.converged
-    for other in (cold, reference):
-        distance = np.linalg.norm(result.theta_hat - other.theta_hat)
-        assert distance <= 1e-6 * np.linalg.norm(other.theta_hat)
+    zero = fit(obs, spec, SolverConfig())
+    assert result.converged and result.rank_hat == zero.rank_hat
+    assert result.iterations == zero.iterations and result.restarts == zero.restarts
+    assert result.finish_sweeps == zero.finish_sweeps
+    assert result.fixed_point_residual == zero.fixed_point_residual
+    for name in ("theta_hat", "spectrum", "objective_trace"):
+        assert np.array_equal(getattr(result, name), getattr(zero, name))
 
 
 @pytest.mark.parametrize(
     "case", ["sensing", "nuclear", "eta_at_b_minus_1", "b_3_7"]
 )
 def test_warm_start_gate_leaves_other_fits_alone(case, monkeypatch):
-    # outside the finisher's gate the warm start runs to sqrt(tol) as before:
-    # the same nested steps and the same estimate, bit for bit, as a nested
-    # fit told nothing of the outer penalty
+    # outside the finisher's gate a SCAD fit starts from an ordinary nuclear
+    # fit: the same fit, bit for bit, as one run directly to sqrt(tol), with
+    # its own finite certificate.  A nuclear fit is its own convex start and
+    # runs no nested fit
     if case == "nuclear":
         obs, spec = flat_completion_problem()
         spec, config = PenaltySpec(NUCLEAR, spec.lam), SolverConfig(warm_start="nuclear")
     else:
         obs, spec, config = never_finish_case(case)
-    gated = fit(obs, spec, config)
-    outer = solver_module.fit
-
-    def ungated(obs, spec, config=SolverConfig(), **kwargs):
-        # told nothing, the nested nuclear fit is an outer one the finisher
-        # would take; declining leaves its steps as they are
-        with pytest.MonkeyPatch.context() as patch:
-            decline_finisher(patch)
-            return outer(obs, spec, config)
-
-    monkeypatch.setattr(solver_module, "fit", ungated)
-    plain = outer(obs, spec, config)
-    assert gated.warm_iterations == plain.warm_iterations
-    assert (gated.warm_iterations > 0) == (case != "nuclear")
-    assert gated.iterations == plain.iterations
-    assert np.array_equal(gated.theta_hat, plain.theta_hat)
-    assert np.array_equal(gated.objective_trace, plain.objective_trace)
+    _, nested = record_prox_steps(monkeypatch)
+    result = fit(obs, spec, config)
+    if case == "nuclear":
+        assert nested == [] and result.warm_iterations == 0
+        return
+    (warm,) = nested
+    assert result.warm_iterations == warm.iterations > 0
+    assert warm.converged and math.isfinite(warm.fixed_point_residual)
+    monkeypatch.undo()
+    direct = fit(obs, PenaltySpec(NUCLEAR, spec.lam), SolverConfig(tol=math.sqrt(config.tol)))
+    assert warm.iterations == direct.iterations
+    assert warm.fixed_point_residual == direct.fixed_point_residual
+    assert np.array_equal(warm.theta_hat, direct.theta_hat)
 
 
 def test_fit_takes_every_plain_step_exactly(monkeypatch):
@@ -872,18 +849,17 @@ def finished(result):
 
 @pytest.mark.parametrize("family", [SCAD, MCP, NUCLEAR])
 def test_finished_fit_lands_closer_to_the_fixed_point(family, monkeypatch):
-    # the outer fit is finished once, with ridge lambda for the nuclear norm
-    # and 0 in the SCAD/MCP flat region (the nested nuclear warm start of a
-    # SCAD/MCP fit never is), and its point is certified.  Against a
-    # tol = 1e-13 run of the plain loop, the finished fit is closer than the
-    # plain loop at the same tol, its residual is smaller, and its objective
-    # no higher
+    # the fit is finished once, with ridge lambda for the nuclear norm and 0
+    # in the SCAD/MCP flat region, and its point is certified; inside the
+    # finisher's gate no warm start runs.  Against a tol = 1e-13 run of the
+    # plain loop, the finished fit is closer than the plain loop at the same
+    # tol, its residual is smaller, and its objective no higher
     obs, spec = flat_completion_problem(family)
     config = SolverConfig(warm_start="nuclear")
     calls = finisher_calls(monkeypatch)
     result = fit(obs, spec, config)
     assert calls == [(spec.lam if family == NUCLEAR else 0.0, result.finish_sweeps)]
-    assert (result.warm_iterations > 0) == (family != NUCLEAR)
+    assert result.warm_iterations == 0
     assert finished(result) and result.converged and result.rank_hat == 3
     assert np.all(np.diff(result.objective_trace) <= 1e-12)
 
@@ -927,7 +903,7 @@ def never_finish_case(case):
         return obs, PenaltySpec(NUCLEAR, spec.lam), config
     if case == "mixed":
         return (*flat_completion_problem(low=0.8), config)
-    if case == "b_3_7":  # the CLI default, eta * zeta_minus >= 1; its warm fit is no outer fit
+    if case == "b_3_7":  # eta * zeta_minus >= 1
         obs, spec = flat_completion_problem()
         return obs, PenaltySpec(SCAD, spec.lam, 3.7), config
     # the step 1/L at the SCAD limit b - 1
@@ -940,17 +916,20 @@ def never_finish_case(case):
     "case", ["sensing", "sensing_nuclear", "mixed", "eta_at_b_minus_1", "b_3_7"]
 )
 def test_finisher_is_never_called_outside_its_gate(case, monkeypatch):
+    # only for the outer penalty: a SCAD/MCP fit's nested nuclear warm start
+    # (ridge lambda) is a fit of its own, inside its own gate
     obs, spec, config = never_finish_case(case)
+    als = solver_module._als_finish
 
-    def forbidden(*args):
+    def forbidden(obs, theta, frame, tol, ridge):
+        if spec.family != NUCLEAR and ridge == spec.lam:
+            return als(obs, theta, frame, tol, ridge)
         raise AssertionError("the finisher ran")
 
     monkeypatch.setattr(solver_module, "_als_finish", forbidden)
     result = fit(obs, spec, config)
     if case == "eta_at_b_minus_1":
         assert result.eta == spec.b - 1.0  # bit for bit
-    if case == "b_3_7":  # the nested nuclear fit held its kept rank long enough too
-        assert result.warm_iterations > solver_module._FINISH_AFTER + 1
     assert result.finish_sweeps == 0
     assert result.objective_trace.size == result.iterations + 1
     # the kept rank held long enough for the finisher otherwise

@@ -157,39 +157,35 @@ def test_probe_rsc_full_observation_is_exact():
 
 
 def test_probe_rsc_sensing_concentration():
+    # n = 20 m^2: the cone's curvature concentrates near 1, and the probe of
+    # a sensing design widens its sampled range by the refined extrema
     rng = np.random.default_rng(5)
     m, r, n = 10, 2, 2000
     _, u, v = random_low_rank(rng, m, m, np.ones(r))
+    sub = Subspace(u, v)
     design = sample_sensing_design(rng, m, m, n)
-    probe = probe_rsc(design, Subspace(u, v), 500, rng)
-    assert 0.5 <= probe.kappa_hat <= 1.5
-    assert probe.kappa_hat <= probe.rho_hat
-    refined = probe_rsc(design, Subspace(u, v), 200, np.random.default_rng(6), refine=True)
-    assert 0.5 <= refined.kappa_hat <= 1.5
-    assert refined.kappa_hat <= probe.kappa_hat + 1e-12
-    assert refined.rho_hat >= probe.rho_hat - 1e-12
+    low, high = theory._refined_extrema(design, sub)
+    assert 0.5 <= low <= high <= 1.5
+    probe = probe_rsc(design, sub, 500, rng)
+    assert 0.5 <= probe.kappa_hat <= low
+    assert high <= probe.rho_hat <= 1.5
 
 
 def test_probe_rsc_refinement_finds_null_directions():
-    # with fewer measurements than cells the cone meets the null space,
-    # so the refined curvature floor collapses while sampling stays near 1
+    # with fewer measurements than cells the cone meets the null space, so
+    # the refined curvature floor collapses while random cone directions
+    # stay near 1; the probe reports the floor
     rng = np.random.default_rng(7)
     m, n = 12, 100  # d = 144 > n
     _, u, v = random_low_rank(rng, m, m, [2.0, 1.0, 0.5])
     sub = Subspace(u, v)
     design = sample_sensing_design(rng, m, m, n)
-    sampled = probe_rsc(design, sub, 200, np.random.default_rng(8))
-    refined = probe_rsc(design, sub, 200, np.random.default_rng(8), refine=True)
-    assert sampled.kappa_hat > 0.3
-    assert refined.kappa_hat <= 1e-8
-
-
-def test_probe_rsc_refinement_rejects_completion_designs():
-    rng = np.random.default_rng(13)
-    _, u, v = random_low_rank(rng, 6, 6, [2.0, 1.0])
-    design = sample_completion_design(rng, 6, 6, 50)
-    with pytest.raises(ValueError, match="sensing"):
-        probe_rsc(design, Subspace(u, v), 10, rng, refine=True)
+    aligned = project_onto(sub, np.random.default_rng(8).standard_normal((200, m, m)))
+    aligned /= np.linalg.norm(aligned, axis=(1, 2))[:, None, None]
+    assert quadratic_form(design, aligned).min() > 0.3
+    low, _ = theory._refined_extrema(design, sub)
+    assert low <= 1e-8
+    assert probe_rsc(design, sub, 200, np.random.default_rng(8)).kappa_hat == low
 
 
 def bisection_blend(design, sub, direction):
