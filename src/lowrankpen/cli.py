@@ -236,7 +236,7 @@ def _fit_file_data(args, m1: int, m2: int, entries: np.ndarray, y: np.ndarray):
     # criterion 4; eta <= m1 m2 keeps the SCAD/MCP prox convex
     b = 1.0 + 2.0 * m1 * m2 if args.b is None else args.b
     penalty = PenaltySpec(args.penalty, lam, b)
-    config = SolverConfig(max_iter=args.max_iter, tol=args.tol, warm_start=args.warm_start)
+    config = SolverConfig(max_iter=args.max_iter, tol=args.tol)
     try:
         result = fit(obs, penalty, config)
     except DivergenceError as exc:
@@ -359,8 +359,8 @@ def _add_penalty_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=float, default=None, help="noise level")
     p.add_argument("--max-iter", dest="max_iter", type=int, default=SolverConfig.max_iter)
     p.add_argument("--tol", type=float, default=SolverConfig.tol)
-    p.add_argument("--warm-start", dest="warm_start", choices=["zero", "nuclear"],
-                   default=SolverConfig.warm_start)
+    p.add_argument("--warm-start", dest="warm_start", choices=[SolverConfig.warm_start],
+                   default=SolverConfig.warm_start, help="not read; fit picks its start")
     p.add_argument("--m1", type=int, default=None, help="rows (triplet input only)")
     p.add_argument("--m2", type=int, default=None, help="columns (triplet input only)")
 

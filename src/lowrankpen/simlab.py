@@ -46,6 +46,7 @@ RNG_DESCRIPTION = (
 
 ORACLE_MATCH_RTOL = 1e-3
 SIGMA_FLOOR = 0.01
+PROBE_DIRECTIONS = 200  # curvature-probe directions per trial
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,6 @@ class TrialSpec:
     solver: SolverConfig = field(default_factory=SolverConfig)
     c: float = theory.DEFAULT_RULE_CONSTANT
     lambda_rule: str = "standard"
-    probe_directions: int = 200
 
     def __post_init__(self) -> None:
         if self.model not in (COMPLETION, SENSING):
@@ -149,8 +149,6 @@ class TrialSpec:
             raise ValueError(
                 f"lambda_rule must be 'standard' or 'oracle', got {self.lambda_rule!r}"
             )
-        if self.probe_directions < 1:
-            raise ValueError("probe_directions must be positive")
         if isinstance(self.spectrum_rule, MixedSpectrum):
             if self.spectrum_rule.r1 + self.spectrum_rule.r2 != self.r:
                 raise ValueError("spectrum_rule is mixed and needs r1 + r2 == r")
@@ -325,7 +323,7 @@ def run_trial(spec: TrialSpec, n: int, penalty_index: int, repeat_index: int) ->
         design = sample_completion_design(rng, spec.m1, spec.m2, n)
     else:
         design = sample_sensing_design(rng, spec.m1, spec.m2, n)
-    probe = theory.probe_rsc(design, sub, spec.probe_directions, rng)
+    probe = theory.probe_rsc(design, sub, PROBE_DIRECTIONS, rng)
 
     lam = _resolve_lambda(spec, n, probe)
     penalty = PenaltySpec(template.family, lam, template.b)

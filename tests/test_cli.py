@@ -164,6 +164,8 @@ def test_simulate_rejects_fractional_max_iter_before_running(tmp_path, capsys):
         ("max_iter", {"solver": {"max_iter": 0}}),
         ("warm_start", {"solver": {"warm_start": "x"}}),
         ("warm_start", {"solver": {"warm_start": None}}),
+        ("warm_start", {"solver": {"warm_start": "zero"}}),  # fit picks the start
+        ("probe_directions", {"probe_directions": 3}),  # a fixed 200 per trial
         ("m2", {"m1": 5, "m2": 0}),
     ],
     ids=["sigma-nan", "margin-nan", "margin-list", "margin-negative", "b-list", "c-nan",
@@ -173,7 +175,7 @@ def test_simulate_rejects_fractional_max_iter_before_running(tmp_path, capsys):
          "penalties-empty", "penalties-zero-b", "spectrum_rule-rank-sum", "N_grid-below-one",
          "low_value-above-nu", "low_value-just-above-nu", "tol-negative", "eta-unknown",
          "alpha_star-unknown", "rank_tol_rel-unknown", "max_iter-zero", "warm_start-unknown",
-         "warm_start-null", "m2-zero"],
+         "warm_start-null", "warm_start-zero", "probe_directions-unknown", "m2-zero"],
 )
 def test_simulate_rejects_invalid_value_naming_its_key(tmp_path, capsys, key, overrides):
     config = minimal_config(tmp_path, **overrides)
@@ -260,6 +262,16 @@ def test_alpha_star_flag_is_a_usage_error(tmp_path, capsys, command):
         run_cli(command, src, tmp_path / "out", "--lambda", 0.1, "--alpha-star", 1)
     assert exc.value.code == 2
     assert "--alpha-star" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [src]
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_zero_warm_start_flag_is_a_usage_error(tmp_path, capsys, command):
+    src = write_small_triplets(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, src, tmp_path / "out", "--lambda", 0.1, "--warm-start", "zero")
+    assert exc.value.code == 2
+    assert "--warm-start" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [src]
 
 

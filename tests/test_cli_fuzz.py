@@ -11,8 +11,8 @@ exits nonzero must leave no output directory behind.  The input files of
 cell (a dense entry, or a triplet's index or value) with a token from a
 fixed set; a run that exits 0 must write
 JSON that parses with NaN and the infinities rejected.  Integer draws stay
-small: a large ``repeats``, ``probe_directions``, ``max_iter`` or grid size
-is a long run, not a crash, so the fuzzer never asks for one.
+small: a large ``repeats``, ``max_iter`` or grid size is a long run, not a
+crash, so the fuzzer never asks for one.
 """
 
 import copy
@@ -42,7 +42,6 @@ TINY_CONFIG = {
     "base_seed": 3,
     "c": 2.0,
     "lambda_rule": "standard",
-    "probe_directions": 3,
     "solver": {"max_iter": 30, "tol": 1e-6, "warm_start": "nuclear"},
     "out_dir": "unused",
 }

@@ -1,12 +1,14 @@
-"""The README's library example runs as written, and every package name the
-README quotes exists, so a renamed or removed public name fails here rather
-than in the docs."""
+"""The README's library example runs as written, its ``simulate`` config
+parses, and every package name the README quotes exists, so a renamed or
+removed public name or config key fails here rather than in the docs."""
 
 import importlib
+import json
 import re
 from pathlib import Path
 
 import lowrankpen
+from lowrankpen import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,6 +19,13 @@ def test_readme_library_example_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {})
     rank_hat, err = capsys.readouterr().out.split()
     assert int(rank_hat) == 3 and float(err) < 0.5
+
+
+def test_readme_simulate_config_parses():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
+    assert len(blocks) == 1
+    spec, out_dir = cli.parse_run_config(json.loads(blocks[0]))
+    assert spec.model == "completion" and out_dir is None
 
 
 def _resolve(path: str):

@@ -170,7 +170,7 @@ def test_run_trial_without_identifiable_oracle_records_no_match(monkeypatch):
     spec = small_spec(
         m1=5, m2=4, r=4, spectrum_rule=AllAboveNu(margin=1.0), n_grid=(30,),
         penalties=(PenaltyTemplate("scad", 41.0),), repeats=1, base_seed=3,
-        solver=SolverConfig(max_iter=30, tol=1e-6, warm_start="nuclear"), probe_directions=3,
+        solver=SolverConfig(max_iter=30, tol=1e-6),
     )
     outcome = run_trial(spec, 30, 0, 0)
     assert raised == [True]
@@ -241,7 +241,6 @@ def test_run_grid_mse_decreases_with_n():
         penalties=(PenaltyTemplate("scad", 1.0 + 2.0 * m * m),),
         repeats=5,
         base_seed=3,
-        solver=SolverConfig(warm_start="nuclear"),
     )
     grid = run_grid(spec)
     ns = [a["n"] for a in grid.aggregate]
@@ -264,8 +263,6 @@ def test_rank_recovery_rate_nondecreasing_in_n():
         penalties=(PenaltyTemplate("scad", 3.7),),
         repeats=8,
         base_seed=11,
-        solver=SolverConfig(warm_start="nuclear"),
-        probe_directions=50,
     )
     grid = run_grid(spec)
     rates = [a["rank_correct_rate"] for a in grid.aggregate]

@@ -1,6 +1,4 @@
 import math
-import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,12 +12,11 @@ from lowrankpen.operators import (
     Subspace,
     generate_observations,
     loss_gradient,
-    loss_value,
     project_onto,
     sample_completion_design,
     sample_sensing_design,
 )
-from lowrankpen.penalty import MCP, NUCLEAR, SCAD, PenaltySpec, penalty_value
+from lowrankpen.penalty import MCP, NUCLEAR, SCAD, PenaltySpec
 from lowrankpen.solver import (
     DivergenceError,
     RankDeficiencyError,
@@ -40,11 +37,6 @@ from conftest import (
     prox_grid_oracle,
     random_low_rank,
 )
-
-
-def objective(obs, spec, theta):
-    s = np.linalg.svd(theta, compute_uv=False)
-    return loss_value(obs, theta) + float(np.sum(penalty_value(spec, s)))
 
 
 def test_numeric_rank():
@@ -154,10 +146,27 @@ def test_fit_sensing_exact_recovery():
     theta_star, _, _ = random_low_rank(rng, m, m, gammas)
     design = sample_sensing_design(rng, m, m, n)
     obs = generate_observations(design, theta_star, 0.0, rng)
-    result = fit(obs, PenaltySpec(SCAD, lam, 3.7), SolverConfig(warm_start="nuclear"))
+    result = fit(obs, PenaltySpec(SCAD, lam, 3.7))
     rel = np.linalg.norm(result.theta_hat - theta_star) / np.linalg.norm(theta_star)
     assert rel <= 1e-3
     assert result.rank_hat == r
+
+
+def test_default_config_recovers_a_criterion_3_sensing_problem():
+    # 20 x 20, rank 5, n = 3rm = 300, SCAD b = 3.7, truth values in
+    # [13 nu, 26 nu]: from zero the fit lands on a wrong rank, so the
+    # default config must warm-start every sensing SCAD fit
+    m, r, n = 20, 5, 300
+    rng = np.random.default_rng(20260810)
+    lam = standard_lambda("sensing", 0.01, m, m, n, 2.0)
+    nu = 3.7 * lam
+    theta_star, _, _ = random_low_rank(rng, m, m, rng.uniform(13 * nu, 26 * nu, r))
+    obs = generate_observations(sample_sensing_design(rng, m, m, n), theta_star, 0.01, rng)
+    result = fit(obs, PenaltySpec(SCAD, lam, 3.7))
+    assert result.rank_hat == r
+    rel = np.linalg.norm(result.theta_hat - theta_star) / np.linalg.norm(theta_star)
+    assert rel < 0.05
+    assert result.warm_iterations > 0
 
 
 def test_fit_huge_lambda_returns_zero():
@@ -237,7 +246,8 @@ def test_fit_takes_one_hessian_product_per_prox_step(model, monkeypatch):
     # each new iterate's H Theta gives its loss and, by linearity, the
     # gradient at the next extrapolated point, at the restart's plain point
     # and in the final residual: one product per prox step (a restart's
-    # discarded step included) plus one for the starting point
+    # discarded step included) plus one for the starting point, in the
+    # outer fit and in its nested warm start alike
     rng = np.random.default_rng(1)
     theta_star, _, _ = random_low_rank(rng, 8, 8, [3.0, 1.5])
     sample = sample_completion_design if model == "completion" else sample_sensing_design
@@ -250,9 +260,17 @@ def test_fit_takes_one_hessian_product_per_prox_step(model, monkeypatch):
         return hessian_product(design, cols)
 
     monkeypatch.setattr(operators, "hessian_product", counted)
+    _, nested = record_prox_steps(monkeypatch)
     result = fit(obs, PenaltySpec(SCAD, 0.05, 3.7), SolverConfig())
+    (warm,) = nested
     assert result.converged and result.restarts > 0
-    assert len(products) == result.iterations + result.restarts + 1
+    assert result.warm_iterations == warm.iterations
+    # the nested completion fit is finished, which takes one product for its
+    # certificate; no sensing fit is
+    certificates = int(finished(warm))
+    assert certificates == (model == "completion")
+    steps = sum(f.iterations + f.restarts + 1 for f in (warm, result))
+    assert len(products) == steps + certificates
     assert all(shape == (64, 1) for shape in products)
 
 
@@ -274,7 +292,7 @@ def test_warm_start_runs_to_the_square_root_of_tol(monkeypatch):
     rng = np.random.default_rng(9)
     theta_star, _, _ = random_low_rank(rng, 8, 8, [3.0, 1.5])
     obs = generate_observations(sample_completion_design(rng, 8, 8, 200), theta_star, 0.2, rng)
-    config = SolverConfig(warm_start="nuclear", tol=1e-8, max_iter=500)
+    config = SolverConfig(tol=1e-8, max_iter=500)
     result = solver_module.fit(obs, PenaltySpec(SCAD, 0.05, 3.7), config)
     assert [family for family, _ in configs] == [SCAD, NUCLEAR]
     warm = configs[1][1]
@@ -340,9 +358,8 @@ def test_fit_rejects_a_non_finite_final_residual():
         fit(obs, PenaltySpec(SCAD, lam, 3.7), SolverConfig(max_iter=30))
 
 
-@pytest.mark.parametrize("warm_start", ["zero", "nuclear"])
 @pytest.mark.parametrize("model", ["completion", "sensing"])
-def test_fit_spectrum_matches_svd_of_estimate(model, warm_start):
+def test_fit_spectrum_matches_svd_of_estimate(model):
     # the reported spectrum comes from the last prox step; it must be the
     # spectrum of theta_hat and give its rank
     rng = np.random.default_rng(15)
@@ -352,36 +369,12 @@ def test_fit_spectrum_matches_svd_of_estimate(model, warm_start):
     else:
         design = sample_sensing_design(rng, 8, 7, 120)
     obs = generate_observations(design, theta_star, 0.2, rng)
-    config = SolverConfig(warm_start=warm_start)
-    result = fit(obs, PenaltySpec(SCAD, 0.05, 3.7), config)
+    result = fit(obs, PenaltySpec(SCAD, 0.05, 3.7))
     s = np.linalg.svd(result.theta_hat, compute_uv=False)
     assert result.spectrum.shape == s.shape
     assert np.abs(result.spectrum - s).max() <= 1e-12 * s[0]
     assert result.rank_hat == numeric_rank(s, solver_module._RANK_TOL_REL)
     assert 0 < result.rank_hat < s.size
-
-
-def test_warm_start_never_worse_logged_not_failed():
-    rng = np.random.default_rng(15)
-    findings = 0
-    for _ in range(50):
-        m = 6
-        theta_star, _, _ = random_low_rank(rng, m, m, [2.0, 1.0])
-        design = sample_sensing_design(rng, m, m, 90)
-        obs = generate_observations(design, theta_star, 0.3, rng)
-        spec = PenaltySpec(SCAD, 0.15, 3.7)
-        base = SolverConfig(max_iter=600, tol=1e-8)
-        from dataclasses import replace
-
-        warm = fit(obs, spec, replace(base, warm_start="nuclear"))
-        cold = fit(obs, spec, base)
-        if objective(obs, spec, warm.theta_hat) > objective(obs, spec, cold.theta_hat) + 1e-9:
-            findings += 1
-    if findings:
-        warnings.warn(
-            f"nuclear warm start ended above the zero start on {findings}/50 instances",
-            stacklevel=1,
-        )
 
 
 @pytest.mark.parametrize(
@@ -614,7 +607,7 @@ def test_fit_at_cutoff_matches_full_svd_reference(monkeypatch):
     spec = PenaltySpec(SCAD, lam, 1.0 + 2.0 * m * m)
     theta_star, _, _ = random_low_rank(rng, m, m, spec.nu * np.array([2.5, 2.0, 1.6, 1.25]))
     obs = ObservationSet(design, apply_forward(design, theta_star) + noise.y)
-    config = SolverConfig(warm_start="nuclear")
+    config = SolverConfig()
 
     outcomes = count_truncated(monkeypatch)
     state = np.random.get_state()
@@ -709,27 +702,20 @@ def record_prox_steps(monkeypatch):
 
 @pytest.mark.parametrize("case", ["scad", "mcp", "cutoff"])
 def test_warm_start_is_ignored_inside_the_finishers_gate(case, monkeypatch):
-    # a fit the finisher can take starts from zero whatever warm_start says:
-    # no nested fit runs, and the fit equals the zero-start one bit for bit.
-    # It takes one prox per step and one more per restart, then the
-    # certificate's, by the full SVD where the cutoff problem's steps mostly
-    # take the truncated prox
+    # a fit the finisher can take starts from zero: no nested fit runs, and
+    # the objective trace opens with the loss at zero.  It takes one prox
+    # per step and one more per restart, then the certificate's, by the full
+    # SVD where the cutoff problem's steps mostly take the truncated prox
     obs, spec = cutoff_fit_problem() if case == "cutoff" else flat_completion_problem(case)
     steps, nested = record_prox_steps(monkeypatch)
-    result = fit(obs, spec, SolverConfig(warm_start="nuclear"))
+    result = fit(obs, spec)
     assert nested == [] and result.warm_iterations == 0
+    assert result.objective_trace[0] == pytest.approx(obs.loss_at_zero, rel=1e-12)
     assert len(steps) == result.iterations + result.restarts + 1
     assert steps[-1] is True
     if case == "cutoff":
         assert steps.count(False) > result.iterations // 2
-    monkeypatch.undo()
-    zero = fit(obs, spec, SolverConfig())
-    assert result.converged and result.rank_hat == zero.rank_hat
-    assert result.iterations == zero.iterations and result.restarts == zero.restarts
-    assert result.finish_sweeps == zero.finish_sweeps
-    assert result.fixed_point_residual == zero.fixed_point_residual
-    for name in ("theta_hat", "spectrum", "objective_trace"):
-        assert np.array_equal(getattr(result, name), getattr(zero, name))
+    assert result.converged
 
 
 @pytest.mark.parametrize(
@@ -742,7 +728,7 @@ def test_warm_start_gate_leaves_other_fits_alone(case, monkeypatch):
     # runs no nested fit
     if case == "nuclear":
         obs, spec = flat_completion_problem()
-        spec, config = PenaltySpec(NUCLEAR, spec.lam), SolverConfig(warm_start="nuclear")
+        spec, config = PenaltySpec(NUCLEAR, spec.lam), SolverConfig()
     else:
         obs, spec, config = never_finish_case(case)
     _, nested = record_prox_steps(monkeypatch)
@@ -855,7 +841,7 @@ def test_finished_fit_lands_closer_to_the_fixed_point(family, monkeypatch):
     # plain loop, the finished fit is closer than the plain loop at the same
     # tol, its residual is smaller, and its objective no higher
     obs, spec = flat_completion_problem(family)
-    config = SolverConfig(warm_start="nuclear")
+    config = SolverConfig()
     calls = finisher_calls(monkeypatch)
     result = fit(obs, spec, config)
     assert calls == [(spec.lam if family == NUCLEAR else 0.0, result.finish_sweeps)]
@@ -865,7 +851,7 @@ def test_finished_fit_lands_closer_to_the_fixed_point(family, monkeypatch):
 
     decline_finisher(monkeypatch)
     loop = fit(obs, spec, config)
-    reference = fit(obs, spec, SolverConfig(warm_start="nuclear", tol=1e-13, max_iter=20000))
+    reference = fit(obs, spec, SolverConfig(tol=1e-13, max_iter=20000))
     assert loop.finish_sweeps == reference.finish_sweeps == 0 and reference.converged
     assert loop.iterations > result.iterations
 
@@ -895,7 +881,7 @@ def sensing_flat_problem():
 def never_finish_case(case):
     """(observations, penalty, config) that meet every gate of the finisher
     but the one named."""
-    config = SolverConfig(warm_start="nuclear")
+    config = SolverConfig()
     if case == "sensing":
         return (*sensing_flat_problem(), config)
     if case == "sensing_nuclear":
@@ -946,7 +932,7 @@ def test_a_declined_finish_lets_the_loop_go_on(monkeypatch):
     # from the iterate it had, with its momentum reset, to the fixed point
     # the plain loop reaches, and the sweeps are still counted
     obs, spec = flat_completion_problem()
-    config = SolverConfig(warm_start="nuclear")
+    config = SolverConfig()
     decline_finisher(monkeypatch)
     loop = fit(obs, spec, config)
     attempts = []
