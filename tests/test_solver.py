@@ -358,10 +358,13 @@ def test_fit_rejects_a_non_finite_final_residual():
         fit(obs, PenaltySpec(SCAD, lam, 3.7), SolverConfig(max_iter=30))
 
 
+@pytest.mark.parametrize("start", ["zero", "nuclear"])
 @pytest.mark.parametrize("model", ["completion", "sensing"])
-def test_fit_spectrum_matches_svd_of_estimate(model):
+def test_fit_spectrum_matches_svd_of_estimate(model, start):
     # the reported spectrum comes from the last prox step; it must be the
-    # spectrum of theta_hat and give its rank
+    # spectrum of theta_hat and give its rank, from either start fit takes:
+    # a nuclear-norm fit starts from zero, and these SCAD fits lie outside
+    # the finisher's gate, so they start from the nested nuclear-norm fit
     rng = np.random.default_rng(15)
     theta_star, _, _ = random_low_rank(rng, 8, 7, [3.0, 1.5])
     if model == "completion":
@@ -369,7 +372,9 @@ def test_fit_spectrum_matches_svd_of_estimate(model):
     else:
         design = sample_sensing_design(rng, 8, 7, 120)
     obs = generate_observations(design, theta_star, 0.2, rng)
-    result = fit(obs, PenaltySpec(SCAD, 0.05, 3.7))
+    spec = PenaltySpec(NUCLEAR, 0.05) if start == "zero" else PenaltySpec(SCAD, 0.05, 3.7)
+    result = fit(obs, spec)
+    assert (result.warm_iterations > 0) == (start == "nuclear")
     s = np.linalg.svd(result.theta_hat, compute_uv=False)
     assert result.spectrum.shape == s.shape
     assert np.abs(result.spectrum - s).max() <= 1e-12 * s[0]
