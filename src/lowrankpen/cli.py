@@ -154,8 +154,9 @@ def parse_run_config(cfg: dict) -> tuple[TrialSpec, str | None]:
             n_grid = tuple(
                 simlab.raw_sample_size(model, float(x), r, max(m1, m2)) for x in cfg["N_grid"]
             )
-        except (ValueError, OverflowError):
-            raise ConfigError("N_grid", "must be a nonempty list of finite numbers") from None
+        except (ValueError, OverflowError) as exc:
+            # a 1 x 1 completion shape is rejected by name; NaN and overflow by N_grid
+            raise _field_error(exc, ("m1",), "N_grid") from None
         if min(n_grid) < 1:
             raise ConfigError(
                 "N_grid", f"entries must give sample sizes of at least 1, got n = {min(n_grid)}"

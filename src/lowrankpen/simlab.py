@@ -224,9 +224,20 @@ class GridResult:
     aggregate: tuple[dict, ...]
 
 
+def _check_completion_size(m: int) -> None:
+    """Reject m = max(m1, m2) = 1 for completion: its lambda rule and its
+    sample-size unit both scale with log m, which is 0 there."""
+    if m < 2:
+        raise ValueError(
+            "m1 and m2 are both 1; completion needs max(m1, m2) >= 2, since its "
+            "lambda rule and sample-size unit scale with log max(m1, m2)"
+        )
+
+
 def _sample_size_unit(model: str, r: int, m: int) -> float:
     """The sample size that :func:`rescale_n` maps to 1."""
     if model == COMPLETION:
+        _check_completion_size(m)
         return r * m * math.log(m)
     if model == SENSING:
         return r * m
@@ -234,7 +245,7 @@ def _sample_size_unit(model: str, r: int, m: int) -> float:
 
 
 def rescale_n(model: str, n: int, r: int, m: int) -> float:
-    """Rescaled sample size: n/(r*m*log m) for completion, n/(r*m) for sensing."""
+    """Rescaled sample size: n/(r*m*log m) for completion (m >= 2), n/(r*m) for sensing."""
     if n < 1 or r < 1 or m < 1:
         raise ValueError("arguments must be positive")
     return n / _sample_size_unit(model, r, m)
@@ -266,6 +277,7 @@ def standard_lambda(model: str, sigma: float, m1: int, m2: int, n: int, c: float
     noise level sigma, or :data:`SIGMA_FLOOR` when sigma is zero."""
     sigma_eff = sigma if sigma > 0 else SIGMA_FLOOR
     if model == COMPLETION:
+        _check_completion_size(max(m1, m2))
         return theory.lambda_completion(sigma_eff, m1, m2, n, c)
     if model == SENSING:
         return theory.lambda_sensing(sigma_eff, m1, m2, n, c)
@@ -410,10 +422,6 @@ def run_trial(spec: TrialSpec, n: int, penalty_index: int, repeat_index: int) ->
     )
 
 
-def _trial_task(args) -> TrialOutcome:
-    return run_trial(*args)
-
-
 def run_grid(spec: TrialSpec, jobs: int = 1) -> GridResult:
     """Run the full cartesian grid n_grid x penalties x repeats.
 
@@ -427,6 +435,7 @@ def run_grid(spec: TrialSpec, jobs: int = 1) -> GridResult:
         for p_idx in range(len(spec.penalties))
         for rep in range(spec.repeats)
     ]
+    columns = tuple(zip(*tasks))
     workers = min(jobs, len(tasks))
     if workers > 1:
         # imported here: the pool module loads multiprocessing, which a
@@ -434,9 +443,9 @@ def run_grid(spec: TrialSpec, jobs: int = 1) -> GridResult:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            trials = tuple(pool.map(_trial_task, tasks, chunksize=1))
+            trials = tuple(pool.map(run_trial, *columns, chunksize=1))
     else:
-        trials = tuple(_trial_task(t) for t in tasks)
+        trials = tuple(map(run_trial, *columns))
 
     aggregate = []
     for offset in range(0, len(trials), spec.repeats):

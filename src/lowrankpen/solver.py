@@ -20,7 +20,6 @@ experiments.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,19 +42,19 @@ class DivergenceError(RuntimeError):
 
 
 class RankDeficiencyError(RuntimeError):
-    """The reduced normal system is numerically singular although n >= r^2.
+    """The reduced normal system of :func:`solve_oracle` is singular, so the
+    design does not identify the rank-restricted estimator; this is the
+    solve's one failure mode, and no regularization is tried.
 
-    ``null_dim`` counts the eigenvalues of the normal matrix at or below the
-    cutoff of :func:`solve_oracle`; no regularization is tried.
+    With fewer observations n than the r^2 coefficients, ``null_dim`` is
+    r^2 - n, a lower bound on the null dimension (the normal matrix has rank
+    at most n); otherwise it counts the eigenvalues of the normal matrix at
+    or below the cutoff of :func:`solve_oracle`.
     """
 
     def __init__(self, null_dim: int):
         super().__init__(f"normal system is rank deficient (null dimension {null_dim})")
         self.null_dim = null_dim
-
-
-class UnderdeterminedSystemWarning(RuntimeWarning):
-    """Fewer observations than coefficients; the minimum-norm solution is returned."""
 
 
 @dataclass(frozen=True)
@@ -134,15 +133,15 @@ class FitResult:
 _RANK_TOL_REL = 1e-4
 
 
-def numeric_rank(spectrum, rel_tol: float) -> int:
-    """Count singular values strictly above rel_tol times the largest one;
-    :func:`fit` reports its rank at the fixed rel_tol 1e-4 (_RANK_TOL_REL)."""
+def numeric_rank(spectrum) -> int:
+    """Count singular values strictly above _RANK_TOL_REL = 1e-4 times the
+    largest one; :func:`fit` reports its rank by this rule."""
     s = np.asarray(spectrum, dtype=float)
     if s.size and s.min() < 0:
         raise ValueError("spectrum entries must be nonnegative")
     if s.size == 0 or s.max() == 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_tol * s.max()))
+    return int(np.count_nonzero(s > _RANK_TOL_REL * s.max()))
 
 
 def estimate_lipschitz(design: Design) -> float:
@@ -516,7 +515,7 @@ def fit(obs: ObservationSet, spec: PenaltySpec, config: SolverConfig = SolverCon
     return FitResult(
         theta_hat=theta,
         spectrum=spectrum,
-        rank_hat=numeric_rank(spectrum, _RANK_TOL_REL),
+        rank_hat=numeric_rank(spectrum),
         iterations=iterations,
         objective_trace=np.asarray(trace),
         fixed_point_residual=fpr,
@@ -533,37 +532,23 @@ def solve_oracle(obs: ObservationSet, sub: Subspace) -> np.ndarray:
 
     Minimizes ||y - X(U C V^T)||^2 / (2n) over the r x r coefficients C by
     one eigendecomposition of the d = r^2 normal matrix
-    (:func:`~lowrankpen.operators.subspace_hessian`).  The matrix has rank at
-    most n, so only its top min(n, d) eigenpairs are kept, and of those the
-    ones above d * eps times the largest; the solution is the minimum-norm
-    one on them.  With fewer observations than coefficients a warning is
-    issued; otherwise a dropped eigenvalue raises
-    :class:`RankDeficiencyError`.
+    (:func:`~lowrankpen.operators.subspace_hessian`).  The one failure mode
+    is an unidentified system, which raises :class:`RankDeficiencyError`:
+    with n < d before any decomposition, since the matrix then has rank at
+    most n, and otherwise when an eigenvalue falls at or below d * eps times
+    the largest.
     """
     r = sub.r
     if r == 0:
         return np.zeros((obs.design.m1, obs.design.m2))
+    d = r * r
+    if obs.n < d:
+        raise RankDeficiencyError(d - obs.n)
     gram = subspace_hessian(obs.design, sub)
     rhs = (sub.U.T @ obs.xty @ sub.V).ravel()
-    d = r * r
-
-    if obs.n < d:
-        warnings.warn(
-            f"{obs.n} observations for {d} coefficients; returning the "
-            "minimum-norm solution",
-            UnderdeterminedSystemWarning,
-            stacklevel=2,
-        )
-
-    # below the top n eigenvalues there is only rounding noise, which a
-    # relative cutoff alone does not reliably drop from a Gram matrix
-    top = min(obs.n, d)
     eigvals, eigvecs = np.linalg.eigh(gram)
-    eigvals, eigvecs = eigvals[-top:], eigvecs[:, -top:]
-    keep = eigvals > d * np.finfo(float).eps * eigvals[-1]
-    kept = int(np.count_nonzero(keep))
-    if obs.n >= d and kept < d:
+    kept = int(np.count_nonzero(eigvals > d * np.finfo(float).eps * eigvals[-1]))
+    if kept < d:
         raise RankDeficiencyError(d - kept)
-    basis = eigvecs[:, keep]
-    c = basis @ ((basis.T @ rhs) / eigvals[keep])
+    c = eigvecs @ ((eigvecs.T @ rhs) / eigvals)
     return sub.U @ c.reshape(r, r) @ sub.V.T

@@ -167,6 +167,9 @@ def test_simulate_rejects_fractional_max_iter_before_running(tmp_path, capsys):
         ("warm_start", {"solver": {"warm_start": "zero"}}),  # fit picks the start
         ("probe_directions", {"probe_directions": 3}),  # a fixed 200 per trial
         ("m2", {"m1": 5, "m2": 0}),
+        # log max(m1, m2) = 0 zeroes the completion lambda and sample-size unit
+        ("m1", {"m1": 1, "m2": 1, "r": 1}),
+        ("m1", {"m1": 1, "m2": 1, "r": 1, "n_grid": DROP, "N_grid": [3.0]}),
     ],
     ids=["sigma-nan", "margin-nan", "margin-list", "margin-negative", "b-list", "c-nan",
          "c-negative", "c-zero", "step_policy", "r1-negative", "low_value-negative",
@@ -175,7 +178,8 @@ def test_simulate_rejects_fractional_max_iter_before_running(tmp_path, capsys):
          "penalties-empty", "penalties-zero-b", "spectrum_rule-rank-sum", "N_grid-below-one",
          "low_value-above-nu", "low_value-just-above-nu", "tol-negative", "eta-unknown",
          "alpha_star-unknown", "rank_tol_rel-unknown", "max_iter-zero", "warm_start-unknown",
-         "warm_start-null", "warm_start-zero", "probe_directions-unknown", "m2-zero"],
+         "warm_start-null", "warm_start-zero", "probe_directions-unknown", "m2-zero",
+         "m1-one-by-one", "m1-one-by-one-rescaled"],
 )
 def test_simulate_rejects_invalid_value_naming_its_key(tmp_path, capsys, key, overrides):
     config = minimal_config(tmp_path, **overrides)
@@ -221,6 +225,16 @@ def test_invalid_c_flag_names_it(tmp_path, capsys, command, value):
     src = write_small_triplets(tmp_path)
     assert run_cli(command, src, tmp_path / "out", "--sigma", 0.1, f"--c={value}") == 2
     assert "'--c'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [src]
+
+
+def test_fit_sigma_on_a_one_by_one_shape_names_it(tmp_path, capsys):
+    # log max(m1, m2) = 0 zeroes the completion lambda rule, whatever --c is
+    src = tmp_path / "t.csv"
+    write_triplets(src, np.array([[0, 0, 1.0], [0, 0, 1.2]]))
+    assert run_cli("fit", src, tmp_path / "out", "--sigma", 0.1) == 2
+    err = capsys.readouterr().err
+    assert "m1 and m2" in err and "--c" not in err
     assert list(tmp_path.iterdir()) == [src]
 
 
@@ -387,8 +401,8 @@ def test_simulate_starts_no_more_workers_than_trials(tmp_path, monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     config = minimal_config(tmp_path, repeats=2)

@@ -5,7 +5,9 @@ one key of a tiny valid ``simulate`` config, or one flag of a tiny ``fit`` /
 ``evaluate`` run (or ``simulate --jobs``), to a value drawn from NaN, +-inf,
 null, bools, strings, lists, negatives, zero and fractions.  A second base
 config takes its sample sizes from ``N_grid`` and its spectrum from the
-``mixed`` rule, whose keys and entries are fuzzed too.  A ``simulate`` that
+``mixed`` rule, whose keys and entries are fuzzed too; a third has fewer
+observations than the oracle's r^2 coefficients, and its ``r`` and
+``n_grid`` are fuzzed.  A ``simulate`` that
 exits nonzero must leave no output directory behind.  The input files of
 ``fit`` (triplet and dense) and ``evaluate`` are fuzzed by replacing one
 cell (a dense entry, or a triplet's index or value) with a token from a
@@ -66,6 +68,10 @@ MIXED_CONFIG = {
 }
 MIXED_PATHS = [p for p in key_paths(MIXED_CONFIG) if p[0] in ("spectrum_rule", "N_grid")]
 
+# n = 8 < r^2 = 9: the oracle system is singular on every draw
+UNDERDETERMINED_CONFIG = {**TINY_CONFIG, "r": 3, "n_grid": [8]}
+UNDERDETERMINED_PATHS = [p for p in key_paths(UNDERDETERMINED_CONFIG) if p[0] in ("r", "n_grid")]
+
 # valid words of other branches sit among the odd values, so a draw can also
 # switch the model, rule, family or warm start
 WORDS = ["", "x", "sensing", "mixed", "oracle", "nuclear", "mcp", "zero"]
@@ -104,13 +110,20 @@ def simulate_mutated(base, path, value) -> None:
     assert code in ALLOWED_EXITS, f"{path} = {value!r} exited {code}"
 
 
-@pytest.mark.parametrize("base", [TINY_CONFIG, MIXED_CONFIG], ids=["tiny", "mixed"])
+@pytest.mark.parametrize(
+    "base", [TINY_CONFIG, MIXED_CONFIG, UNDERDETERMINED_CONFIG],
+    ids=["tiny", "mixed", "underdetermined"],
+)
 def test_unmutated_config_runs(base, tmp_path):
     # a base config the reader rejects would make every mutation exit 2 at
     # that rejection, so the fuzzer would pass while testing nothing
     config = tmp_path / "config.json"
     config.write_text(json.dumps(base))
-    assert exit_code(["simulate", config, "--out-dir", tmp_path / "out", "--jobs", 1]) == 0
+    out = tmp_path / "out"
+    assert exit_code(["simulate", config, "--out-dir", out, "--jobs", 1]) == 0
+    if base is UNDERDETERMINED_CONFIG:
+        header, row = (out / "results.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["oracle_match"] == ""
 
 
 @pytest.mark.parametrize("path", CONFIG_PATHS, ids=lambda p: ".".join(map(str, p)))
@@ -125,6 +138,13 @@ def test_simulate_config_mutation_exit_code(path, value):
 @given(value=ODD_VALUES)
 def test_mixed_rescaled_config_mutation_exit_code(path, value):
     simulate_mutated(MIXED_CONFIG, path, value)
+
+
+@pytest.mark.parametrize("path", UNDERDETERMINED_PATHS, ids=lambda p: ".".join(map(str, p)))
+@settings(max_examples=20)
+@given(value=ODD_VALUES)
+def test_underdetermined_config_mutation_exit_code(path, value):
+    simulate_mutated(UNDERDETERMINED_CONFIG, path, value)
 
 
 COMMON_FLAGS = [

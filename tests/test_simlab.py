@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,12 @@ def test_rescale_n():
     assert raw_sample_size("sensing", 5.0, 10, 20) == 1000
 
 
+def test_rescale_n_rejects_a_one_by_one_completion_shape():
+    # log max(m1, m2) = 0 zeroes the completion unit
+    with pytest.raises(ValueError, match="^m1 and m2"):
+        rescale_n("completion", 5, 1, 1)
+
+
 def test_trial_seed_is_stable_and_distinct():
     s = trial_seed(7, 100, 0, 3)
     assert s == trial_seed(7, 100, 0, 3)
@@ -174,6 +181,20 @@ def test_run_trial_without_identifiable_oracle_records_no_match(monkeypatch):
     )
     outcome = run_trial(spec, 30, 0, 0)
     assert raised == [True]
+    assert outcome.oracle_match is None
+
+
+def test_run_trial_with_fewer_observations_than_oracle_coefficients_records_no_match():
+    # n = 8 < r^2 = 9: the oracle is unidentified for every design, so the
+    # trial records no match, and warns of nothing
+    spec = small_spec(
+        m1=5, m2=4, r=3, spectrum_rule=AllAboveNu(margin=1.0), n_grid=(8,),
+        penalties=(PenaltyTemplate("scad", 41.0),), repeats=1, base_seed=3,
+        solver=SolverConfig(max_iter=30, tol=1e-6),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome = run_trial(spec, 8, 0, 0)
     assert outcome.oracle_match is None
 
 

@@ -21,7 +21,6 @@ from lowrankpen.solver import (
     DivergenceError,
     RankDeficiencyError,
     SolverConfig,
-    UnderdeterminedSystemWarning,
     estimate_lipschitz,
     fit,
     numeric_rank,
@@ -40,14 +39,14 @@ from conftest import (
 
 
 def test_numeric_rank():
-    assert numeric_rank([5.0, 3.0, 1e-9], 1e-4) == 2
-    assert numeric_rank([0.0, 0.0], 1e-4) == 0
-    assert numeric_rank([], 1e-4) == 0
-    # strictly-above semantics at the boundary
-    assert numeric_rank([1.0, 1e-4 * (1.0 + 1e-12)], 1e-4) == 2
-    assert numeric_rank([1.0, 1e-4], 1e-4) == 1
+    assert numeric_rank([5.0, 3.0, 1e-9]) == 2
+    assert numeric_rank([0.0, 0.0]) == 0
+    assert numeric_rank([]) == 0
+    # strictly-above semantics at the 1e-4 boundary
+    assert numeric_rank([1.0, 1e-4 * (1.0 + 1e-12)]) == 2
+    assert numeric_rank([1.0, 1e-4]) == 1
     with pytest.raises(ValueError):
-        numeric_rank([1.0, -0.5], 1e-4)
+        numeric_rank([1.0, -0.5])
 
 
 def max_rayleigh_quotient(design, rng, samples=200):
@@ -378,7 +377,7 @@ def test_fit_spectrum_matches_svd_of_estimate(model, start):
     s = np.linalg.svd(result.theta_hat, compute_uv=False)
     assert result.spectrum.shape == s.shape
     assert np.abs(result.spectrum - s).max() <= 1e-12 * s[0]
-    assert result.rank_hat == numeric_rank(s, solver_module._RANK_TOL_REL)
+    assert result.rank_hat == numeric_rank(s)
     assert 0 < result.rank_hat < s.size
 
 
@@ -416,18 +415,21 @@ def test_solve_oracle_rank_deficiency_reported():
     assert info.value.null_dim == 1
 
 
-def test_solve_oracle_underdetermined_minimum_norm():
+def test_solve_oracle_underdetermined_raises_before_decomposing(monkeypatch):
+    # n = 3 < r^2 = 4: the normal matrix has rank at most 3, so the system is
+    # singular whatever the design, and no eigendecomposition is needed to say so
     rng = np.random.default_rng(17)
     theta_star, u, v = random_low_rank(rng, 3, 3, [2.0, 1.0])
-    design = sample_sensing_design(rng, 3, 3, 3)  # n=3 < r^2=4
+    design = sample_sensing_design(rng, 3, 3, 3)
     obs = generate_observations(design, theta_star, 0.1, rng)
-    with pytest.warns(UnderdeterminedSystemWarning):
-        theta_o = solve_oracle(obs, Subspace(u, v))
-    # independent pseudoinverse reference on the reduced design
-    a = np.array([(u.T @ x @ v).ravel() for x in design.matrices])
-    c_ref = np.linalg.pinv(a) @ obs.y
-    reference = u @ c_ref.reshape(2, 2) @ v.T
-    assert np.abs(theta_o - reference).max() <= 1e-8
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called on an underdetermined system")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(RankDeficiencyError) as info:
+        solve_oracle(obs, Subspace(u, v))
+    assert info.value.null_dim == 4 - 3
 
 
 def test_solve_oracle_noisy_error_bound():
