@@ -17,7 +17,7 @@ import traceback
 
 import numpy as np
 
-from lowrankpen import __version__, fileio, simlab, theory
+from lowrankpen import __version__, fileio, simlab
 from lowrankpen.fileio import InputFormatError
 from lowrankpen.operators import CompletionDesign, ObservationSet
 from lowrankpen.penalty import MCP, NUCLEAR, SCAD, PenaltySpec
@@ -108,17 +108,18 @@ def _is_list_of(raw, kind) -> bool:
     )
 
 
-_TOP_KEYS = {f.name for f in dataclasses.fields(TrialSpec)} | {"N_grid", "out_dir"}
+_TOP_KEYS = {f.name for f in dataclasses.fields(TrialSpec)} | {"N_grid"}
 _SPECTRUM_RULES = {rule.kind: rule for rule in (AllAboveNu, MixedSpectrum)}
 
 
-def parse_run_config(cfg: dict) -> tuple[TrialSpec, str | None]:
+def parse_run_config(cfg: dict) -> TrialSpec:
     """Validate a run-config document and build the TrialSpec it describes.
 
     The keys and their JSON kinds and defaults are the fields of
     :class:`TrialSpec`, of its spectrum rule, penalty templates and
     :class:`SolverConfig`, plus ``N_grid`` (the rescaled sample sizes, in
-    place of ``n_grid``) and ``out_dir``.
+    place of ``n_grid``).  The output directory is not a key: ``simulate``
+    takes it from ``--out-dir``.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("<root>", "config must be a JSON object")
@@ -170,12 +171,8 @@ def parse_run_config(cfg: dict) -> tuple[TrialSpec, str | None]:
 
     solver = _read_section(SolverConfig, _require(cfg, "solver", dict, default={}), "solver")
 
-    out_dir = cfg.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError("out_dir", "must be a string path")
-
     try:
-        spec = TrialSpec(
+        return TrialSpec(
             **scalars,
             spectrum_rule=rule,
             n_grid=n_grid,
@@ -184,33 +181,31 @@ def parse_run_config(cfg: dict) -> tuple[TrialSpec, str | None]:
         )
     except ValueError as exc:
         raise _field_error(exc, _TOP_KEYS, "<spec>") from None
-    return spec, out_dir
 
 
 def cmd_simulate(args) -> int:
     if args.jobs < 1:
         raise ConfigError("--jobs", f"must be at least 1, got {args.jobs}")
+    if not args.out_dir:
+        raise ConfigError("--out-dir", "must be a nonempty path")
     with open(args.config) as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError("<json>", f"config is not valid JSON: {exc}") from None
-    spec, cfg_out = parse_run_config(cfg)
+    spec = parse_run_config(cfg)
     _guard_trial(spec)
-    out_dir = args.out_dir or cfg_out
-    if not out_dir:
-        raise ConfigError("out_dir", "missing (set it in the config or pass --out-dir)")
     t0 = time.perf_counter()
     result = simlab.run_grid(spec, jobs=args.jobs)
     elapsed = time.perf_counter() - t0
     # made only now, so a grid that fails leaves no empty directory behind
-    os.makedirs(out_dir, exist_ok=True)
-    simlab.write_trials_csv(os.path.join(out_dir, "results.csv"), result.trials)
-    simlab.write_meta_json(os.path.join(out_dir, "meta.json"), spec, elapsed)
+    os.makedirs(args.out_dir, exist_ok=True)
+    simlab.write_trials_csv(os.path.join(args.out_dir, "results.csv"), result.trials)
+    simlab.write_meta_json(os.path.join(args.out_dir, "meta.json"), spec, elapsed)
     print(
         f"simulate: {len(result.trials)} trials "
         f"({len(spec.n_grid)} n x {len(spec.penalties)} penalties x {spec.repeats} repeats) "
-        f"in {elapsed:.1f}s -> {out_dir}/results.csv"
+        f"in {elapsed:.1f}s -> {args.out_dir}/results.csv"
     )
     return EXIT_OK
 
@@ -227,10 +222,10 @@ def _fit_file_data(args, m1: int, m2: int, entries: np.ndarray, y: np.ndarray):
     if lam is None:
         if args.sigma is None:
             raise ConfigError("lambda", "pass --lambda or --sigma to resolve it")
-        lam = simlab.standard_lambda(simlab.COMPLETION, args.sigma, m1, m2, design.n, args.c)
+        lam = simlab.standard_lambda(simlab.COMPLETION, args.sigma, m1, m2, design.n)
         if not (math.isfinite(lam) and lam > 0):
             raise ConfigError(
-                "--c",
+                "--sigma",
                 f"must give a finite positive lambda, got lambda = {lam!r} at n = {design.n}",
             )
     # zeta_minus at half the completion curvature scale 1 / (m1 m2), as in
@@ -289,8 +284,6 @@ def _guard_trial(spec: TrialSpec) -> None:
 
 def _check_flags(args) -> None:
     """Reject flag values of ``fit`` / ``evaluate`` that parse but cannot be used."""
-    if not (math.isfinite(args.c) and args.c > 0):
-        raise ConfigError("--c", f"must be finite and positive, got {args.c}")
     if args.sigma is not None and not (math.isfinite(args.sigma) and args.sigma >= 0):
         raise ConfigError("--sigma", f"must be finite and nonnegative, got {args.sigma}")
     for flag, value in (("--m1", args.m1), ("--m2", args.m2)):
@@ -355,8 +348,6 @@ def _add_penalty_flags(p: argparse.ArgumentParser) -> None:
                         "(largest per-cell count) <= m1 * m2, reported in fit.json; SCAD takes "
                         "the closed-form prox, the truncated SVD and the finisher only for "
                         "b > 1 + eta (MCP: b > eta)")
-    p.add_argument("--c", type=float, default=theory.DEFAULT_RULE_CONSTANT,
-                   help="rule constant used when resolving lambda")
     p.add_argument("--sigma", type=float, default=None, help="noise level")
     p.add_argument("--max-iter", dest="max_iter", type=int, default=SolverConfig.max_iter)
     p.add_argument("--tol", type=float, default=SolverConfig.tol)
@@ -376,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a simulation grid from a JSON config")
     p_sim.add_argument("config", help="run-config JSON path")
-    p_sim.add_argument("--out-dir", default=None, help="output directory")
+    p_sim.add_argument("--out-dir", required=True, help="output directory")
     p_sim.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                        help="parallel trial workers")
     p_sim.set_defaults(func=cmd_simulate)

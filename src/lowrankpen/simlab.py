@@ -121,7 +121,6 @@ class TrialSpec:
     repeats: int
     base_seed: int
     solver: SolverConfig = field(default_factory=SolverConfig)
-    c: float = theory.DEFAULT_RULE_CONSTANT
     lambda_rule: str = "standard"
 
     def __post_init__(self) -> None:
@@ -129,21 +128,20 @@ class TrialSpec:
             raise ValueError(f"model must be {COMPLETION!r} or {SENSING!r}, got {self.model!r}")
         if self.r < 1 or self.r > min(self.m1, self.m2):
             raise ValueError("r must satisfy 1 <= r <= min(m1, m2)")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ValueError("n_grid must hold positive sample sizes")
         if not self.penalties:
             raise ValueError("penalties must hold at least one template")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
-        lams = [standard_lambda(self.model, self.sigma, self.m1, self.m2, n, self.c)
-                for n in self.n_grid]
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        lams = [standard_lambda(self.model, self.sigma, self.m1, self.m2, n) for n in self.n_grid]
         for n, lam in zip(self.n_grid, lams):
             if not (math.isfinite(lam) and lam > 0):
                 raise ValueError(
-                    "c must be such that lambda is finite and positive at every n, "
-                    f"got c = {self.c!r} (lambda = {lam!r} at n = {n})"
+                    "sigma must give a finite positive lambda at every n, "
+                    f"got sigma = {self.sigma!r} (lambda = {lam!r} at n = {n})"
                 )
         if self.lambda_rule not in ("standard", "oracle"):
             raise ValueError(
@@ -271,7 +269,9 @@ def _sample_frames(rng: np.random.Generator, m1: int, m2: int, r: int):
     return u[:, :r], vt[:r, :].T
 
 
-def standard_lambda(model: str, sigma: float, m1: int, m2: int, n: int, c: float) -> float:
+def standard_lambda(
+    model: str, sigma: float, m1: int, m2: int, n: int, c: float = theory.DEFAULT_RULE_CONSTANT
+) -> float:
     """The standard regularization level of ``model`` at n observations: the
     theory rule with rule constant c and isotropic design (pi(Sigma) = 1), at
     noise level sigma, or :data:`SIGMA_FLOOR` when sigma is zero."""
@@ -293,8 +293,8 @@ def _resolve_lambda(spec: TrialSpec, n: int, probe: theory.CurvatureEstimate) ->
             )
         # at c = 1 the standard rule is the oracle rule's noise term
         noise = standard_lambda(spec.model, spec.sigma, spec.m1, spec.m2, n, 1.0)
-        return theory.lambda_oracle_rule(noise, spec.r, probe.rho_hat, probe.kappa_hat, spec.c)
-    return standard_lambda(spec.model, spec.sigma, spec.m1, spec.m2, n, spec.c)
+        return theory.lambda_oracle_rule(noise, spec.r, probe.rho_hat, probe.kappa_hat)
+    return standard_lambda(spec.model, spec.sigma, spec.m1, spec.m2, n)
 
 
 def _resolve_spectrum(
@@ -304,7 +304,7 @@ def _resolve_spectrum(
     # the large values are uniform in [lo, 2 lo]
     lo = nu_ref * (1.0 + rule.margin) if isinstance(rule, AllAboveNu) else 1.2 * nu_ref
     if not math.isfinite(2.0 * lo):
-        raise ValueError(f"truth singular values from {lo} up overflow; lower b, c or margin")
+        raise ValueError(f"truth singular values from {lo} up overflow; lower sigma, b or margin")
     if isinstance(rule, AllAboveNu):
         return rng.uniform(lo, 2.0 * lo, size=spec.r)
     _check_low_value(rule, nu_ref)

@@ -11,9 +11,11 @@ probe, and the singular-value perturbation (Weyl) check.
 
 Population curvature constants are unknowable from data, so all bounds are
 evaluated with the empirical estimates returned by :func:`probe_rsc` and
-labeled as such by callers.  Unspecified rule constants are exposed as a
-single multiplier ``c`` (default 2.0).  Logarithms in the rate formulas are
-natural.
+labeled as such by callers.  Unspecified rule constants are a single
+multiplier ``c`` of each rule function, default
+:data:`DEFAULT_RULE_CONSTANT` = 2.0, the constant of the theoretical
+threshold; the simulation lab and the CLI always use it.  Logarithms in the
+rate formulas are natural.
 """
 
 from __future__ import annotations

@@ -61,7 +61,6 @@ def recovery_grid():
         penalties=(PenaltyTemplate(SCAD, 3.7),),
         repeats=20,
         base_seed=20260810,
-        solver=SolverConfig(warm_start="nuclear"),
     )
     t0 = time.perf_counter()
     grid = run_grid(spec)
@@ -85,7 +84,6 @@ def comparison_grid():
         penalties=(PenaltyTemplate(SCAD, b), PenaltyTemplate("nuclear", b)),
         repeats=20,
         base_seed=4101,
-        solver=SolverConfig(warm_start="nuclear"),
     )
     t0 = time.perf_counter()
     grid = run_grid(spec)
@@ -113,7 +111,6 @@ def oracle_grid():
         penalties=(PenaltyTemplate(SCAD, 5.0),),
         repeats=20,
         base_seed=31,
-        solver=SolverConfig(warm_start="nuclear"),
         lambda_rule="oracle",
     )
     t0 = time.perf_counter()
@@ -270,7 +267,6 @@ def test_criterion_7_scaling_slope():
         penalties=(PenaltyTemplate(SCAD, 1.0 + 2.0 * m * m),),
         repeats=20,
         base_seed=9,
-        solver=SolverConfig(warm_start="nuclear"),
     )
     t0 = time.perf_counter()
     grid = run_grid(spec)

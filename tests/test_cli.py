@@ -132,9 +132,6 @@ def test_simulate_rejects_fractional_max_iter_before_running(tmp_path, capsys):
         ("margin", {"spectrum_rule": {"kind": "all_above_nu", "margin": [1]}}),
         ("margin", {"spectrum_rule": {"kind": "all_above_nu", "margin": -3}}),
         ("b", {"penalties": [{"family": "scad", "b": [3.7]}]}),
-        ("c", {"c": math.nan}),
-        ("c", {"c": -1}),
-        ("c", {"c": 0}),
         ("step_policy", {"solver": {"step_policy": "inverse_power"}}),
         ("r1", {"spectrum_rule": {"kind": "mixed", "r1": -1, "r2": 3, "low_value": 0.1}}),
         ("low_value", {"spectrum_rule": {"kind": "mixed", "r1": 1, "r2": 1, "low_value": -0.5}}),
@@ -143,7 +140,8 @@ def test_simulate_rejects_fractional_max_iter_before_running(tmp_path, capsys):
         ("n_grid", {"n_grid": [True]}),
         ("n_grid", {"n_grid": ["200"]}),
         ("n_grid", {"n_grid": [0]}),
-        ("c", {"c": 5e-324}),  # lambda underflows to 0
+        ("sigma", {"sigma": 5e-324}),  # lambda underflows to 0
+        ("sigma", {"sigma": 1e308}),  # lambda overflows
         ("N_grid", {"n_grid": DROP, "N_grid": [True]}),
         ("lambda_rule", {"lambda_rule": "x"}),
         ("model", {"model": "x"}),
@@ -166,19 +164,23 @@ def test_simulate_rejects_fractional_max_iter_before_running(tmp_path, capsys):
         ("warm_start", {"solver": {"warm_start": None}}),
         ("warm_start", {"solver": {"warm_start": "zero"}}),  # fit picks the start
         ("probe_directions", {"probe_directions": 3}),  # a fixed 200 per trial
+        ("c", {"c": 2.0}),  # lambda always takes the rule constant 2
+        ("out_dir", {"out_dir": "runs"}),  # the output directory is --out-dir
         ("m2", {"m1": 5, "m2": 0}),
         # log max(m1, m2) = 0 zeroes the completion lambda and sample-size unit
         ("m1", {"m1": 1, "m2": 1, "r": 1}),
         ("m1", {"m1": 1, "m2": 1, "r": 1, "n_grid": DROP, "N_grid": [3.0]}),
     ],
-    ids=["sigma-nan", "margin-nan", "margin-list", "margin-negative", "b-list", "c-nan",
-         "c-negative", "c-zero", "step_policy", "r1-negative", "low_value-negative",
-         "low_value-zero", "n_grid-float", "n_grid-bool", "n_grid-string", "n_grid-zero",
-         "c-underflow", "N_grid-bool", "lambda_rule-unknown", "model-unknown",
-         "penalties-empty", "penalties-zero-b", "spectrum_rule-rank-sum", "N_grid-below-one",
-         "low_value-above-nu", "low_value-just-above-nu", "tol-negative", "eta-unknown",
-         "alpha_star-unknown", "rank_tol_rel-unknown", "max_iter-zero", "warm_start-unknown",
-         "warm_start-null", "warm_start-zero", "probe_directions-unknown", "m2-zero",
+    ids=["sigma-nan", "margin-nan", "margin-list", "margin-negative", "b-list",
+         "step_policy", "r1-negative", "low_value-negative", "low_value-zero",
+         "n_grid-float", "n_grid-bool", "n_grid-string", "n_grid-zero",
+         "sigma-underflow", "sigma-overflow", "N_grid-bool", "lambda_rule-unknown",
+         "model-unknown", "penalties-empty", "penalties-zero-b",
+         "spectrum_rule-rank-sum", "N_grid-below-one", "low_value-above-nu",
+         "low_value-just-above-nu", "tol-negative", "eta-unknown",
+         "alpha_star-unknown", "rank_tol_rel-unknown", "max_iter-zero",
+         "warm_start-unknown", "warm_start-null", "warm_start-zero",
+         "probe_directions-unknown", "c-unknown", "out_dir-unknown", "m2-zero",
          "m1-one-by-one", "m1-one-by-one-rescaled"],
 )
 def test_simulate_rejects_invalid_value_naming_its_key(tmp_path, capsys, key, overrides):
@@ -191,10 +193,11 @@ def test_simulate_rejects_invalid_value_naming_its_key(tmp_path, capsys, key, ov
 
 @pytest.mark.parametrize(
     "overrides",
-    [{"c": 1e308}, {"spectrum_rule": {"kind": "all_above_nu", "margin": 1e308}},
-     {"c": 1e308, "penalties": [{"family": "scad", "b": 1000.0}],
+    # sigma = 1e307 keeps lambda finite, but not b * lambda * (1 + margin)
+    [{"sigma": 1e307}, {"spectrum_rule": {"kind": "all_above_nu", "margin": 1e308}},
+     {"sigma": 1e307, "penalties": [{"family": "scad", "b": 1000.0}],
       "spectrum_rule": {"kind": "mixed", "r1": 1, "r2": 1, "low_value": 0.1}}],
-    ids=["c", "margin", "mixed"],
+    ids=["sigma", "margin", "mixed"],
 )
 def test_simulate_overflowing_truth_scale_is_invalid_input(tmp_path, capsys, overrides):
     config = minimal_config(tmp_path, **overrides)
@@ -213,6 +216,20 @@ def test_simulate_mixed_spectrum_echoes_its_rule(tmp_path):
     assert dict(zip(header.split(","), row.split(",")))["r"] == "2"
 
 
+def test_simulate_requires_out_dir(tmp_path, capsys, monkeypatch):
+    config = minimal_config(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", config, "--jobs", 1)
+    assert exc.value.code == 2
+    assert "--out-dir" in capsys.readouterr().err
+    # an empty path is rejected before the grid runs
+    monkeypatch.setattr(cli.simlab, "run_grid", None)
+    assert run_cli("simulate", config, "--out-dir", "", "--jobs", 1) == 2
+    assert "'--out-dir': must be a nonempty path" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def write_small_triplets(tmp_path):
     src = tmp_path / "t.csv"
     write_triplets(src, np.array([[0, 0, 1.0], [1, 1, 2.0], [2, 0, 1.5], [0, 2, 2.5]]))
@@ -220,21 +237,33 @@ def write_small_triplets(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["fit", "evaluate"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "5e-324"])  # 5e-324: lambda underflows
-def test_invalid_c_flag_names_it(tmp_path, capsys, command, value):
+def test_c_flag_is_a_usage_error(tmp_path, capsys, command):
+    # lambda is resolved from --sigma at the rule constant 2
     src = write_small_triplets(tmp_path)
-    assert run_cli(command, src, tmp_path / "out", "--sigma", 0.1, f"--c={value}") == 2
-    assert "'--c'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, src, tmp_path / "out", "--sigma", 0.1, "--c", 2)
+    assert exc.value.code == 2
+    assert "--c" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [src]
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_sigma_flag_whose_lambda_overflows_names_it(tmp_path, capsys, command):
+    src = write_small_triplets(tmp_path)
+    assert run_cli(command, src, tmp_path / "out", "--sigma", 1e308) == 2
+    err = capsys.readouterr().err
+    assert "key '--sigma': must give a finite positive lambda, got lambda = inf" in err
+    assert "--c" not in err
     assert list(tmp_path.iterdir()) == [src]
 
 
 def test_fit_sigma_on_a_one_by_one_shape_names_it(tmp_path, capsys):
-    # log max(m1, m2) = 0 zeroes the completion lambda rule, whatever --c is
+    # log max(m1, m2) = 0 zeroes the completion lambda rule, whatever sigma is
     src = tmp_path / "t.csv"
     write_triplets(src, np.array([[0, 0, 1.0], [0, 0, 1.2]]))
     assert run_cli("fit", src, tmp_path / "out", "--sigma", 0.1) == 2
     err = capsys.readouterr().err
-    assert "m1 and m2" in err and "--c" not in err
+    assert "m1 and m2" in err and "'--sigma'" not in err
     assert list(tmp_path.iterdir()) == [src]
 
 
@@ -249,7 +278,7 @@ def test_shape_flag_below_one_names_it(tmp_path, capsys, command, flag, value):
 
 @pytest.mark.parametrize(
     "argv",
-    [["simulate", "config.json", "--jobs=--"], ["fit", "t.csv", "out", "--lambda=--"],
+    [["simulate", "config.json", "--out-dir", "out", "--jobs=--"], ["fit", "t.csv", "out", "--lambda=--"],
      ["evaluate", "t.csv", "out.json", "--penalty=--"]],
     ids=["jobs", "lambda", "penalty"],
 )
@@ -594,7 +623,6 @@ def test_evaluate_rank_one_synthetic(tmp_path):
     flags = [
         "--penalty", "scad", "--lambda", 2e-3, "--b", 3.7,
         "--m1", m, "--m2", m, "--seed", 5, "--max-iter", 2500, "--tol", 1e-9,
-        "--warm-start", "nuclear",
     ]
     assert run_cli("evaluate", src, out, *flags) == 0
     doc = json.loads(out.read_text())
@@ -654,8 +682,7 @@ def sparse_row_ratings(tmp_path):
     values = theta[cells[:, 0], cells[:, 1]] + 0.01 * rng.standard_normal(len(cells))
     src = tmp_path / "sparse.csv"
     write_triplets(src, np.column_stack([cells, values]))
-    return src, ["--penalty", "scad", "--lambda", 1.5 / (2.0 * b), "--b", b,
-                 "--warm-start", "nuclear"]
+    return src, ["--penalty", "scad", "--lambda", 1.5 / (2.0 * b), "--b", b]
 
 
 @pytest.mark.parametrize("command", ["fit", "evaluate"])

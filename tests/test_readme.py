@@ -1,6 +1,7 @@
 """The README's library example runs as written, its ``simulate`` config
-parses, and every package name the README quotes exists, so a renamed or
-removed public name or config key fails here rather than in the docs."""
+parses and runs, and every package name the README quotes exists, so a
+renamed or removed public name or config key fails here rather than in the
+docs."""
 
 import importlib
 import json
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import lowrankpen
 from lowrankpen import cli
+from lowrankpen.simlab import TrialSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -21,11 +23,24 @@ def test_readme_library_example_runs(capsys):
     assert int(rank_hat) == 3 and float(err) < 0.5
 
 
-def test_readme_simulate_config_parses():
+def readme_simulate_config() -> dict:
     blocks = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
     assert len(blocks) == 1
-    spec, out_dir = cli.parse_run_config(json.loads(blocks[0]))
-    assert spec.model == "completion" and out_dir is None
+    return json.loads(blocks[0])
+
+
+def test_readme_simulate_config_parses():
+    spec = cli.parse_run_config(readme_simulate_config())
+    assert isinstance(spec, TrialSpec) and spec.model == "completion"
+
+
+def test_readme_simulate_config_runs(tmp_path):
+    # one repeat of each of the 4 N_grid x 2 penalty cells
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**readme_simulate_config(), "repeats": 1}))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", str(config), "--out-dir", str(out), "--jobs", "1"]) == 0
+    assert len((out / "results.csv").read_text().splitlines()) == 1 + 8
 
 
 def _resolve(path: str):

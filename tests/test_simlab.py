@@ -55,9 +55,12 @@ def test_trial_spec_validation():
         small_spec(penalties=(PenaltyTemplate("nuclear", 0.0),))
     with pytest.raises(ValueError):
         small_spec(spectrum_rule=MixedSpectrum(r1=1, r2=2, low_value=0.1))
-    for c in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="^c must be"):
-            small_spec(c=c)
+    with pytest.raises(ValueError, match="^sigma must be finite"):
+        small_spec(sigma=float("nan"))
+    # lambda overflows, then underflows to 0
+    for sigma in (1e308, 5e-324):
+        with pytest.raises(ValueError, match="^sigma must give a finite positive lambda"):
+            small_spec(sigma=sigma)
 
 
 def test_mixed_low_value_checked_against_every_nu():
@@ -66,7 +69,7 @@ def test_mixed_low_value_checked_against_every_nu():
     # sits at the largest n and the smallest b
     penalties = (PenaltyTemplate("scad", 3.7), PenaltyTemplate("scad", 40.0))
     spec = small_spec(n_grid=(150, 300), penalties=penalties)
-    nu = 3.7 * simlab.standard_lambda(spec.model, spec.sigma, spec.m1, spec.m2, 300, spec.c)
+    nu = 3.7 * simlab.standard_lambda(spec.model, spec.sigma, spec.m1, spec.m2, 300)
     for low_value, ok in ((0.999 * nu, True), (nu, False), (50.0, False)):
         rule = MixedSpectrum(r1=1, r2=1, low_value=low_value)
         if ok:
