@@ -29,6 +29,7 @@ from lowrankpen.operators import (
     Design,
     SensingDesign,
     Subspace,
+    hessian_product,
     project_onto,
     quadratic_form,
 )
@@ -256,9 +257,44 @@ def _refined_extrema(design: SensingDesign, sub: Subspace) -> tuple[float, float
 
 
 # directions stacked per chunk: large enough to amortize the per-call cost of
-# the batched products, small enough that the chunk's arrays stay a few
-# hundred kilobytes (stacking all directions at once grows the peak memory)
+# the batched products, small enough that the chunk's arrays (the draws, the
+# aligned and complement parts P and Q, and their Hessian images HP and HQ)
+# stay a few hundred kilobytes (stacking all directions at once grows the
+# peak memory)
 _PROBE_CHUNK = 25
+
+# padding of the curvature bounds, relative to the chunk's value scale: far
+# above the rounding of either evaluation, far below the spread of the values
+_BOUND_PAD = 1e-6
+
+
+def _value_bounds(a, b, c, p, p_perp, s_lo, s_hi) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on v(s) = (a + 2bs + cs^2) / (p + s^2 p_perp) over [s_lo, s_hi].
+
+    All arguments are arrays over a chunk of directions.  The extremes of v on
+    the interval lie at its ends or at its stationary points, the real roots
+    of b p_perp s^2 + (a p_perp - c p) s - b p = 0 (clipped into the
+    interval, where they can only add values v takes there).  The bounds are
+    padded by ``_BOUND_PAD`` times the chunk's value scale, the largest of
+    (|a| + 2|b|s + |c|s^2) / (p + s^2 p_perp) over the points taken, plus the
+    smallest normal float (what underflow can lose), and clipped at zero as
+    :func:`~lowrankpen.operators.quadratic_form` clips.
+    A direction with p = 0 gets the bounds (0, inf), which no extreme can
+    exclude.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lin = a * p_perp - c * p
+        t = lin + np.copysign(np.sqrt(lin * lin + 4.0 * b * b * p * p_perp), lin)
+        roots = np.stack([-t / (2.0 * b * p_perp), 2.0 * b * p / t])
+        s = np.concatenate([np.stack([s_lo, s_hi]), np.fmin(np.fmax(roots, s_lo), s_hi)])
+        den = p + s * s * p_perp
+        values = (a + s * (2.0 * b + c * s)) / den
+        terms = (np.abs(a) + s * (2.0 * np.abs(b) + np.abs(c) * s)) / den
+    bounded = p > 0
+    pad = _BOUND_PAD * float(np.max(terms, where=bounded, initial=0.0)) + np.finfo(float).tiny
+    lo = np.maximum(values.min(axis=0, where=bounded, initial=math.inf) - pad, 0.0)
+    hi = np.maximum(values.max(axis=0, where=bounded, initial=-math.inf) + pad, 0.0)
+    return np.where(bounded, lo, 0.0), np.where(bounded, hi, math.inf)
 
 
 def probe_rsc(
@@ -286,25 +322,43 @@ def probe_rsc(
     r, never on the values drawn.
 
     The draws are taken one direction at a time, the linear algebra a chunk
-    of ``_PROBE_CHUNK`` stacked directions at a time: the r x r cores
-    C = U^T A V and the (m1 - r) x (m2 - r) cores C_perp = U_perp^T B V_perp
-    are formed once, their nuclear norms taken by one batched
-    singular-value call each (the same helper :func:`cone_condition`
-    uses), each direction built as U C V^T + U_perp (scale C_perp) V_perp^T,
-    and the quadratic form taken on the stack.  The result equals the
-    one-direction-at-a-time loop to rounding.
+    of ``_PROBE_CHUNK`` stacked directions at a time.  With the r x r cores
+    C = U^T A V and the (m1 - r) x (m2 - r) cores C_perp = U_perp^T B V_perp,
+    direction i is P + s Q, normalized, where P = U C V^T and
+    Q = U_perp C_perp V_perp^T are orthogonal and s = ratio ||C||_* /
+    ||C_perp||_* (s = 0 without a complement part).  Its value is therefore
+    v(s) = (a + 2bs + cs^2) / (p + s^2 p_perp) with a = q(P), b = <P, HQ>,
+    c = q(Q), p = ||C||_F^2 and p_perp = ||C_perp||_F^2, read off P, Q and
+    their Hessian images HP, HQ (:func:`~lowrankpen.operators.hessian_product`),
+    formed once per chunk.  Since ||X||_F <= ||X||_* <= sqrt(rank) ||X||_F,
+    s lies in [ratio ||C||_F / (sqrt(min(m1, m2) - r) ||C_perp||_F),
+    ratio sqrt(r) ||C||_F / ||C_perp||_F], and :func:`_value_bounds` bounds v
+    over that range from its ends and its stationary points, padded and
+    clipped at zero.  Only a direction whose interval reaches the running
+    minimum or maximum (each first moved to the chunk's best bound: the
+    smallest upper bound, the largest lower bound) is evaluated exactly: on
+    the sub-stack of such directions, the nuclear norms are taken by one
+    batched singular-value call each (the same helper :func:`cone_condition`
+    uses), each direction rebuilt as P + U_perp (s C_perp) V_perp^T and
+    normalized, and the quadratic form taken.  A direction left out lies
+    above the running minimum or above another direction's upper bound, and
+    below the running maximum or below another direction's lower bound, so
+    it can set neither extreme: kappa_hat and rho_hat are the same exactly
+    evaluated values as in the one-direction-at-a-time loop, equal to it to
+    rounding.
 
     On a sensing design the sampled range is widened by cone-feasible
     directions built from the exact extreme eigen-subspaces of the quadratic
     form (:func:`_refined_extrema`), driving kappa_hat toward the cone
-    infimum instead of the sampled minimum.  Plain sampling concentrates near
-    the typical curvature and can overstate the infimum badly (for Gaussian
-    sensing with n close to m1*m2 the infimum is essentially zero while the
-    sampled minimum stays near one), which turns curvature-gap hypotheses
-    vacuously true.  A completion design is sampled only: there the
-    non-spiky random directions match the spikiness-restricted curvature
-    that the completion theory relies on, so sampling is the faithful
-    estimate.
+    infimum instead of the sampled minimum.  The refinement runs before the
+    sampling and seeds both running extremes, so few sampled directions
+    reach them.  Plain sampling concentrates near the typical curvature and
+    can overstate the infimum badly (for Gaussian sensing with n close to
+    m1*m2 the infimum is essentially zero while the sampled minimum stays
+    near one), which turns curvature-gap hypotheses vacuously true.  A
+    completion design is sampled only: there the non-spiky random directions
+    match the spikiness-restricted curvature that the completion theory
+    relies on, so sampling is the faithful estimate.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -313,6 +367,10 @@ def probe_rsc(
     u_perp, v_perp = sub.complement
     kappa_hat = math.inf
     rho_hat = -math.inf
+    if isinstance(design, SensingDesign):
+        extrema = _refined_extrema(design, sub)
+        if extrema is not None:
+            kappa_hat, rho_hat = extrema
     for start in range(0, trials, _PROBE_CHUNK):
         count = min(_PROBE_CHUNK, trials - start)
         aligned = np.empty((count, m1, m2))
@@ -324,14 +382,36 @@ def probe_rsc(
             if with_complement:
                 rng.standard_normal(out=comp[j])
         core = sub.U.T @ aligned @ sub.V
-        directions = sub.U @ core @ sub.V.T
+        aligned_part = sub.U @ core @ sub.V.T
+        cols = aligned_part.reshape(count, -1).T
+        a = np.vecdot(cols, hessian_product(design, cols), axis=0)
+        p = np.vecdot(core.reshape(count, -1), core.reshape(count, -1))
+        b = c = p_perp = s_lo = s_hi = np.zeros(count)
         if with_complement:
             comp_core = u_perp.T @ comp @ v_perp
-            aligned_nuc, comp_nuc = _nuclear_norms(core), _nuclear_norms(comp_core)
-            scale = np.zeros(count)
-            np.divide(ratios * aligned_nuc, comp_nuc, out=scale, where=comp_nuc > 0)
+            comp_cols = (u_perp @ comp_core @ v_perp.T).reshape(count, -1).T
+            h_comp = hessian_product(design, comp_cols)
+            b = np.vecdot(cols, h_comp, axis=0)
+            c = np.vecdot(comp_cols, h_comp, axis=0)
+            p_perp = np.vecdot(comp_core.reshape(count, -1), comp_core.reshape(count, -1))
+            s_frob = np.zeros(count)
+            np.divide(ratios * np.sqrt(p), np.sqrt(p_perp), out=s_frob, where=p_perp > 0)
+            s_lo = s_frob / math.sqrt(min(m1, m2) - sub.r)
+            s_hi = s_frob * math.sqrt(sub.r)
+        lo, hi = _value_bounds(a, b, c, p, p_perp, s_lo, s_hi)
+        low_bar = min(kappa_hat, float(hi.min()))
+        high_bar = max(rho_hat, float(lo.max()))
+        exact = np.flatnonzero((lo <= low_bar) | (hi >= high_bar))
+        if exact.size == 0:
+            continue
+        directions = aligned_part[exact]
+        if with_complement:
+            comp_core = comp_core[exact]
+            aligned_nuc, comp_nuc = _nuclear_norms(core[exact]), _nuclear_norms(comp_core)
+            scale = np.zeros(exact.size)
+            np.divide(ratios[exact] * aligned_nuc, comp_nuc, out=scale, where=comp_nuc > 0)
             directions += u_perp @ (comp_core * scale[:, None, None]) @ v_perp.T
-        flat = directions.reshape(count, -1)
+        flat = directions.reshape(exact.size, -1)
         norms = np.sqrt(np.vecdot(flat, flat))
         keep = np.flatnonzero(norms > 0.0)
         if keep.size == 0:
@@ -339,11 +419,6 @@ def probe_rsc(
         values = quadratic_form(design, directions[keep] / norms[keep, None, None])
         kappa_hat = min(kappa_hat, float(values.min()))
         rho_hat = max(rho_hat, float(values.max()))
-    if isinstance(design, SensingDesign):
-        extrema = _refined_extrema(design, sub)
-        if extrema is not None:
-            kappa_hat = min(kappa_hat, extrema[0])
-            rho_hat = max(rho_hat, extrema[1])
     return CurvatureEstimate(kappa_hat=kappa_hat, rho_hat=rho_hat)
 
 
