@@ -222,8 +222,10 @@ def _refined_extrema(design: SensingDesign, sub: Subspace) -> tuple[float, float
 
     Takes the cached eigendecomposition of the d x d Hessian X^T X / n of the
     quadratic form (d = m1*m2), then searches the bottom (and top)
-    eigen-subspaces for cone-feasible directions: within the low-curvature
-    span, the direction maximizing aligned-core mass is computed exactly and
+    eigen-subspaces for cone-feasible directions: within a span of
+    orthonormal eigenvectors B_1..B_k, the unit direction sum_i w_i B_i of
+    largest aligned-core mass ||sum_i w_i U^T B_i V||_F^2 takes w as the top
+    left singular vector of the k x r^2 stack of the cores U^T B_i V, and is
     blended into the cone.  This reaches the near-zero curvature directions
     that random sampling cannot find when n is comparable to d.
     """
@@ -232,21 +234,19 @@ def _refined_extrema(design: SensingDesign, sub: Subspace) -> tuple[float, float
 
     def block_value(block: slice) -> float | None:
         basis = eigvecs[:, block]
-        # core-mass-optimal unit direction within the block's span
-        mats3 = basis.T.reshape(-1, design.m1, design.m2)
-        cores = project_onto(sub, mats3)
-        gram = np.einsum("iab,jab->ij", cores, mats3)
-        gram = 0.5 * (gram + gram.T)
-        _, vv = np.linalg.eigh(gram)
-        direction = np.einsum("i,iab->ab", vv[:, -1], mats3)
+        cores = sub.U.T @ basis.T.reshape(-1, design.m1, design.m2) @ sub.V
+        w = np.linalg.svd(cores.reshape(basis.shape[1], -1))[0][:, 0]
+        direction = (basis @ w).reshape(design.m1, design.m2)
         return _feasible_blend(design, sub, direction / float(np.linalg.norm(direction)))
 
     k = min(_REFINE_SUBSPACE, d)
-    null_dim = int(np.count_nonzero(eigvals <= 1e-12 * max(eigvals[-1], 0.0)))
+    null_tol = 1e-12 * max(eigvals[-1], 0.0)
+    null_dim = int(np.count_nonzero(eigvals <= null_tol))
     low_candidates = [block_value(slice(0, k))]
     if 0 < null_dim < k:
         low_candidates.append(block_value(slice(0, null_dim)))
-    lows = [v for v in low_candidates if v is not None]
+    # a value no larger than a null eigenvalue is zero curvature, not rounding noise
+    lows = [v if v > null_tol else 0.0 for v in low_candidates if v is not None]
     high = block_value(slice(d - k, d))
     if not lows and high is None:
         return None
@@ -268,6 +268,11 @@ _PROBE_CHUNK = 25
 _BOUND_PAD = 1e-6
 
 
+def _curvature_model(a, b, c, p, p_perp, s):
+    """v(s) = (a + 2bs + cs^2) / (p + s^2 p_perp), elementwise (see :func:`probe_rsc`)."""
+    return (a + s * (2.0 * b + c * s)) / (p + s * s * p_perp)
+
+
 def _value_bounds(a, b, c, p, p_perp, s_lo, s_hi) -> tuple[np.ndarray, np.ndarray]:
     """Bounds on v(s) = (a + 2bs + cs^2) / (p + s^2 p_perp) over [s_lo, s_hi].
 
@@ -287,9 +292,8 @@ def _value_bounds(a, b, c, p, p_perp, s_lo, s_hi) -> tuple[np.ndarray, np.ndarra
         t = lin + np.copysign(np.sqrt(lin * lin + 4.0 * b * b * p * p_perp), lin)
         roots = np.stack([-t / (2.0 * b * p_perp), 2.0 * b * p / t])
         s = np.concatenate([np.stack([s_lo, s_hi]), np.fmin(np.fmax(roots, s_lo), s_hi)])
-        den = p + s * s * p_perp
-        values = (a + s * (2.0 * b + c * s)) / den
-        terms = (np.abs(a) + s * (2.0 * np.abs(b) + np.abs(c) * s)) / den
+        values = _curvature_model(a, b, c, p, p_perp, s)
+        terms = _curvature_model(np.abs(a), np.abs(b), np.abs(c), p, p_perp, s)
     bounded = p > 0
     pad = _BOUND_PAD * float(np.max(terms, where=bounded, initial=0.0)) + np.finfo(float).tiny
     lo = np.maximum(values.min(axis=0, where=bounded, initial=math.inf) - pad, 0.0)
@@ -327,25 +331,26 @@ def probe_rsc(
     direction i is P + s Q, normalized, where P = U C V^T and
     Q = U_perp C_perp V_perp^T are orthogonal and s = ratio ||C||_* /
     ||C_perp||_* (s = 0 without a complement part).  Its value is therefore
-    v(s) = (a + 2bs + cs^2) / (p + s^2 p_perp) with a = q(P), b = <P, HQ>,
-    c = q(Q), p = ||C||_F^2 and p_perp = ||C_perp||_F^2, read off P, Q and
-    their Hessian images HP, HQ (:func:`~lowrankpen.operators.hessian_product`),
-    formed once per chunk.  Since ||X||_F <= ||X||_* <= sqrt(rank) ||X||_F,
-    s lies in [ratio ||C||_F / (sqrt(min(m1, m2) - r) ||C_perp||_F),
+    v(s) = (a + 2bs + cs^2) / (p + s^2 p_perp) (:func:`_curvature_model`)
+    with a = q(P), b = <P, HQ>, c = q(Q), p = ||C||_F^2 and
+    p_perp = ||C_perp||_F^2, read off P, Q and their Hessian images HP, HQ
+    (:func:`~lowrankpen.operators.hessian_product`), formed once per chunk.
+    Since ||X||_F <= ||X||_* <= sqrt(rank) ||X||_F, s lies in
+    [ratio ||C||_F / (sqrt(min(m1, m2) - r) ||C_perp||_F),
     ratio sqrt(r) ||C||_F / ||C_perp||_F], and :func:`_value_bounds` bounds v
     over that range from its ends and its stationary points, padded and
-    clipped at zero.  Only a direction whose interval reaches the running
-    minimum or maximum (each first moved to the chunk's best bound: the
-    smallest upper bound, the largest lower bound) is evaluated exactly: on
-    the sub-stack of such directions, the nuclear norms are taken by one
-    batched singular-value call each (the same helper :func:`cone_condition`
-    uses), each direction rebuilt as P + U_perp (s C_perp) V_perp^T and
-    normalized, and the quadratic form taken.  A direction left out lies
-    above the running minimum or above another direction's upper bound, and
-    below the running maximum or below another direction's lower bound, so
-    it can set neither extreme: kappa_hat and rho_hat are the same exactly
-    evaluated values as in the one-direction-at-a-time loop, equal to it to
-    rounding.
+    clipped at zero.  Only a nonzero direction (p > 0) whose interval
+    reaches the running minimum or maximum (each first moved to the chunk's
+    best bound: the smallest upper bound, the largest lower bound) is
+    valued, by the same v at the drawn s, clipped at zero as
+    :func:`~lowrankpen.operators.quadratic_form` clips; s takes the nuclear
+    norms of the sub-stack of such directions' cores, by one batched
+    singular-value call each (the helper :func:`cone_condition` uses).  A
+    direction left out lies above the running minimum or above another
+    direction's upper bound, and below the running maximum or below another
+    direction's lower bound, so it can set neither extreme: kappa_hat and
+    rho_hat equal, to rounding, those of the one-direction-at-a-time loop
+    that rebuilds each direction and takes its quadratic form.
 
     On a sensing design the sampled range is widened by cone-feasible
     directions built from the exact extreme eigen-subspaces of the quadratic
@@ -401,22 +406,15 @@ def probe_rsc(
         lo, hi = _value_bounds(a, b, c, p, p_perp, s_lo, s_hi)
         low_bar = min(kappa_hat, float(hi.min()))
         high_bar = max(rho_hat, float(lo.max()))
-        exact = np.flatnonzero((lo <= low_bar) | (hi >= high_bar))
+        exact = np.flatnonzero(((lo <= low_bar) | (hi >= high_bar)) & (p > 0))
         if exact.size == 0:
             continue
-        directions = aligned_part[exact]
+        s = np.zeros(exact.size)
         if with_complement:
-            comp_core = comp_core[exact]
-            aligned_nuc, comp_nuc = _nuclear_norms(core[exact]), _nuclear_norms(comp_core)
-            scale = np.zeros(exact.size)
-            np.divide(ratios[exact] * aligned_nuc, comp_nuc, out=scale, where=comp_nuc > 0)
-            directions += u_perp @ (comp_core * scale[:, None, None]) @ v_perp.T
-        flat = directions.reshape(exact.size, -1)
-        norms = np.sqrt(np.vecdot(flat, flat))
-        keep = np.flatnonzero(norms > 0.0)
-        if keep.size == 0:
-            continue
-        values = quadratic_form(design, directions[keep] / norms[keep, None, None])
+            aligned_nuc, comp_nuc = _nuclear_norms(core[exact]), _nuclear_norms(comp_core[exact])
+            np.divide(ratios[exact] * aligned_nuc, comp_nuc, out=s, where=comp_nuc > 0)
+        model = (x[exact] for x in (a, b, c, p, p_perp))
+        values = np.maximum(_curvature_model(*model, s), 0.0)
         kappa_hat = min(kappa_hat, float(values.min()))
         rho_hat = max(rho_hat, float(values.max()))
     return CurvatureEstimate(kappa_hat=kappa_hat, rho_hat=rho_hat)

@@ -1,5 +1,7 @@
 import atexit
+import importlib
 import os
+import pkgutil
 import shutil
 import sys
 import tempfile
@@ -7,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
+from hypothesis.internal.conjecture import providers
+
+import lowrankpen
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -17,6 +22,15 @@ settings.load_profile("deterministic")
 _HYPOTHESIS_DIR = tempfile.mkdtemp(prefix="lowrankpen-hypothesis-")
 atexit.register(shutil.rmtree, _HYPOTHESIS_DIR, ignore_errors=True)
 os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _HYPOTHESIS_DIR)
+
+# hypothesis also draws examples from the literals of every loaded module of the
+# checkout outside the tests, so the examples would depend on which files a run
+# collects (the benchmark harness's modules add theirs): the pool is pinned to
+# the literals of the whole lowrankpen package, loaded here before any draw
+for _module in pkgutil.iter_modules(lowrankpen.__path__, "lowrankpen."):
+    importlib.import_module(_module.name)
+_PACKAGE_DIR = Path(lowrankpen.__file__).resolve().parent
+providers.is_local_module_file = lambda path: Path(path).resolve().parent == _PACKAGE_DIR
 
 # pass/fail lines collected by the acceptance module, echoed after the run
 ACCEPTANCE_LINES: list[str] = []

@@ -1,11 +1,14 @@
 """The chunked curvature probe against the one-direction-at-a-time loop.
 
 ``reference_probe`` is the per-direction loop the probe replaced: two full
-singular-value decompositions and one quadratic form per direction, widened
-on a sensing design by the refined extrema as the probe is.  The
-chunked probe must consume the same random stream and reproduce its
-estimates to rounding, evaluating exactly only the directions whose
-curvature bounds can reach the running extremes; the bounds must bracket
+singular-value decompositions and one quadratic form of the rebuilt,
+normalized direction per direction, widened on a sensing design by the
+refined extrema as the probe is, here from ``reference_refined_extrema``,
+the Gram-matrix formulation the refinement replaced.  The chunked probe must
+consume the same random stream and reproduce its estimates to rounding,
+valuing only the directions whose curvature bounds can reach the running
+extremes by the closed-form curvature model those bounds come from; the
+model must give every direction's quadratic form, the bounds must bracket
 every value they prune, and the stacked operators the probe is built on
 must reproduce their one-matrix calls.
 """
@@ -40,15 +43,22 @@ from conftest import random_low_rank
 
 PROBE_RTOL = 1e-12
 STACK_RTOL = 1e-15
+# curvature values of unit directions within this of zero are zero to rounding
+# (the Hessians here have spectral norms of at most about 4)
+ZERO_ATOL = 1e-13
+# the refinement's direction is unique only above this relative eigengap
+GAP_RTOL = 1e-8
+REFINE_RTOL = 1e-10
 
 
 def nuclear_norm(a):
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
-def reference_probe(design, sub, trials, rng):
+def reference_values(design, sub, trials, rng):
+    """Quadratic form of each drawn direction, rebuilt and normalized (None
+    for a zero direction)."""
     m1, m2 = design.m1, design.m2
-    kappa_hat, rho_hat = math.inf, -math.inf
     for _ in range(trials):
         aligned = project_onto(sub, rng.standard_normal((m1, m2)))
         ratio = float(rng.uniform(0.0, CONE_FACTOR))
@@ -60,13 +70,48 @@ def reference_probe(design, sub, trials, rng):
             if comp_nuc > 0:
                 direction = aligned + comp * (ratio * aligned_nuc / comp_nuc)
         nrm = float(np.linalg.norm(direction))
-        if nrm == 0.0:
-            continue
-        value = quadratic_form(design, direction / nrm)
-        kappa_hat = min(kappa_hat, value)
-        rho_hat = max(rho_hat, value)
+        yield None if nrm == 0.0 else quadratic_form(design, direction / nrm)
+
+
+def gram_block_value(design, sub, block):
+    """Blended value of a block's core-mass-optimal direction, taken as the top
+    eigenvector of the k x k Gram matrix <P(B_i), B_j> of the block's
+    eigenvectors B_i, and the relative gap below that top eigenvalue (the
+    direction is unique only when it is positive)."""
+    mats = design.gram_eigh[1][:, block].T.reshape(-1, design.m1, design.m2)
+    gram = np.einsum("iab,jab->ij", project_onto(sub, mats), mats)
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (gram + gram.T))
+    direction = np.einsum("i,iab->ab", eigvecs[:, -1], mats)
+    value = theory._feasible_blend(design, sub, direction / float(np.linalg.norm(direction)))
+    return value, (eigvals[-1] - eigvals[-2]) / eigvals[-1] if eigvals.size > 1 else 1.0
+
+
+def reference_refined_extrema(design, sub):
+    """The refinement's (low, high) from :func:`gram_block_value`, with the
+    smallest relative eigengap over its blocks."""
+    d = design.m1 * design.m2
+    eigvals = design.gram_eigh[0]
+    k = min(theory._REFINE_SUBSPACE, d)
+    null_dim = int(np.count_nonzero(eigvals <= 1e-12 * max(eigvals[-1], 0.0)))
+    low_blocks = [slice(0, k)] + ([slice(0, null_dim)] if 0 < null_dim < k else [])
+    lows = [gram_block_value(design, sub, block) for block in low_blocks]
+    high = gram_block_value(design, sub, slice(d - k, d))
+    gap = min(g for _, g in [*lows, high])
+    return min(v for v, _ in lows), high[0], gap
+
+
+def reference_probe(design, sub, trials, rng):
+    kappa_hat, rho_hat = math.inf, -math.inf
+    for value in reference_values(design, sub, trials, rng):
+        if value is not None:
+            kappa_hat, rho_hat = min(kappa_hat, value), max(rho_hat, value)
     if isinstance(design, SensingDesign):
-        low, high = _refined_extrema(design, sub)
+        low, high, gap = reference_refined_extrema(design, sub)
+        if gap <= GAP_RTOL:
+            # m1 m2 <= _REFINE_SUBSPACE: each block spans the whole space, every
+            # aligned direction has full core mass, and the refinement's pick
+            # among them is arbitrary, so no reference can reproduce it
+            low, high = _refined_extrema(design, sub)
         kappa_hat, rho_hat = min(kappa_hat, low), max(rho_hat, high)
     return kappa_hat, rho_hat
 
@@ -85,8 +130,8 @@ def make_case(model, m1, m2, r, seed, n=None):
     return design, sub
 
 
-def close(a, b, rtol):
-    return a == b or abs(a - b) <= rtol * max(abs(a), abs(b))
+def close(a, b, rtol, atol=0.0):
+    return a == b or abs(a - b) <= max(rtol * max(abs(a), abs(b)), atol)
 
 
 CASES = [
@@ -119,10 +164,70 @@ def test_chunked_probe_matches_per_direction_loop(model, m1, m2, r, trials, n):
     kappa, rho = reference_probe(design, sub, trials, rng_ref)
     probe = probe_rsc(design, sub, trials, rng_new)
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
-    assert close(probe.kappa_hat, kappa, PROBE_RTOL)
+    assert close(probe.kappa_hat, kappa, PROBE_RTOL, ZERO_ATOL)
     assert close(probe.rho_hat, rho, PROBE_RTOL)
     if r == 0:
         assert probe.kappa_hat == math.inf
+
+
+REFINE_CASES = [
+    # (m1, m2, r, n): criterion 5; criterion 3, whose low block lies in the null
+    # space; n just below m1 m2, and 12 x 12 at n = 100, whose null spaces are
+    # narrower than the block and take a second low block; the refined minima
+    # of these three are zero to rounding
+    (20, 20, 4, 3000),
+    (20, 20, 5, 300),
+    (20, 20, 5, 380),
+    (10, 10, 2, 2000),
+    (12, 12, 3, 100),
+    (9, 7, 2, 126),
+]
+
+
+@pytest.mark.parametrize("m1,m2,r,n", REFINE_CASES, ids=map(case_id, REFINE_CASES))
+def test_refined_extrema_match_gram_eigenvector_reference(m1, m2, r, n):
+    design, sub = make_case("sensing", m1, m2, r, seed=300 + r, n=n)
+    low, high, gap = reference_refined_extrema(design, sub)
+    assert gap > GAP_RTOL
+    got_low, got_high = _refined_extrema(design, sub)
+    assert close(got_low, low, REFINE_RTOL, ZERO_ATOL)
+    assert close(got_high, high, REFINE_RTOL)
+
+
+CLOSED_FORM_CASES = [
+    # (model, m1, m2, r); r = min(m1, m2) has no complement part
+    ("completion", 12, 10, 3),
+    ("completion", 7, 5, 5),
+    ("sensing", 8, 6, 2),
+    ("sensing", 5, 6, 5),
+]
+
+
+@pytest.mark.parametrize(
+    "model,m1,m2,r", CLOSED_FORM_CASES, ids=["-".join(map(str, c)) for c in CLOSED_FORM_CASES]
+)
+def test_curvature_model_values_every_direction(monkeypatch, model, m1, m2, r):
+    # bounds that prune nothing: the model values every drawn direction, and
+    # each must be the quadratic form of the rebuilt, normalized direction
+    design, sub = make_case(model, m1, m2, r, seed=40 + r)
+    valued = []
+
+    def recording_model(*args):
+        values = curvature_model(*args)
+        valued.extend(np.maximum(values, 0.0))
+        return values
+
+    curvature_model = theory._curvature_model
+    monkeypatch.setattr(theory, "_curvature_model", recording_model)
+    monkeypatch.setattr(
+        theory, "_value_bounds", lambda a, *_: (np.zeros(a.shape), np.full(a.shape, math.inf))
+    )
+    trials = 2 * theory._PROBE_CHUNK + 3
+    probe_rsc(design, sub, trials, np.random.default_rng(41))
+    want = list(reference_values(design, sub, trials, np.random.default_rng(41)))
+    assert len(valued) == trials and None not in want
+    for got, value in zip(valued, want):
+        assert close(got, value, PROBE_RTOL)
 
 
 @pytest.mark.parametrize("model", ["completion", "sensing"])

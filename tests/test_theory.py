@@ -188,6 +188,16 @@ def test_probe_rsc_refinement_finds_null_directions():
     assert probe_rsc(design, sub, 200, np.random.default_rng(8)).kappa_hat == low
 
 
+def test_refined_minimum_is_zero_on_a_null_direction():
+    # one measurement of a 2 x 2 matrix with r = 2: the cone is the whole space
+    # and holds a 3-dim null space, so the refined minimum is exactly 0, not
+    # the rounding left in the quadratic form of a null direction
+    sub = Subspace(np.eye(2), np.eye(2))
+    for seed in range(8):
+        design = sample_sensing_design(np.random.default_rng(seed), 2, 2, 1)
+        assert theory._refined_extrema(design, sub)[0] == 0.0
+
+
 def bisection_blend(design, sub, direction):
     """The 30-step bisection the closed-form cone blend replaced."""
     core = project_onto(sub, direction)
