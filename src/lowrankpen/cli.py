@@ -269,11 +269,13 @@ def _guard_cells(m1: int, m2: int) -> None:
 
 def _guard_trial(spec: TrialSpec) -> None:
     """Floats one trial allocates: the m1 x m2 iterate plus the n index pairs
-    and responses for completion; the n x m1 x m2 design plus its
-    (m1*m2)^2 Gram matrix for sensing."""
+    and responses for completion; for sensing the n x m1 x m2 design plus
+    two d x d matrices (d = m1*m2), the Gram matrix and the eigenvectors of
+    :attr:`~lowrankpen.operators.SensingDesign.gram_eigh`, which the step
+    size and the curvature refinement read."""
     d = spec.m1 * spec.m2
     if spec.model == simlab.SENSING:
-        floats = max(spec.n_grid) * d + d * d
+        floats = max(spec.n_grid) * d + 2 * d * d
     else:
         floats = d + 3 * max(spec.n_grid)
     if floats > MAX_CELLS:

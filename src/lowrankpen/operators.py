@@ -237,7 +237,9 @@ def row_grams(weights: np.ndarray, frame: np.ndarray) -> np.ndarray:
 
 def subspace_hessian(design: Design, sub: Subspace) -> np.ndarray:
     """K^T H K for K = U kron V, the Hessian of the loss over the r x r
-    coefficients C of U C V^T, indexed like row-major vec(C).
+    coefficients C of U C V^T, indexed like row-major vec(C): the system
+    matrix of the solver's oracle solve and, for sensing, the curvature of
+    the aligned directions in the theory's refined curvature range.
 
     Completion never forms the (m1*m2) x r^2 matrix K: H is diagonal, so
     K^T H K = sum_j (u_j u_j^T) kron (V^T diag(w_j) V), u_j the j-th row of U

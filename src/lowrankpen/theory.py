@@ -14,8 +14,9 @@ evaluated with the empirical estimates returned by :func:`probe_rsc` and
 labeled as such by callers.  Unspecified rule constants are a single
 multiplier ``c`` of each rule function, default
 :data:`DEFAULT_RULE_CONSTANT` = 2.0, the constant of the theoretical
-threshold; the simulation lab and the CLI always use it.  Logarithms in the
-rate formulas are natural.
+threshold, which the simulation lab and the CLI use, except that the lab
+takes the oracle rule's noise term as the standard rule at c = 1.
+Logarithms in the rate formulas are natural.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from lowrankpen.operators import (
     SensingDesign,
     Subspace,
     hessian_product,
-    project_onto,
-    quadratic_form,
+    subspace_hessian,
 )
 
 DEFAULT_RULE_CONSTANT = 2.0
@@ -188,72 +188,64 @@ def cone_condition(delta: np.ndarray, sub: Subspace) -> tuple[float, bool]:
     return ratio, bool(complement <= CONE_FACTOR * aligned)
 
 
-def _feasible_blend(
-    design: Design, sub: Subspace, direction: np.ndarray
-) -> float | None:
-    """Quadratic-form value of the direction pulled just inside the cone.
-
-    Blends the direction D with its own aligned core C = P(D)/||P(D)||_F
-    onto the cone boundary; returns None when no feasible blend exists (zero
-    core).  Along the blend (1-t) D + t C the complement part scales by
-    (1-t) and the aligned part by (1-t) + t/||P(D)||_F, so the ratio from
-    :func:`cone_condition` reaches 5 at t = e/(e + 5) with
-    e = (ratio - 5) ||P(D)||_F.  The blend keeps the complement part
-    (1-t) P_perp(D), nonzero outside the cone, so its norm is positive.
-    """
-    core = project_onto(sub, direction)
-    core_norm = float(np.linalg.norm(core))
-    if core_norm == 0.0:
-        return None
-    ratio, in_cone = cone_condition(direction, sub)
-    if in_cone:
-        return quadratic_form(design, direction)
-    excess = (ratio - CONE_FACTOR) * core_norm
-    t = excess / (excess + CONE_FACTOR)
-    cand = (1.0 - t) * direction + (t / core_norm) * core
-    return quadratic_form(design, cand / float(np.linalg.norm(cand)))
-
-
 _REFINE_SUBSPACE = 60
 
 
 def _refined_extrema(design: SensingDesign, sub: Subspace) -> tuple[float, float] | None:
-    """Cone-feasible near-extremal curvature values via the exact Hessian.
+    """Cone-feasible near-extremal curvature values via the exact Hessian H.
 
-    Takes the cached eigendecomposition of the d x d Hessian X^T X / n of the
-    quadratic form (d = m1*m2), then searches the bottom (and top)
-    eigen-subspaces for cone-feasible directions: within a span of
-    orthonormal eigenvectors B_1..B_k, the unit direction sum_i w_i B_i of
-    largest aligned-core mass ||sum_i w_i U^T B_i V||_F^2 takes w as the top
-    left singular vector of the k x r^2 stack of the cores U^T B_i V, and is
-    blended into the cone.  This reaches the near-zero curvature directions
-    that random sampling cannot find when n is comparable to d.
+    Candidates, none of which takes an m1 x m2 Hessian product:
+
+    * the extreme eigenvalues of K = :func:`subspace_hessian`, exact values
+      of the unit aligned directions U C V^T, which lie in the cone;
+    * within the bottom (and top) eigen-subspaces of H (its cached
+      eigendecomposition), spanned by eigenvectors B_1..B_k with eigenvalues
+      lambda_i, the unit direction D = sum_i w_i B_i of largest aligned-core
+      mass p = ||C||_F^2, C = sum_i w_i U^T B_i V (w the top left singular
+      vector of the k x r^2 stack of the cores), pulled into the cone by
+      scaling D - P(D) by s = min(1, 5/ratio), ratio from
+      :func:`cone_condition`.  Its value is v(s) of :func:`_curvature_model`
+      with a = vec(C)^T K vec(C), h = <P(D), HD> = <C, sum_i lambda_i w_i
+      U^T B_i V>, b = h - a, c = q(D) - 2h + a, q(D) = sum_i lambda_i w_i^2
+      and p_perp = 1 - p.
+
+    The eigen-subspace directions reach the near-zero curvature that random
+    sampling misses when n is comparable to m1*m2; K's extremes make the
+    range a function of the design when m1*m2 <= ``_REFINE_SUBSPACE``, where
+    a block holds every aligned direction at full core mass.  None when
+    r = 0: the cone then holds no unit direction.
     """
-    d = design.m1 * design.m2
+    if sub.r == 0:
+        return None
+    m1, m2 = design.m1, design.m2
     eigvals, eigvecs = design.gram_eigh
+    k_mat = subspace_hessian(design, sub)
 
     def block_value(block: slice) -> float | None:
-        basis = eigvecs[:, block]
-        cores = sub.U.T @ basis.T.reshape(-1, design.m1, design.m2) @ sub.V
-        w = np.linalg.svd(cores.reshape(basis.shape[1], -1))[0][:, 0]
-        direction = (basis @ w).reshape(design.m1, design.m2)
-        return _feasible_blend(design, sub, direction / float(np.linalg.norm(direction)))
+        basis, lam = eigvecs[:, block], eigvals[block]
+        cores = (sub.U.T @ basis.T.reshape(-1, m1, m2) @ sub.V).reshape(basis.shape[1], -1)
+        w = np.linalg.svd(cores)[0][:, 0]
+        core = w @ cores
+        mass = float(core @ core)
+        if mass == 0.0:
+            return None
+        ratio, in_cone = cone_condition((basis @ w).reshape(m1, m2), sub)
+        a = float(core @ k_mat @ core)
+        h = float(core @ ((lam * w) @ cores))
+        s = 1.0 if in_cone else CONE_FACTOR / ratio
+        return _curvature_model(a, h - a, float(lam @ (w * w)) - 2.0 * h + a, mass, 1.0 - mass, s)
 
-    k = min(_REFINE_SUBSPACE, d)
+    k = min(_REFINE_SUBSPACE, m1 * m2)
     null_tol = 1e-12 * max(eigvals[-1], 0.0)
     null_dim = int(np.count_nonzero(eigvals <= null_tol))
-    low_candidates = [block_value(slice(0, k))]
+    aligned = np.linalg.eigvalsh(k_mat)
+    low_candidates = [aligned[0], block_value(slice(0, k))]
     if 0 < null_dim < k:
         low_candidates.append(block_value(slice(0, null_dim)))
     # a value no larger than a null eigenvalue is zero curvature, not rounding noise
-    lows = [v if v > null_tol else 0.0 for v in low_candidates if v is not None]
-    high = block_value(slice(d - k, d))
-    if not lows and high is None:
-        return None
-    return (
-        min(lows) if lows else math.inf,
-        high if high is not None else -math.inf,
-    )
+    low = min(v if v > null_tol else 0.0 for v in low_candidates if v is not None)
+    high = max(v for v in (aligned[-1], block_value(slice(-k, None))) if v is not None)
+    return float(low), float(high)
 
 
 # directions stacked per chunk: large enough to amortize the per-call cost of
@@ -353,8 +345,8 @@ def probe_rsc(
     that rebuilds each direction and takes its quadratic form.
 
     On a sensing design the sampled range is widened by cone-feasible
-    directions built from the exact extreme eigen-subspaces of the quadratic
-    form (:func:`_refined_extrema`), driving kappa_hat toward the cone
+    directions from the exact Hessian, valued by the same v
+    (:func:`_refined_extrema`), driving kappa_hat toward the cone
     infimum instead of the sampled minimum.  The refinement runs before the
     sampling and seeds both running extremes, so few sampled directions
     reach them.  Plain sampling concentrates near the typical curvature and

@@ -42,8 +42,9 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-from lowrankpen.operators import CompletionDesign
+from lowrankpen.operators import CompletionDesign, project_onto, quadratic_form
 from lowrankpen.penalty import penalty_value
+from lowrankpen.theory import CONE_FACTOR, cone_condition
 
 from constants import PROX_GRID_STEP
 
@@ -98,3 +99,26 @@ def random_low_rank(rng, m1, m2, gammas):
     u, _, vt = np.linalg.svd(rng.standard_normal((m1, m2)), full_matrices=False)
     r = g.size
     return (u[:, :r] * g) @ vt[:r], u[:, :r], vt[:r].T
+
+
+def bisection_blend(design, sub, direction):
+    """Quadratic form of the unit ``direction`` D pulled onto the cone boundary
+    by bisection to float resolution.  Along the blend (1-t) D + t C, C the
+    aligned part P(D) over its norm, the complement part scales by (1-t) and
+    the aligned part by (1-t) + t/||P(D)||_F, and the smallest t that brings
+    the nuclear-norm ratio to 5 is bisected for.  A direction inside the cone
+    is its own blend."""
+    ratio, in_cone = cone_condition(direction, sub)
+    if in_cone:
+        return quadratic_form(design, direction)
+    core = project_onto(sub, direction)
+    core_norm = float(np.linalg.norm(core))
+    lo, hi = 0.0, 1.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if (1.0 - mid) * ratio <= CONE_FACTOR * ((1.0 - mid) + mid / core_norm):
+            hi = mid
+        else:
+            lo = mid
+    cand = (1.0 - hi) * direction + (hi / core_norm) * core
+    return quadratic_form(design, cand / np.linalg.norm(cand))

@@ -466,6 +466,19 @@ def test_simulate_resource_guard_counts_design_and_gram(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_simulate_resource_guard_counts_the_gram_eigenvectors(tmp_path, monkeypatch):
+    # 80 x 80 sensing at n = 3000: the design and the Gram matrix are 6.0e7
+    # floats, and the Gram eigenvectors take the trial to 1.01e8
+    def no_trials(*args, **kwargs):
+        raise AssertionError("the guard must trip before any trial runs")
+
+    monkeypatch.setattr(cli.simlab, "run_grid", no_trials)
+    config = minimal_config(tmp_path, model="sensing", m1=80, m2=80, n_grid=[3000])
+    out = tmp_path / "out"
+    assert run_cli("simulate", config, "--out-dir", out, "--jobs", 1) == 4
+    assert not out.exists()
+
+
 def test_simulate_resource_guard_counts_completion_samples(tmp_path, monkeypatch):
     # 8 x 8 completion: the iterate is tiny, the 10**12 index pairs are not
     def no_trials(*args, **kwargs):

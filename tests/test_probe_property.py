@@ -3,14 +3,15 @@
 ``reference_probe`` is the per-direction loop the probe replaced: two full
 singular-value decompositions and one quadratic form of the rebuilt,
 normalized direction per direction, widened on a sensing design by the
-refined extrema as the probe is, here from ``reference_refined_extrema``,
-the Gram-matrix formulation the refinement replaced.  The chunked probe must
-consume the same random stream and reproduce its estimates to rounding,
-valuing only the directions whose curvature bounds can reach the running
-extremes by the closed-form curvature model those bounds come from; the
-model must give every direction's quadratic form, the bounds must bracket
-every value they prune, and the stacked operators the probe is built on
-must reproduce their one-matrix calls.
+refined extrema as the probe is, here from ``reference_refined_extrema``:
+the top eigenvector of each block's Gram matrix, blended onto the cone by
+bisection, and the aligned extremes from the explicit aligned basis.  The
+chunked probe must consume the same random stream and reproduce its
+estimates to rounding, valuing only the directions whose curvature bounds
+can reach the running extremes by the closed-form curvature model those
+bounds come from; the model must give every direction's quadratic form, the
+bounds must bracket every value they prune, and the stacked operators the
+probe is built on must reproduce their one-matrix calls.
 """
 
 import math
@@ -39,14 +40,14 @@ from lowrankpen.theory import (
     probe_rsc,
 )
 
-from conftest import random_low_rank
+from conftest import bisection_blend, random_low_rank
 
 PROBE_RTOL = 1e-12
 STACK_RTOL = 1e-15
 # curvature values of unit directions within this of zero are zero to rounding
 # (the Hessians here have spectral norms of at most about 4)
 ZERO_ATOL = 1e-13
-# the refinement's direction is unique only above this relative eigengap
+# a block's core-mass-optimal direction is unique only above this relative eigengap
 GAP_RTOL = 1e-8
 REFINE_RTOL = 1e-10
 
@@ -74,21 +75,31 @@ def reference_values(design, sub, trials, rng):
 
 
 def gram_block_value(design, sub, block):
-    """Blended value of a block's core-mass-optimal direction, taken as the top
-    eigenvector of the k x k Gram matrix <P(B_i), B_j> of the block's
-    eigenvectors B_i, and the relative gap below that top eigenvalue (the
-    direction is unique only when it is positive)."""
+    """Bisection-blended value of a block's core-mass-optimal direction, taken
+    as the top eigenvector of the k x k Gram matrix <P(B_i), B_j> of the
+    block's eigenvectors B_i, and the relative gap below that top eigenvalue
+    (the direction is unique only when it is positive)."""
     mats = design.gram_eigh[1][:, block].T.reshape(-1, design.m1, design.m2)
     gram = np.einsum("iab,jab->ij", project_onto(sub, mats), mats)
     eigvals, eigvecs = np.linalg.eigh(0.5 * (gram + gram.T))
     direction = np.einsum("i,iab->ab", eigvecs[:, -1], mats)
-    value = theory._feasible_blend(design, sub, direction / float(np.linalg.norm(direction)))
+    value = bisection_blend(design, sub, direction / float(np.linalg.norm(direction)))
     return value, (eigvals[-1] - eigvals[-2]) / eigvals[-1] if eigvals.size > 1 else 1.0
 
 
+def aligned_extremes(design, sub):
+    """Smallest and largest quadratic form over unit aligned directions
+    U C V^T: the extreme eigenvalues of the Gram matrix restricted to the
+    orthonormal basis u_a v_b^T of the aligned matrices."""
+    basis = np.einsum("ia,jb->abij", sub.U, sub.V).reshape(sub.r**2, -1)
+    eigvals = np.linalg.eigvalsh(basis @ design.gram @ basis.T)
+    return eigvals[0], eigvals[-1]
+
+
 def reference_refined_extrema(design, sub):
-    """The refinement's (low, high) from :func:`gram_block_value`, with the
-    smallest relative eigengap over its blocks."""
+    """The refinement's (low, high) from :func:`gram_block_value` and
+    :func:`aligned_extremes`, with the smallest relative eigengap over the
+    blocks."""
     d = design.m1 * design.m2
     eigvals = design.gram_eigh[0]
     k = min(theory._REFINE_SUBSPACE, d)
@@ -97,7 +108,8 @@ def reference_refined_extrema(design, sub):
     lows = [gram_block_value(design, sub, block) for block in low_blocks]
     high = gram_block_value(design, sub, slice(d - k, d))
     gap = min(g for _, g in [*lows, high])
-    return min(v for v, _ in lows), high[0], gap
+    aligned_low, aligned_high = aligned_extremes(design, sub)
+    return min(aligned_low, *(v for v, _ in lows)), max(aligned_high, high[0]), gap
 
 
 def reference_probe(design, sub, trials, rng):
@@ -106,12 +118,7 @@ def reference_probe(design, sub, trials, rng):
         if value is not None:
             kappa_hat, rho_hat = min(kappa_hat, value), max(rho_hat, value)
     if isinstance(design, SensingDesign):
-        low, high, gap = reference_refined_extrema(design, sub)
-        if gap <= GAP_RTOL:
-            # m1 m2 <= _REFINE_SUBSPACE: each block spans the whole space, every
-            # aligned direction has full core mass, and the refinement's pick
-            # among them is arbitrary, so no reference can reproduce it
-            low, high = _refined_extrema(design, sub)
+        low, high, _ = reference_refined_extrema(design, sub)
         kappa_hat, rho_hat = min(kappa_hat, low), max(rho_hat, high)
     return kappa_hat, rho_hat
 
@@ -174,13 +181,16 @@ REFINE_CASES = [
     # (m1, m2, r, n): criterion 5; criterion 3, whose low block lies in the null
     # space; n just below m1 m2, and 12 x 12 at n = 100, whose null spaces are
     # narrower than the block and take a second low block; the refined minima
-    # of these three are zero to rounding
+    # of these three are zero to rounding; m1 m2 <= _REFINE_SUBSPACE, where
+    # each block spans the whole space
     (20, 20, 4, 3000),
     (20, 20, 5, 300),
     (20, 20, 5, 380),
     (10, 10, 2, 2000),
     (12, 12, 3, 100),
     (9, 7, 2, 126),
+    (8, 6, 2, 96),
+    (5, 6, 2, 60),
 ]
 
 
@@ -188,10 +198,17 @@ REFINE_CASES = [
 def test_refined_extrema_match_gram_eigenvector_reference(m1, m2, r, n):
     design, sub = make_case("sensing", m1, m2, r, seed=300 + r, n=n)
     low, high, gap = reference_refined_extrema(design, sub)
-    assert gap > GAP_RTOL
     got_low, got_high = _refined_extrema(design, sub)
     assert close(got_low, low, REFINE_RTOL, ZERO_ATOL)
     assert close(got_high, high, REFINE_RTOL)
+    if m1 * m2 > theory._REFINE_SUBSPACE:
+        assert gap > GAP_RTOL
+    else:
+        # every aligned direction has full core mass, so a block's pick among
+        # them is arbitrary; the refined range is the aligned one regardless
+        aligned_low, aligned_high = aligned_extremes(design, sub)
+        assert close(got_low, aligned_low, PROBE_RTOL) and got_low < got_high
+        assert close(got_high, aligned_high, PROBE_RTOL)
 
 
 CLOSED_FORM_CASES = [
@@ -214,7 +231,8 @@ def test_curvature_model_values_every_direction(monkeypatch, model, m1, m2, r):
 
     def recording_model(*args):
         values = curvature_model(*args)
-        valued.extend(np.maximum(values, 0.0))
+        if np.ndim(values):  # a chunk's directions; the refinement's calls are scalar
+            valued.extend(np.maximum(values, 0.0))
         return values
 
     curvature_model = theory._curvature_model

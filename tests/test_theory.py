@@ -8,6 +8,7 @@ from lowrankpen.operators import (
     Subspace,
     apply_adjoint,
     apply_forward,
+    apply_hessian,
     generate_observations,
     loss_gradient,
     project_complement,
@@ -31,7 +32,7 @@ from lowrankpen.theory import (
     weyl_gap,
 )
 
-from conftest import full_observation_design, random_low_rank
+from conftest import bisection_blend, full_observation_design, random_low_rank
 from constants import WEYL_SLACK
 
 
@@ -191,54 +192,48 @@ def test_probe_rsc_refinement_finds_null_directions():
 def test_refined_minimum_is_zero_on_a_null_direction():
     # one measurement of a 2 x 2 matrix with r = 2: the cone is the whole space
     # and holds a 3-dim null space, so the refined minimum is exactly 0, not
-    # the rounding left in the quadratic form of a null direction
+    # the rounding left in the quadratic form of a null direction; every unit
+    # direction is aligned, so the refined maximum is the Gram matrix's top
+    # eigenvalue whichever direction the blocks pick
     sub = Subspace(np.eye(2), np.eye(2))
     for seed in range(8):
         design = sample_sensing_design(np.random.default_rng(seed), 2, 2, 1)
-        assert theory._refined_extrema(design, sub)[0] == 0.0
+        low, high = theory._refined_extrema(design, sub)
+        assert low == 0.0
+        assert high == pytest.approx(np.linalg.eigvalsh(design.gram)[-1], rel=1e-12)
 
 
-def bisection_blend(design, sub, direction):
-    """The 30-step bisection the closed-form cone blend replaced."""
-    core = project_onto(sub, direction)
-    core_norm = float(np.linalg.norm(core))
-    core = core / core_norm
-    ratio, _ = cone_condition(direction, sub)
-    lo, hi = 0.0, 1.0
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if (1.0 - mid) * ratio <= CONE_FACTOR * ((1.0 - mid) + mid / core_norm):
-            hi = mid
-        else:
-            lo = mid
-    cand = (1.0 - hi) * direction + hi * core
-    return quadratic_form(design, cand / np.linalg.norm(cand))
-
-
-def test_feasible_blend_lands_on_the_cone_boundary(monkeypatch):
+def test_feasible_blend_lands_on_the_cone_boundary():
+    # scaling the out-of-core part D - P(D) of a direction outside the cone by
+    # min(1, 5/ratio), as the refinement does, puts its ratio at 5 with the
+    # bisection blend's value, which the curvature model gives from the parts
     rng = np.random.default_rng(14)
     m, n = 8, 40
     _, u, v = random_low_rank(rng, m, m, [2.0, 1.0])
     sub = Subspace(u, v)
     design = sample_sensing_design(rng, m, m, n)
-    blended = []
-
-    def recording_form(design, theta):
-        blended.append(theta)
-        return quadratic_form(design, theta)
-
-    monkeypatch.setattr(theory, "quadratic_form", recording_form)
     outside = 0
     for _ in range(50):
         direction = rng.standard_normal((m, m))
         direction /= np.linalg.norm(direction)
-        if cone_condition(direction, sub)[1]:
+        ratio, in_cone = cone_condition(direction, sub)
+        if in_cone:
             continue
         outside += 1
-        value = theory._feasible_blend(design, sub, direction)
-        assert cone_condition(blended[-1], sub)[0] == pytest.approx(CONE_FACTOR, abs=1e-12)
-        assert np.linalg.norm(blended[-1]) == pytest.approx(1.0, abs=1e-12)
+        aligned = project_onto(sub, direction)
+        rest = direction - aligned
+        s = min(1.0, CONE_FACTOR / ratio)
+        blend = aligned + s * rest
+        assert cone_condition(blend, sub)[0] == pytest.approx(CONE_FACTOR, abs=1e-12)
+        value = quadratic_form(design, blend / np.linalg.norm(blend))
         assert value == pytest.approx(bisection_blend(design, sub, direction), rel=1e-8)
+        a, b, c = (
+            float(np.vdot(x, apply_hessian(design, y)))
+            for x, y in ((aligned, aligned), (aligned, rest), (rest, rest))
+        )
+        mass = float(np.vdot(aligned, aligned))
+        model = theory._curvature_model(a, b, c, mass, 1.0 - mass, s)
+        assert model == pytest.approx(value, rel=1e-10)
     assert outside >= 25
 
 
