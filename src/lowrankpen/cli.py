@@ -129,8 +129,6 @@ def parse_run_config(cfg: dict) -> TrialSpec:
 
     scalars = _read_fields(TrialSpec, cfg, "config")
     model, m1, m2, r = (scalars[key] for key in ("model", "m1", "m2", "r"))
-    if model not in (simlab.COMPLETION, simlab.SENSING):
-        raise ConfigError("model", f"must be 'completion' or 'sensing', got {model!r}")
     for key, size in (("m1", m1), ("m2", m2)):
         if size < 1:
             raise ConfigError(key, "dimensions must be positive")
@@ -156,8 +154,9 @@ def parse_run_config(cfg: dict) -> TrialSpec:
                 simlab.raw_sample_size(model, float(x), r, max(m1, m2)) for x in cfg["N_grid"]
             )
         except (ValueError, OverflowError) as exc:
-            # a 1 x 1 completion shape is rejected by name; NaN and overflow by N_grid
-            raise _field_error(exc, ("m1",), "N_grid") from None
+            # a model and a 1 x 1 completion shape are rejected by name;
+            # NaN and overflow by N_grid
+            raise _field_error(exc, ("m1", "model"), "N_grid") from None
         if min(n_grid) < 1:
             raise ConfigError(
                 "N_grid", f"entries must give sample sizes of at least 1, got n = {min(n_grid)}"
@@ -194,7 +193,7 @@ def cmd_simulate(args) -> int:
         except json.JSONDecodeError as exc:
             raise ConfigError("<json>", f"config is not valid JSON: {exc}") from None
     spec = parse_run_config(cfg)
-    _guard_trial(spec)
+    _guard(spec.model, spec.m1, spec.m2, max(spec.n_grid))
     t0 = time.perf_counter()
     result = simlab.run_grid(spec, jobs=args.jobs)
     elapsed = time.perf_counter() - t0
@@ -222,12 +221,12 @@ def _fit_file_data(args, m1: int, m2: int, entries: np.ndarray, y: np.ndarray):
     if lam is None:
         if args.sigma is None:
             raise ConfigError("lambda", "pass --lambda or --sigma to resolve it")
-        lam = simlab.standard_lambda(simlab.COMPLETION, args.sigma, m1, m2, design.n)
-        if not (math.isfinite(lam) and lam > 0):
-            raise ConfigError(
-                "--sigma",
-                f"must give a finite positive lambda, got lambda = {lam!r} at n = {design.n}",
-            )
+        try:
+            lam = simlab.standard_lambda(simlab.COMPLETION, args.sigma, m1, m2, design.n)
+        except ValueError as exc:
+            if str(exc).startswith("sigma"):
+                raise ConfigError("--sigma", str(exc)) from None
+            raise  # a 1 x 1 shape is named by m1 and m2, not --sigma
     # zeta_minus at half the completion curvature scale 1 / (m1 m2), as in
     # criterion 4; eta <= m1 m2 keeps the SCAD/MCP prox convex
     b = 1.0 + 2.0 * m1 * m2 if args.b is None else args.b
@@ -252,7 +251,7 @@ def _read_triplet_file(args) -> tuple[np.ndarray, int, int]:
     jj, kk = triplets[:, 0], triplets[:, 1]
     m1 = args.m1 if args.m1 else int(jj.max()) + 1
     m2 = args.m2 if args.m2 else int(kk.max()) + 1
-    _guard_cells(m1, m2)
+    _guard(simlab.COMPLETION, m1, m2, len(triplets))
     bad = np.flatnonzero((jj >= m1) | (kk >= m2))
     if bad.size:
         j, k = int(jj[bad[0]]), int(kk[bad[0]])
@@ -260,27 +259,19 @@ def _read_triplet_file(args) -> tuple[np.ndarray, int, int]:
     return triplets, m1, m2
 
 
-def _guard_cells(m1: int, m2: int) -> None:
-    if m1 * m2 > MAX_CELLS:
-        raise ResourceGuardError(
-            f"matrix of {m1} x {m2} = {m1 * m2} cells exceeds the {MAX_CELLS} guard"
-        )
-
-
-def _guard_trial(spec: TrialSpec) -> None:
-    """Floats one trial allocates: the m1 x m2 iterate plus the n index pairs
-    and responses for completion; for sensing the n x m1 x m2 design plus
-    two d x d matrices (d = m1*m2), the Gram matrix and the eigenvectors of
-    :attr:`~lowrankpen.operators.SensingDesign.gram_eigh`, which the step
-    size and the curvature refinement read."""
-    d = spec.m1 * spec.m2
-    if spec.model == simlab.SENSING:
-        floats = max(spec.n_grid) * d + 2 * d * d
-    else:
-        floats = d + 3 * max(spec.n_grid)
+def _guard(model: str, m1: int, m2: int, n: int) -> None:
+    """Reject a fit of n observations (a grid's largest n; m1*m2 for a dense
+    file) of d = m1*m2 cells over :data:`MAX_CELLS` floats: for completion
+    the iterate plus the n index pairs and responses, d + 3n; for sensing
+    the n x d design plus two d x d matrices, the Gram matrix and the
+    eigenvectors of :attr:`~lowrankpen.operators.SensingDesign.gram_eigh`,
+    which the step size and the curvature refinement read, n*d + 2d^2."""
+    d = m1 * m2
+    floats = n * d + 2 * d * d if model == simlab.SENSING else d + 3 * n
     if floats > MAX_CELLS:
         raise ResourceGuardError(
-            f"one {spec.model} trial needs {floats} floats, over the {MAX_CELLS} guard"
+            f"one {model} fit of {m1} x {m2} at n = {n} needs {floats} floats, "
+            f"over the {MAX_CELLS} guard"
         )
 
 
@@ -291,6 +282,8 @@ def _check_flags(args) -> None:
     for flag, value in (("--m1", args.m1), ("--m2", args.m2)):
         if value is not None and value < 1:
             raise ConfigError(flag, f"must be at least 1, got {value}")
+    if getattr(args, "seed", 0) < 0:
+        raise ConfigError("--seed", f"must be nonnegative, got {args.seed}")
 
 
 def cmd_fit(args) -> int:
@@ -301,7 +294,7 @@ def cmd_fit(args) -> int:
     if fmt == "dense":
         dense = fileio.read_dense_matrix(args.input)
         m1, m2 = dense.shape
-        _guard_cells(m1, m2)
+        _guard(simlab.COMPLETION, m1, m2, m1 * m2)
         entries = np.indices((m1, m2)).reshape(2, -1).T
         y = dense.ravel()
     else:

@@ -85,16 +85,21 @@ SpectrumRule = AllAboveNu | MixedSpectrum
 class PenaltyTemplate:
     """Penalty family and concavity parameter; lambda is resolved per trial.
 
-    For the nuclear norm ``b`` is not a penalty parameter, but spectrum rules
-    still use b*lambda as the scale reference so convex and nonconvex cells
-    of a grid draw comparable ground truths.
+    ``b`` must be positive for every family.  For the nuclear norm it is not
+    a penalty parameter, but spectrum rules still use b*lambda as the scale
+    reference so convex and nonconvex cells of a grid draw comparable ground
+    truths.
     """
 
     family: str
-    b: float = 0.0
+    b: float
 
     def __post_init__(self) -> None:
         check_family(self.family, self.b)
+        if not self.b > 0:
+            raise ValueError(
+                f"b must be positive (it sets the truth scale b*lambda), got b={self.b}"
+            )
 
 
 def _check_low_value(rule: MixedSpectrum, nu: float) -> None:
@@ -108,7 +113,9 @@ def _check_low_value(rule: MixedSpectrum, nu: float) -> None:
 @dataclass(frozen=True)
 class TrialSpec:
     """Complete description of a simulation grid.  A ``ValueError`` whose
-    message opens with a field's name rejects that field."""
+    message opens with a field's name rejects that field.  The model and
+    sigma are checked by :func:`standard_lambda`, called at every n so that a
+    grid fails before any trial runs; b by :class:`PenaltyTemplate`."""
 
     model: str
     m1: int
@@ -124,8 +131,6 @@ class TrialSpec:
     lambda_rule: str = "standard"
 
     def __post_init__(self) -> None:
-        if self.model not in (COMPLETION, SENSING):
-            raise ValueError(f"model must be {COMPLETION!r} or {SENSING!r}, got {self.model!r}")
         if self.r < 1 or self.r > min(self.m1, self.m2):
             raise ValueError("r must satisfy 1 <= r <= min(m1, m2)")
         if not self.n_grid or any(n < 1 for n in self.n_grid):
@@ -134,15 +139,7 @@ class TrialSpec:
             raise ValueError("penalties must hold at least one template")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
         lams = [standard_lambda(self.model, self.sigma, self.m1, self.m2, n) for n in self.n_grid]
-        for n, lam in zip(self.n_grid, lams):
-            if not (math.isfinite(lam) and lam > 0):
-                raise ValueError(
-                    "sigma must give a finite positive lambda at every n, "
-                    f"got sigma = {self.sigma!r} (lambda = {lam!r} at n = {n})"
-                )
         if self.lambda_rule not in ("standard", "oracle"):
             raise ValueError(
                 f"lambda_rule must be 'standard' or 'oracle', got {self.lambda_rule!r}"
@@ -150,12 +147,6 @@ class TrialSpec:
         if isinstance(self.spectrum_rule, MixedSpectrum):
             if self.spectrum_rule.r1 + self.spectrum_rule.r2 != self.r:
                 raise ValueError("spectrum_rule is mixed and needs r1 + r2 == r")
-        for tpl in self.penalties:
-            if not tpl.b > 0:
-                raise ValueError(
-                    "penalties need b > 0 on every template "
-                    "(it sets the ground-truth scale b*lambda)"
-                )
         if isinstance(self.spectrum_rule, MixedSpectrum) and self.lambda_rule == "standard":
             # the oracle rule's lambda needs the trial's probe: checked in the trial
             for lam in lams:
@@ -222,10 +213,13 @@ class GridResult:
     aggregate: tuple[dict, ...]
 
 
-def _check_completion_size(m: int) -> None:
-    """Reject m = max(m1, m2) = 1 for completion: its lambda rule and its
-    sample-size unit both scale with log m, which is 0 there."""
-    if m < 2:
+def _check_model(model: str, m: int) -> None:
+    """Reject an unknown model, and m = max(m1, m2) = 1 for completion: its
+    lambda rule and its sample-size unit both scale with log m, which is 0
+    there."""
+    if model not in (COMPLETION, SENSING):
+        raise ValueError(f"model must be {COMPLETION!r} or {SENSING!r}, got {model!r}")
+    if model == COMPLETION and m < 2:
         raise ValueError(
             "m1 and m2 are both 1; completion needs max(m1, m2) >= 2, since its "
             "lambda rule and sample-size unit scale with log max(m1, m2)"
@@ -234,12 +228,8 @@ def _check_completion_size(m: int) -> None:
 
 def _sample_size_unit(model: str, r: int, m: int) -> float:
     """The sample size that :func:`rescale_n` maps to 1."""
-    if model == COMPLETION:
-        _check_completion_size(m)
-        return r * m * math.log(m)
-    if model == SENSING:
-        return r * m
-    raise ValueError(f"unknown model {model!r}")
+    _check_model(model, m)
+    return r * m * math.log(m) if model == COMPLETION else r * m
 
 
 def rescale_n(model: str, n: int, r: int, m: int) -> float:
@@ -274,14 +264,20 @@ def standard_lambda(
 ) -> float:
     """The standard regularization level of ``model`` at n observations: the
     theory rule with rule constant c and isotropic design (pi(Sigma) = 1), at
-    noise level sigma, or :data:`SIGMA_FLOOR` when sigma is zero."""
-    sigma_eff = sigma if sigma > 0 else SIGMA_FLOOR
-    if model == COMPLETION:
-        _check_completion_size(max(m1, m2))
-        return theory.lambda_completion(sigma_eff, m1, m2, n, c)
-    if model == SENSING:
-        return theory.lambda_sensing(sigma_eff, m1, m2, n, c)
-    raise ValueError(f"unknown model {model!r}")
+    noise level sigma, or :data:`SIGMA_FLOOR` when sigma is zero.  Rejects
+    a sigma that is not finite and nonnegative or whose lambda is not finite
+    and positive, by a message that opens with ``sigma``."""
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
+    _check_model(model, max(m1, m2))
+    rule = theory.lambda_completion if model == COMPLETION else theory.lambda_sensing
+    lam = rule(sigma if sigma > 0 else SIGMA_FLOOR, m1, m2, n, c)
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(
+            f"sigma must give a finite positive lambda, got lambda = {lam!r} "
+            f"at sigma = {sigma!r} and n = {n}"
+        )
+    return lam
 
 
 def _resolve_lambda(spec: TrialSpec, n: int, probe: theory.CurvatureEstimate) -> float:
@@ -384,10 +380,9 @@ def run_trial(spec: TrialSpec, n: int, penalty_index: int, repeat_index: int) ->
         )
         bound_total = report.total
         bound_holds = bool(frob_err <= report.total)
-        # ||X*(eps)||_2 = n ||grad L(Theta*)||_2
-        adj_noise = n * float(np.linalg.norm(grad_star, 2))
+        # ||X*(eps)||_2 / n = ||grad L(Theta*)||_2
         oracle_gap = theory.oracle_condition_gap(
-            gamma, penalty.nu, spec.r, adj_noise, n, probe.kappa_hat
+            gamma, penalty.nu, spec.r, float(np.linalg.norm(grad_star, 2)), probe.kappa_hat
         )
 
     oracle_match = None

@@ -114,12 +114,13 @@ def error_bound_general(
 
 
 def oracle_condition_gap(
-    gamma_star, nu: float, r: int, adj_noise_spectral: float, n: int, kappa: float
+    gamma_star, nu: float, r: int, adj_noise_over_n: float, kappa: float
 ) -> float:
     """Slack in the smallest-singular-value condition for exact rank recovery.
 
     Returns min over nonzero values of gamma* minus
-    (nu + 2*sqrt(r)*||X*(eps)||_2 / (n*kappa)); positive means the
+    (nu + 2*sqrt(r)*adj_noise_over_n/kappa), ``adj_noise_over_n`` being
+    ||X*(eps)||_2/n as in :func:`lambda_oracle_rule`; positive means the
     rank-restricted estimator and the penalized one provably coincide.
     """
     if not kappa > 0:
@@ -128,7 +129,7 @@ def oracle_condition_gap(
     nonzero = g[g > 0]
     if nonzero.size == 0:
         raise ValueError("gamma_star has no nonzero entries")
-    threshold = nu + 2.0 * math.sqrt(r) * adj_noise_spectral / (n * kappa)
+    threshold = nu + 2.0 * math.sqrt(r) * adj_noise_over_n / kappa
     return float(nonzero.min() - threshold)
 
 

@@ -52,19 +52,20 @@ from constants import PROX_GRID_STEP
 def prox_grid_oracle(spec, z, eta, step=PROX_GRID_STEP):
     """Brute-force minimizer of (x-z)^2/2 + eta*p(|x|) on a dense grid.
 
-    Independent of the candidate-enumeration prox: scans a symmetric grid
-    covering the shrinkage range (the minimizer magnitude never exceeds |z|)
-    and refines around the best coarse point.
+    Independent of the candidate-enumeration prox.  Since p is even and
+    nondecreasing in |x|, the minimizer has the sign of z and magnitude at
+    most |z|: the grid scans [-10*step, |z| + 10*step] for the problem at |z|,
+    refines around the best coarse point, and restores the sign of z.
     """
-    span = abs(z) + 10 * step
-    xs = np.arange(-span, span + step, step)
-    f = 0.5 * (xs - z) ** 2 + eta * penalty_value(spec, xs)
+    a = abs(z)
+    xs = np.arange(-10 * step, a + 11 * step, step)
+    f = 0.5 * (xs - a) ** 2 + eta * penalty_value(spec, xs)
     i = int(np.argmin(f))
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, xs.size - 1)]
     fine = np.linspace(lo, hi, 4001)
-    ff = 0.5 * (fine - z) ** 2 + eta * penalty_value(spec, fine)
-    return float(fine[int(np.argmin(ff))])
+    ff = 0.5 * (fine - a) ** 2 + eta * penalty_value(spec, fine)
+    return float(np.copysign(fine[int(np.argmin(ff))], z))
 
 
 def dense_measurement_matrices(design):

@@ -146,7 +146,7 @@ def test_simulate_rejects_fractional_max_iter_before_running(tmp_path, capsys):
         ("lambda_rule", {"lambda_rule": "x"}),
         ("model", {"model": "x"}),
         ("penalties", {"penalties": []}),
-        ("penalties", {"penalties": [{"family": "nuclear"}]}),  # b defaults to 0
+        ("b", {"penalties": [{"family": "nuclear"}]}),  # every template needs b
         ("spectrum_rule", {"spectrum_rule": {"kind": "mixed", "r1": 1, "r2": 2,
                                              "low_value": 0.1}}),
         ("N_grid", {"n_grid": DROP, "N_grid": [0.001]}),  # rounds to n = 0
@@ -188,6 +188,29 @@ def test_simulate_rejects_invalid_value_naming_its_key(tmp_path, capsys, key, ov
     out = tmp_path / "x"
     assert run_cli("simulate", config, "--out-dir", out, "--jobs", 1) == 2
     assert f"key '{key}':" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key,text", [("<root>", "[1, 2]"), ("<json>", '{"model": ')], ids=["root-list", "invalid-json"]
+)
+def test_simulate_rejects_unreadable_config_naming_it(tmp_path, capsys, key, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    out = tmp_path / "x"
+    assert run_cli("simulate", config, "--out-dir", out, "--jobs", 1) == 2
+    assert f"key '{key}':" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides", [{"N_grid": [2.0]}, {"n_grid": DROP}], ids=["both", "neither"]
+)
+def test_simulate_needs_exactly_one_grid(tmp_path, capsys, overrides):
+    config = minimal_config(tmp_path, **overrides)
+    out = tmp_path / "x"
+    assert run_cli("simulate", config, "--out-dir", out, "--jobs", 1) == 2
+    assert "key 'n_grid': exactly one of n_grid / N_grid" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -252,7 +275,7 @@ def test_sigma_flag_whose_lambda_overflows_names_it(tmp_path, capsys, command):
     src = write_small_triplets(tmp_path)
     assert run_cli(command, src, tmp_path / "out", "--sigma", 1e308) == 2
     err = capsys.readouterr().err
-    assert "key '--sigma': must give a finite positive lambda, got lambda = inf" in err
+    assert "key '--sigma': sigma must give a finite positive lambda, got lambda = inf" in err
     assert "--c" not in err
     assert list(tmp_path.iterdir()) == [src]
 
@@ -296,6 +319,13 @@ def test_fit_takes_no_seed_flag(tmp_path, capsys):
         run_cli("fit", src, tmp_path / "out", "--lambda", 0.1, "--seed", 3)
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+def test_evaluate_negative_seed_names_it(tmp_path, capsys):
+    src = write_small_triplets(tmp_path)
+    assert run_cli("evaluate", src, tmp_path / "out.json", "--lambda", 0.1, "--seed", -1) == 2
+    assert "key '--seed': must be nonnegative, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [src]
 
 
 @pytest.mark.parametrize("command", ["fit", "evaluate"])
@@ -598,6 +628,21 @@ def test_fit_resource_guard(tmp_path):
         "fit", src, tmp_path / "out", "--m1", 20000, "--m2", 20000, "--lambda", 0.1
     )
     assert code == 4
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_file_resource_guard_counts_the_triplets(tmp_path, monkeypatch, command):
+    # 10**4 x 10**4 is exactly the guard's 10**8 floats; the 4 triplets'
+    # index pairs and responses take the fit over it
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the guard must trip before the fit")
+
+    monkeypatch.setattr(cli, "_fit_file_data", no_fit)
+    src = write_small_triplets(tmp_path)
+    out = tmp_path / "out.json"
+    flags = ["--m1", 10**4, "--m2", 10**4, "--lambda", 0.1]
+    assert run_cli(command, src, out, *flags) == 4
+    assert list(tmp_path.iterdir()) == [src]
 
 
 def test_fit_scad_and_nuclear_differ_on_noisy_instance(tmp_path):

@@ -63,6 +63,20 @@ def test_trial_spec_validation():
             small_spec(sigma=sigma)
 
 
+@pytest.mark.parametrize("model", ["completion", "sensing"])
+@pytest.mark.parametrize("sigma", [float("nan"), -1.0, float("inf")])
+def test_standard_lambda_rejects_a_sigma_that_is_not_finite_and_nonnegative(model, sigma):
+    with pytest.raises(ValueError, match="^sigma must be finite and nonnegative"):
+        simlab.standard_lambda(model, sigma, 10, 10, 100)
+
+
+def test_standard_lambda_rejects_an_unknown_model():
+    with pytest.raises(ValueError, match="^model must be 'completion' or 'sensing', got 'x'"):
+        simlab.standard_lambda("x", 0.1, 10, 10, 100)
+    with pytest.raises(ValueError, match="^model must be 'completion' or 'sensing', got 'x'"):
+        simlab.rescale_n("x", 100, 2, 10)
+
+
 def test_mixed_low_value_checked_against_every_nu():
     # standard rule: lambda is known up front, so low_value must stay below
     # b*lambda at every n and template before any trial runs; the smallest nu

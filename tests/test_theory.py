@@ -74,12 +74,12 @@ def test_error_bound_general_arithmetic():
 
 
 def test_oracle_condition_gap():
-    assert oracle_condition_gap([1.0, 2.0], 1.0, 2, 0.0, 10, 0.5) == pytest.approx(0.0)
-    # adjoint-noise term 2*sqrt(r)*adj/(n*kappa) set to 0.3
-    gap = oracle_condition_gap([2.0, 3.0], 1.0, 4, 0.3 * 10 * 0.5 / 4.0, 10, 0.5)
+    assert oracle_condition_gap([1.0, 2.0], 1.0, 2, 0.0, 0.5) == pytest.approx(0.0)
+    # adjoint-noise term 2*sqrt(r)*(adj/n)/kappa set to 0.3
+    gap = oracle_condition_gap([2.0, 3.0], 1.0, 4, 0.3 * 0.5 / 4.0, 0.5)
     assert gap == pytest.approx(0.7)
     with pytest.raises(ValueError):
-        oracle_condition_gap([0.0], 1.0, 1, 0.1, 10, 0.5)
+        oracle_condition_gap([0.0], 1.0, 1, 0.1, 0.5)
 
 
 def test_oracle_condition_gap_recomputable_from_noise():
@@ -91,7 +91,7 @@ def test_oracle_condition_gap_recomputable_from_noise():
     eps = obs.y - apply_forward(design, theta_star)
     adj = float(np.linalg.norm(apply_adjoint(design, eps), 2))
     kappa = 1.0 / (m * m)
-    gap = oracle_condition_gap([3.0, 2.0], 1.0, r, adj, design.n, kappa)
+    gap = oracle_condition_gap([3.0, 2.0], 1.0, r, adj / design.n, kappa)
     assert gap == pytest.approx(2.0 - 1.0 - 2 * math.sqrt(r) * adj / (design.n * kappa))
 
 
